@@ -26,8 +26,8 @@ from .generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
                          gen_model_hamiltonian)
 from .matrixmarket import read_matrix_market, write_matrix_market
 from .multiply import SpammConfig, exact_multiply, spamm, write_box_log
-from .purification import (DroppingMode, SpammMode, match_error_threshold,
-                           purify, write_purify_report)
+from .purification import (DroppingMode, SpammMode, _held_token,
+                           match_error_threshold, purify, write_purify_report)
 from .quadtree import from_dense
 
 
@@ -98,6 +98,8 @@ def cmd_purify(args):
     print(f"energy={result.energy:.17g} delta_e_rel={result.delta_e_rel:.17g}")
     print(f"total_leaf_matmuls={result.total_leaf_matmuls} "
           f"avg_leaf_matmuls={result.avg_leaf_matmuls:.17g}")
+    print(f"held_at={_held_token(result)} "
+          f"idempotency_gap={result.idempotency_gap:.17g}")
     return 0
 
 
@@ -229,8 +231,11 @@ def build_parser():
         "purify", help="TC2 purification of a Hamiltonian",
         description="TC2 purification of a Hamiltonian.  Prints energy = "
                     "Tr(P F) for the projector P that the final iterate "
-                    "purifies to, and delta_e_rel = its relative error "
-                    "against a tau = 0 run.")
+                    "purifies to, delta_e_rel = its relative error "
+                    "against a tau = 0 run, held_at = the sweep at which "
+                    "the run started holding its best iterate (none if it "
+                    "never did) and idempotency_gap = |X^2 - X|_F of the "
+                    "final iterate X.")
     p.add_argument("--f", required=True, help="Hamiltonian MatrixMarket file")
     p.add_argument("--n-occ", type=float, required=True)
     p.add_argument("--mode", choices=["spamm", "drop"], default="spamm")

@@ -170,6 +170,7 @@ def spamm(a, b, config=None):
 
     out = np.zeros((n_pad, n_pad), dtype=a.dtype)
     out_blocks = out.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
+    touched = np.zeros((nb, nb), dtype=bool)
 
     ia = np.zeros(1, dtype=np.intp)
     ja = np.zeros(1, dtype=np.intp)
@@ -200,8 +201,8 @@ def spamm(a, b, config=None):
                                 ja[pruned] * edge, ka[pruned] * edge))
 
         if tier == depth:
-            _leaf_stage(a, b, out_blocks, ia[active], ja[active], ka[active],
-                        nb, depth, stats, counting)
+            _leaf_stage(a, b, out_blocks, touched, ia[active], ja[active],
+                        ka[active], nb, depth, stats, counting)
             break
 
         ia = ia[active]
@@ -217,18 +218,23 @@ def spamm(a, b, config=None):
                 PrunedBox(int(x), int(y), int(z), edge, tier)
                 for x, y, z in zip(bi, bj, bk))
 
-    c = _from_padded(out, a.logical_dim, leaf)
+    c = _from_padded(out, a.logical_dim, leaf, touched)
     return c, stats
 
 
-def _leaf_stage(a, b, out_blocks, ia, ja, ka, nb, depth, stats, counting):
-    """Compute all surviving leaf products and accumulate them into C."""
+def _leaf_stage(a, b, out_blocks, touched, ia, ja, ka, nb, depth, stats,
+                counting):
+    """Compute all surviving leaf products and accumulate them into C,
+    marking every C block written in ``touched``."""
     m = ia.size
     if counting:
         stats.leaf_matmuls += int(m)
     if m == 0:
         return
-    order = np.lexsort((ka, ja, ia))
+    # The (i, j, k) triples are unique, so sorting their row-major key gives
+    # the same permutation as a lexicographic sort; nb**3 fits in intp for
+    # any nb whose operands fit in memory.
+    order = np.argsort((ia * nb + ja) * nb + ka, kind="stable")
     ia, ja, ka = ia[order], ja[order], ka[order]
     groups = ia * nb + ja
 
@@ -254,7 +260,9 @@ def _leaf_stage(a, b, out_blocks, ia, ja, ka, nb, depth, stats, counting):
             continue
         prod = np.matmul(a._blocks[ia[s:e], ka[s:e]], b._blocks[ka[s:e], ja[s:e]])
         blocks, gg = _merge_contributions(prod, groups[s:e], ka[s:e].copy(), depth)
-        out_blocks[gg // nb, gg % nb] = blocks
+        gi, gj = gg // nb, gg % nb
+        out_blocks[gi, gj] = blocks
+        touched[gi, gj] = True
 
 
 def exact_multiply(a, b):

@@ -57,6 +57,12 @@ class ThresholdMatchError(RuntimeError):
 
 @dataclass
 class PurificationResult:
+    """Outcome of ``purify``.  ``held_at`` is the sweep (1-based, as in the
+    report) at which the convergence latch engaged and the run started
+    holding its smallest-gap iterate, or None when it never did;
+    ``idempotency_gap`` is |X**2 - X|_F of the returned iterate X in exact
+    dense algebra."""
+
     density: "object"            # QuadTreeMatrix
     iterations: int
     total_leaf_matmuls: int
@@ -66,6 +72,8 @@ class PurificationResult:
     reference_energy: float
     trace_history: list
     step_leaf_matmuls: list
+    held_at: "int | None"
+    idempotency_gap: float
 
 
 @dataclass
@@ -142,25 +150,31 @@ def _projector_energy(x, f_dense):
     falling; the P with the smallest gap is used.  Stopping on the gap
     rather than at a fixed tolerance ends at float64's own noise floor, and
     keeps the result finite when X is too far from idempotent for McWeeny
-    to converge."""
+    to converge.  Returns (energy, |X**2 - X|), the second being the gap of
+    ``x`` itself that the first step measures."""
     p = x.to_dense().astype(np.float64, copy=False)
     best, best_gap = p, math.inf
+    x_gap = None
     while best_gap > 0:
         p2 = p @ p
         gap = float(np.linalg.norm(p2 - p))
+        if x_gap is None:
+            x_gap = gap
         if not gap < best_gap:
             break
         best, best_gap = p, gap
         p = 3.0 * p2 - 2.0 * (p2 @ p)
-    return float(np.einsum("ij,ji->", best, f_dense))
+    return float(np.einsum("ij,ji->", best, f_dense)), x_gap
 
 
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """Run a fixed number of TC2 sweeps under the given truncation mode.
 
     ``density`` is the final iterate X (the held one once the convergence
-    latch engages); ``energy`` is Tr(P F) for the projector P that X
-    purifies to (see the module docstring).  ``delta_e_rel`` is
+    latch engages, recorded in ``held_at``); ``energy`` is Tr(P F) for the
+    projector P that X purifies to (see the module docstring), and
+    ``idempotency_gap`` is |X**2 - X|_F, so a run held far from idempotency
+    shows as one.  ``delta_e_rel`` is
     |energy - reference| / |reference| against a tau = 0 run of this same
     driver (supply ``reference_energy`` to reuse one across a sweep).
     Rejects asymmetric ``f`` and out-of-range ``n_occ``.
@@ -195,16 +209,16 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     # held sweep and replicated for the remainder instead of recomputed.
     best_x = x
     best_gap = math.inf
-    frozen = False
+    held_at = None
     frozen_stats = None
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         if frozen_stats is not None:
             step_counts.append(frozen_stats.leaf_matmuls)
             trace_history.append(trace_history[-1])
             continue
         nxt, stats = tc2_step(x, n_occ, mode)
         step_counts.append(stats.leaf_matmuls)
-        if frozen:
+        if held_at is not None:
             frozen_stats = stats
             trace_history.append(trace_history[-1])
             continue
@@ -215,12 +229,12 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
             x = nxt
         elif not math.isfinite(gap) or gap > 4.0 * best_gap:
             x = best_x
-            frozen = True
+            held_at = sweep
         else:
             x = nxt
         trace_history.append(trace(x))
 
-    energy = _projector_energy(x, fd)
+    energy, idempotency_gap = _projector_energy(x, fd)
     if mode.tau == 0:
         reference = energy
         delta = 0.0
@@ -246,6 +260,8 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
         reference_energy=reference,
         trace_history=trace_history,
         step_leaf_matmuls=step_counts,
+        held_at=held_at,
+        idempotency_gap=idempotency_gap,
     )
 
 
@@ -350,7 +366,9 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
 def write_purify_report(result, path):
     """Per-sweep report CSV: iteration, trace, leaf_matmuls, cumulative
     matmuls; a final summary row carries energy (Tr(P F) of the purified
-    projector, as in ``purify``), delta_e_rel and avg_leaf_matmuls."""
+    projector, as in ``purify``), delta_e_rel, avg_leaf_matmuls, held_at
+    (the sweep at which the latch engaged, or ``none``) and
+    idempotency_gap."""
     with open(path, "w") as fh:
         fh.write("iteration,trace,leaf_matmuls,cumulative_matmuls\n")
         cum = 0
@@ -359,4 +377,11 @@ def write_purify_report(result, path):
             fh.write(f"{i},{result.trace_history[i]:.17g},{count},{cum}\n")
         fh.write(f"summary,energy={result.energy:.17g},"
                  f"delta_e_rel={result.delta_e_rel:.17g},"
-                 f"avg_leaf_matmuls={result.avg_leaf_matmuls:.17g}\n")
+                 f"avg_leaf_matmuls={result.avg_leaf_matmuls:.17g},"
+                 f"held_at={_held_token(result)},"
+                 f"idempotency_gap={result.idempotency_gap:.17g}\n")
+
+
+def _held_token(result):
+    """``held_at`` as printed in reports: the sweep number, or ``none``."""
+    return "none" if result.held_at is None else str(result.held_at)

@@ -10,6 +10,16 @@ arithmetic.
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
 result is provably identical).
+
+Every tree is built from a mask of the leaf blocks that may be nonzero, all
+other blocks holding exact +0.0.  ``from_dense`` passes every block; a
+derived tree passes the blocks its producing operation wrote (the output
+blocks of ``spamm``, the union of both operands' blocks for ``add``, the
+operand's blocks for ``scale``, the survivors for ``filter_drop``).  The
+nonzero test, the +0.0 reset and the leaf norms run on those blocks only,
+so building a derived tree costs O(occupied blocks) rather than O(n**2);
+each block's norm is summed in its own fixed order, so the result is the
+same bits as a scan of the whole array.
 """
 
 from __future__ import annotations
@@ -75,14 +85,17 @@ def _leaf_norm_sq(blocks):
     """Squared Frobenius norm of every block, accumulated element by element
     in row-major order (fixed summation order for bit reproducibility).
 
-    ``blocks`` has shape (nb, nb, b, b); returns float64 (nb, nb).
+    ``blocks`` is a stack of b x b blocks, shape (..., b, b), e.g. the
+    (m, b, b) gather of a tree's touched blocks; returns float64 of shape
+    ``blocks.shape[:-2]``.  Each block's sum depends on that block alone, so
+    a block's norm is the same bits whichever stack it is part of.
     """
     b = blocks.shape[-1]
     sq = blocks.astype(np.float64, copy=False)
-    acc = np.zeros(blocks.shape[:2], dtype=np.float64)
+    acc = np.zeros(blocks.shape[:-2], dtype=np.float64)
     for r in range(b):
         for c in range(b):
-            e = sq[:, :, r, c]
+            e = sq[..., r, c]
             acc += e * e
     return acc
 
@@ -113,7 +126,7 @@ class QuadTreeMatrix:
                  "_padded", "_blocks", "_leaf_nonzero", "_norm_sq",
                  "_occupied", "_root")
 
-    def __init__(self, padded, logical_dim, leaf_size, _internal=False):
+    def __init__(self, padded, logical_dim, leaf_size, touched, _internal=False):
         if not _internal:
             raise TypeError("use from_dense() to construct a QuadTreeMatrix")
         n = padded.shape[0]
@@ -123,14 +136,23 @@ class QuadTreeMatrix:
         assert leaf_size << depth == n
         nb = n // leaf_size
         blocks = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
-        leaf_nonzero = (blocks != 0).any(axis=(2, 3))
-        if not leaf_nonzero.all():
+        # ``touched`` (nb, nb) marks the blocks that may be nonzero; every
+        # other block must already hold exact +0.0 and is never read.
+        ti, tj = np.nonzero(touched)
+        sub = blocks[ti, tj]
+        nonzero = (sub != 0).any(axis=(1, 2))
+        if not nonzero.all():
             # Canonical form: a structurally empty block stores exact +0.0.
-            blocks[~leaf_nonzero] = 0.0
+            blocks[ti[~nonzero], tj[~nonzero]] = 0.0
+            ti, tj, sub = ti[nonzero], tj[nonzero], sub[nonzero]
+        leaf_nonzero = np.zeros((nb, nb), dtype=bool)
+        leaf_nonzero[ti, tj] = True
+        leaf_norm_sq = np.zeros((nb, nb), dtype=np.float64)
+        leaf_norm_sq[ti, tj] = _leaf_norm_sq(sub)
 
         norm_sq = [None] * (depth + 1)
         occupied = [None] * (depth + 1)
-        norm_sq[depth] = _leaf_norm_sq(blocks)
+        norm_sq[depth] = leaf_norm_sq
         occupied[depth] = leaf_nonzero
         for k in range(depth - 1, -1, -1):
             norm_sq[k] = _aggregate_norm_sq(norm_sq[k + 1])
@@ -248,12 +270,16 @@ def from_dense(dense, leaf_size=4, dtype=None):
     padded_dim = leaf_size << depth
     padded = np.zeros((padded_dim, padded_dim), dtype=target)
     padded[:n, :n] = arr
-    return QuadTreeMatrix(padded, n, leaf_size, _internal=True)
+    nb = padded_dim // leaf_size
+    return _from_padded(padded, n, leaf_size, np.ones((nb, nb), dtype=bool))
 
 
-def _from_padded(padded, logical_dim, leaf_size):
-    """Internal: wrap an already padded, owned array (consumed; do not reuse)."""
-    return QuadTreeMatrix(padded, logical_dim, leaf_size, _internal=True)
+def _from_padded(padded, logical_dim, leaf_size, touched):
+    """Internal: wrap an already padded, owned array (consumed; do not reuse).
+
+    ``touched`` is the (nb, nb) mask of blocks the producing operation wrote;
+    blocks outside it must hold exact +0.0."""
+    return QuadTreeMatrix(padded, logical_dim, leaf_size, touched, _internal=True)
 
 
 def identity(n, leaf_size=4, dtype=None):
@@ -303,13 +329,21 @@ def add(a, b):
         blocks[a_only] = a._blocks[a_only]
     if b_only.any():
         blocks[b_only] = b._blocks[b_only]
-    return _from_padded(out, a.logical_dim, a.leaf_size)
+    return _from_padded(out, a.logical_dim, a.leaf_size,
+                        a._leaf_nonzero | b._leaf_nonzero)
 
 
 def scale(m, s):
-    """Tree scaled by a scalar; scaling by 0 yields the Empty tree."""
-    out = m._padded * m.dtype.type(s)
-    return _from_padded(out, m.logical_dim, m.leaf_size)
+    """Tree scaled by a scalar; scaling by 0 yields the Empty tree.
+
+    Only the nonzero blocks are scaled; empty blocks stay exact +0.0 (a
+    whole-array product by s < 0 would turn them into -0.0)."""
+    out = np.zeros(m._padded.shape, dtype=m.dtype)
+    blocks = out.reshape(m.block_grid, m.leaf_size, m.block_grid,
+                         m.leaf_size).swapaxes(1, 2)
+    nz = m._leaf_nonzero
+    blocks[nz] = m._blocks[nz] * m.dtype.type(s)
+    return _from_padded(out, m.logical_dim, m.leaf_size, nz)
 
 
 def filter_drop(m, tau):
@@ -328,7 +362,7 @@ def filter_drop(m, tau):
     blocks = out.reshape(m.block_grid, m.leaf_size, m.block_grid,
                          m.leaf_size).swapaxes(1, 2)
     blocks[drop] = 0.0
-    return _from_padded(out, m.logical_dim, m.leaf_size)
+    return _from_padded(out, m.logical_dim, m.leaf_size, m._leaf_nonzero & ~drop)
 
 
 def audit_norm_cache(m):
@@ -338,7 +372,7 @@ def audit_norm_cache(m):
     The norm-cache invariant requires this to be <= 4 * machine epsilon.
     """
     worst = 0.0
-    fresh = _leaf_norm_sq(m._blocks)
+    fresh = _leaf_norm_sq(m._blocks)  # every block, not only the occupied ones
     for k in range(m.depth, -1, -1):
         stored = m._norm_sq[k]
         denom = np.where(stored > 0, stored, 1.0)

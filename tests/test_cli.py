@@ -159,7 +159,7 @@ def test_boxes_per_tier_counts_match_flat_reference(tmp_path):
 
 # ------------------------------------------------------------------- purify
 
-def test_purify_report_consistency(tmp_path):
+def test_purify_report_consistency(tmp_path, capsys):
     h = tmp_path / "h.mtx"
     assert main(["generate", "--kind", "gapped", "--n", "64",
                  "--out", str(h)]) == 0
@@ -176,6 +176,10 @@ def test_purify_report_consistency(tmp_path):
     summary = dict(tok.split("=") for tok in lines[-1].split(",")[1:])
     avg = float(summary["avg_leaf_matmuls"])
     assert math.isclose(avg * 20, total, rel_tol=1e-12)
+    printed = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split()
+                   if "=" in tok)
+    for key in ("held_at", "idempotency_gap"):
+        assert printed[key] == summary[key]
     p = read_matrix_market(out_p)
     assert abs(np.trace(p) - 32) <= 1e-6
 

@@ -137,6 +137,26 @@ def test_purify_holds_diverging_gapless_run(gapless256, tau):
     assert 0.0 <= trace(res.density) <= n
 
 
+def test_purify_flags_held_run(gapless256):
+    """A run held far from idempotency says so: the sweep at which the latch
+    engaged, and the gap of the held iterate."""
+    res = purify(gapless256["tree"], gapless256["n_occ"], SpammMode(1e-4),
+                 reference_energy=gapless256["exact"].energy)
+    assert res.held_at is not None and 1 <= res.held_at < res.iterations
+    held = res.trace_history[res.held_at]
+    assert all(t == held for t in res.trace_history[res.held_at:])
+    assert res.trace_history[res.held_at - 1] != held
+    p = to_dense(res.density)
+    assert res.idempotency_gap == float(np.linalg.norm(p @ p - p))
+    assert 2e-2 <= res.idempotency_gap <= 5e-2
+
+
+def test_purify_converged_gap_at_fixed_point_floor():
+    res = purify(_gapped(64), 32, SpammMode(0.0))
+    assert res.held_at is None
+    assert res.idempotency_gap <= 16 * np.finfo(np.float64).eps * 64
+
+
 def test_energy_is_that_of_purified_projector(gapped256):
     """The reported energy belongs to the projector onto the eigenvectors of
     the final iterate with eigenvalue above 1/2, not to the iterate."""
@@ -224,6 +244,9 @@ def test_purify_report_schema(tmp_path):
     assert float(fields["energy"]) == res.energy
     assert float(fields["delta_e_rel"]) == res.delta_e_rel
     assert float(fields["avg_leaf_matmuls"]) == res.avg_leaf_matmuls
+    held = "none" if res.held_at is None else str(res.held_at)
+    assert fields["held_at"] == held
+    assert float(fields["idempotency_gap"]) == res.idempotency_gap
 
 
 # ---------------------------------------------------------------- validation

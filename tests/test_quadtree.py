@@ -7,6 +7,7 @@ from spamm.quadtree import (DimensionMismatchError, EmptyNode, LeafNode,
                             add, audit_norm_cache, filter_drop, from_dense,
                             identity, node_norm, scale, to_dense, trace)
 from spamm.generators import gen_exponential
+from spamm.multiply import SpammConfig, spamm
 
 
 def test_identity4_single_leaf():
@@ -186,3 +187,94 @@ def test_trace_excludes_padding():
 def test_add_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         add(from_dense(np.eye(4)), from_dense(np.eye(8)))
+
+
+# ------------------------------------------------- touched-block construction
+
+def _full_rebuild(padded, leaf_size):
+    """Reference build that scans every block of ``padded``: nonzero test,
+    +0.0 reset of empty blocks, row-major leaf norms over the whole grid,
+    then tier sums in order 11, 12, 21, 22."""
+    padded = padded.copy()
+    nb = padded.shape[0] // leaf_size
+    blocks = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
+    nonzero = (blocks != 0).any(axis=(2, 3))
+    blocks[~nonzero] = 0.0
+    leaf = np.zeros((nb, nb))
+    for r in range(leaf_size):
+        for c in range(leaf_size):
+            e = blocks[:, :, r, c].astype(np.float64)
+            leaf += e * e
+    norms, occ = [leaf], [nonzero]
+    while norms[-1].shape[0] > 1:
+        f, o = norms[-1], occ[-1]
+        norms.append(((f[0::2, 0::2] + f[0::2, 1::2]) + f[1::2, 0::2])
+                     + f[1::2, 1::2])
+        occ.append(o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2])
+    return padded, nonzero, norms[::-1], occ[::-1]
+
+
+def _assert_matches_full_rebuild(m):
+    padded, nonzero, norms, occ = _full_rebuild(m._padded, m.leaf_size)
+    assert m._padded.tobytes() == padded.tobytes()
+    assert np.array_equal(m._leaf_nonzero, nonzero)
+    assert len(m._norm_sq) == len(m._occupied) == len(norms) == m.depth + 1
+    for k in range(m.depth + 1):
+        assert m._norm_sq[k].tobytes() == norms[k].tobytes(), k
+        assert np.array_equal(m._occupied[k], occ[k]), k
+    assert audit_norm_cache(m) == 0.0
+
+
+def _banded(n, width, seed, leaf_size=4):
+    """Random matrix with exact zeros beyond ``width`` of the diagonal, so
+    most leaf blocks are empty."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    d = rng.standard_normal((n, n)) * np.exp(-0.5 * np.abs(i - j))
+    d[np.abs(i - j) > width] = 0.0
+    return from_dense(d, leaf_size=leaf_size)
+
+
+def test_spamm_output_matches_full_rebuild():
+    a = _banded(61, 9, 20)
+    b = _banded(61, 5, 21)
+    for tau in (0.0, 1e-3):
+        c, _ = spamm(a, b, SpammConfig(tau=tau))
+        _assert_matches_full_rebuild(c)
+    # C11 = I*I + I*(-I) is written by the multiply but cancels to exact zero
+    eye = np.eye(4)
+    z = np.zeros((4, 4))
+    c, _ = spamm(from_dense(np.block([[eye, eye], [z, z]])),
+                 from_dense(np.block([[eye, z], [-eye, z]])))
+    assert not c._leaf_nonzero.any()
+    _assert_matches_full_rebuild(c)
+
+
+def test_add_output_matches_full_rebuild():
+    a = _banded(70, 6, 22)
+    b = _banded(70, 14, 23)  # blocks where a is empty
+    _assert_matches_full_rebuild(add(a, b))
+    # blocks where only one side is nonzero, and blocks that cancel exactly
+    d = to_dense(a)
+    half = np.where(np.indices(d.shape)[0] < 35, -d, 0.0)
+    s = add(a, from_dense(half))
+    assert not s._leaf_nonzero[:8].any() and s._leaf_nonzero[9:].any()
+    _assert_matches_full_rebuild(s)
+
+
+def test_scale_output_matches_full_rebuild():
+    m = _banded(50, 7, 24)
+    for s in (2.0, -1.0, 0.0):
+        _assert_matches_full_rebuild(scale(m, s))
+    assert not scale(m, 0.0)._leaf_nonzero.any()
+    # a negative scale keeps empty blocks at +0.0, not -0.0
+    neg = scale(m, -1.0)
+    empty = neg._blocks[~neg._leaf_nonzero]
+    assert empty.size and empty.tobytes() == np.zeros_like(empty).tobytes()
+
+
+def test_filter_drop_output_matches_full_rebuild():
+    m = _banded(64, 12, 25)
+    f = filter_drop(m, 1e-2)
+    assert f is not m
+    _assert_matches_full_rebuild(f)
