@@ -10,11 +10,7 @@ input ordering has none.
 """
 
 from .quadtree import (
-    EMPTY,
     DimensionMismatchError,
-    EmptyNode,
-    InteriorNode,
-    LeafNode,
     QuadTreeMatrix,
     add,
     audit_norm_cache,
@@ -79,9 +75,9 @@ from .matrixmarket import read_matrix_market, write_matrix_market
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY", "DimensionMismatchError", "EmptyNode", "InteriorNode",
-    "LeafNode", "QuadTreeMatrix", "add", "audit_norm_cache", "filter_drop",
-    "from_dense", "identity", "node_norm", "scale", "to_dense", "trace",
+    "DimensionMismatchError", "QuadTreeMatrix", "add", "audit_norm_cache",
+    "filter_drop", "from_dense", "identity", "node_norm", "scale", "to_dense",
+    "trace",
     "ProductStats", "PrunedBox", "SpammConfig", "exact_multiply",
     "multiply_error", "norm_submultiplicativity_check", "read_box_log",
     "spamm", "write_box_log",

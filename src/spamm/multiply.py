@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quadtree import QuadTreeMatrix, _from_padded, _require_conformable, node_norm
+from .quadtree import _from_blocks, _require_conformable, node_norm
 
 # Child offset enumeration for one tier of expansion: (di, dj, dk).
 _DI = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.intp)
@@ -168,9 +168,8 @@ def spamm(a, b, config=None):
     stats = ProductStats(boxes=[] if config.collect_boxes else None)
     box_batches = []
 
-    out = np.zeros((n_pad, n_pad), dtype=a.dtype)
-    out_blocks = out.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
-    touched = np.zeros((nb, nb), dtype=bool)
+    keys = np.zeros(0, dtype=np.intp)
+    blocks = np.zeros((0, leaf, leaf), dtype=a.dtype)
 
     ia = np.zeros(1, dtype=np.intp)
     ja = np.zeros(1, dtype=np.intp)
@@ -201,8 +200,11 @@ def spamm(a, b, config=None):
                                 ja[pruned] * edge, ka[pruned] * edge))
 
         if tier == depth:
-            _leaf_stage(a, b, out_blocks, touched, ia[active], ja[active],
-                        ka[active], nb, depth, stats, counting)
+            ia, ja, ka = ia[active], ja[active], ka[active]
+            if counting:
+                stats.leaf_matmuls += int(ia.size)
+            if ia.size:
+                keys, blocks = _leaf_stage(a, b, ia, ja, ka, nb, depth)
             break
 
         ia = ia[active]
@@ -218,27 +220,25 @@ def spamm(a, b, config=None):
                 PrunedBox(int(x), int(y), int(z), edge, tier)
                 for x, y, z in zip(bi, bj, bk))
 
-    c = _from_padded(out, a.logical_dim, leaf, touched)
+    c = _from_blocks(keys, blocks, a.logical_dim, leaf)
     return c, stats
 
 
-def _leaf_stage(a, b, out_blocks, touched, ia, ja, ka, nb, depth, stats,
-                counting):
-    """Compute all surviving leaf products and accumulate them into C,
-    marking every C block written in ``touched``."""
+def _leaf_stage(a, b, ia, ja, ka, nb, depth):
+    """Compute the surviving leaf products (at least one) and merge them per
+    C block.  Returns the C block keys ``i * nb + j`` in increasing order
+    and the (m, b, b) stack of merged blocks in that order."""
     m = ia.size
-    if counting:
-        stats.leaf_matmuls += int(m)
-    if m == 0:
-        return
+    leaf = a.leaf_size
     # The (i, j, k) triples are unique, so sorting their row-major key gives
     # the same permutation as a lexicographic sort; nb**3 fits in intp for
     # any nb whose operands fit in memory.
     order = np.argsort((ia * nb + ja) * nb + ka, kind="stable")
     ia, ja, ka = ia[order], ja[order], ka[order]
     groups = ia * nb + ja
+    rows_a = a._index[ia, ka]
+    rows_b = b._index[ka, ja]
 
-    leaf = a.leaf_size
     chunk_triples = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
     # Chunk boundaries must not split a group, or the pairwise merge would
     # run on a partial contribution set.
@@ -255,14 +255,18 @@ def _leaf_stage(a, b, out_blocks, touched, ia, ja, ka, nb, depth, stats,
         starts.append(cut)
     starts.append(m)
 
+    keys, blocks = [], []
     for s, e in zip(starts[:-1], starts[1:]):
         if s == e:
             continue
-        prod = np.matmul(a._blocks[ia[s:e], ka[s:e]], b._blocks[ka[s:e], ja[s:e]])
-        blocks, gg = _merge_contributions(prod, groups[s:e], ka[s:e].copy(), depth)
-        gi, gj = gg // nb, gg % nb
-        out_blocks[gi, gj] = blocks
-        touched[gi, gj] = True
+        prod = np.matmul(np.take(a._stack, rows_a[s:e], axis=0),
+                         np.take(b._stack, rows_b[s:e], axis=0))
+        merged, gg = _merge_contributions(prod, groups[s:e], ka[s:e].copy(), depth)
+        keys.append(gg)
+        blocks.append(merged)
+    if len(keys) == 1:
+        return keys[0], blocks[0]
+    return np.concatenate(keys), np.concatenate(blocks)
 
 
 def exact_multiply(a, b):

@@ -1,25 +1,36 @@
 """Quadtree matrices with hierarchically cached Frobenius norms.
 
-A matrix is stored as a quadtree over a zero-padded square array whose side
-is ``leaf_size * 2**depth``.  Every node caches the *squared* Frobenius norm
-of its submatrix, so norms aggregate exactly additively up the tree; square
-roots are taken only when a norm is actually compared or reported.  Exactly
-zero submatrices are represented by Empty nodes, which short-circuit all
-arithmetic.
+A matrix is stored over a zero-padded square whose side is
+``leaf_size * 2**depth``, cut into ``nb x nb`` leaf blocks
+(``nb = 2**depth``).  Only the nonzero leaf blocks are stored, in two
+arrays:
+
+* ``_keys``: the sorted row-major block keys ``i * nb + j``;
+* ``_stack``: one read-only, C-contiguous ``(m, leaf_size, leaf_size)``
+  stack of those blocks, in key order.
+
+Every tier of the tree caches the *squared* Frobenius norm and the
+occupancy of each of its nodes in a dense pyramid (``_norm_sq[k]`` and
+``_occupied[k]``, shape ``(2**k, 2**k)``), so norms aggregate exactly
+additively up the tree; square roots are taken only when a norm is
+actually compared or reported.  An ``(nb, nb)`` index maps each block to
+its stack row for the multiply's gathers.  Exactly zero submatrices are
+unoccupied nodes, which short-circuit all arithmetic.
+
+Canonical form: a stored block has at least one nonzero element.  There is
+one construction path: it takes keys and a stack, drops the blocks that
+are all zero (including blocks of -0.0), and sums each block's norm in its
+own row-major order, so a block's norm is the same bits whichever
+operation produced it.
+
+Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
+O(stored blocks) in block data plus O(nb**2) for the pyramids and the
+index; no operation on trees allocates an n x n array.  ``from_dense`` and
+``to_dense`` are the only O(n**2) steps.
 
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
 result is provably identical).
-
-Every tree is built from a mask of the leaf blocks that may be nonzero, all
-other blocks holding exact +0.0.  ``from_dense`` passes every block; a
-derived tree passes the blocks its producing operation wrote (the output
-blocks of ``spamm``, the union of both operands' blocks for ``add``, the
-operand's blocks for ``scale``, the survivors for ``filter_drop``).  The
-nonzero test, the +0.0 reset and the leaf norms run on those blocks only,
-so building a derived tree costs O(occupied blocks) rather than O(n**2);
-each block's norm is summed in its own fixed order, so the result is the
-same bits as a scan of the whole array.
 """
 
 from __future__ import annotations
@@ -28,67 +39,20 @@ import numpy as np
 
 _SUPPORTED_DTYPES = (np.float64, np.float32)
 
-# Child enumeration order used everywhere a quadrant is visited: row-major
-# over the 2x2 block layout (11, 12, 21, 22).
-_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 class DimensionMismatchError(ValueError):
     """Raised for unusable matrix dimensions: non-square input, or two
     trees that are not conformable for an operation."""
 
 
-class EmptyNode:
-    """An exactly-zero submatrix.  Shared singleton; carries no payload."""
-
-    __slots__ = ()
-    kind = "empty"
-    norm_sq = 0.0
-
-    def __repr__(self):
-        return "EmptyNode()"
-
-
-EMPTY = EmptyNode()
-
-
-class LeafNode:
-    """A dense leaf_size x leaf_size block (row-major, read-only view)."""
-
-    __slots__ = ("block", "norm_sq")
-    kind = "leaf"
-
-    def __init__(self, block, norm_sq):
-        self.block = block
-        self.norm_sq = norm_sq
-
-    def __repr__(self):
-        return f"LeafNode(norm_sq={self.norm_sq!r})"
-
-
-class InteriorNode:
-    """An internal node with four children in order 11, 12, 21, 22."""
-
-    __slots__ = ("children", "norm_sq")
-    kind = "interior"
-
-    def __init__(self, children, norm_sq):
-        self.children = children
-        self.norm_sq = norm_sq
-
-    def __repr__(self):
-        kinds = ",".join(c.kind for c in self.children)
-        return f"InteriorNode([{kinds}], norm_sq={self.norm_sq!r})"
-
-
 def _leaf_norm_sq(blocks):
     """Squared Frobenius norm of every block, accumulated element by element
     in row-major order (fixed summation order for bit reproducibility).
 
-    ``blocks`` is a stack of b x b blocks, shape (..., b, b), e.g. the
-    (m, b, b) gather of a tree's touched blocks; returns float64 of shape
-    ``blocks.shape[:-2]``.  Each block's sum depends on that block alone, so
-    a block's norm is the same bits whichever stack it is part of.
+    ``blocks`` is a stack of b x b blocks, shape (..., b, b); returns
+    float64 of shape ``blocks.shape[:-2]``.  Each block's sum depends on
+    that block alone, so a block's norm is the same bits whichever stack it
+    is part of.
     """
     b = blocks.shape[-1]
     sq = blocks.astype(np.float64, copy=False)
@@ -103,6 +67,14 @@ def _leaf_norm_sq(blocks):
 def _aggregate_norm_sq(fine):
     """One tier of norm aggregation: children summed in order 11, 12, 21, 22."""
     return ((fine[0::2, 0::2] + fine[0::2, 1::2]) + fine[1::2, 0::2]) + fine[1::2, 1::2]
+
+
+def _depth_for(logical_dim, leaf_size):
+    """Smallest depth with leaf_size * 2**depth >= logical_dim."""
+    depth = 0
+    while leaf_size << depth < logical_dim:
+        depth += 1
+    return depth
 
 
 class QuadTreeMatrix:
@@ -123,54 +95,52 @@ class QuadTreeMatrix:
     """
 
     __slots__ = ("logical_dim", "leaf_size", "depth", "padded_dim", "dtype",
-                 "_padded", "_blocks", "_leaf_nonzero", "_norm_sq",
-                 "_occupied", "_root")
+                 "_keys", "_stack", "_index", "_leaf_nonzero", "_norm_sq",
+                 "_occupied")
 
-    def __init__(self, padded, logical_dim, leaf_size, touched, _internal=False):
+    def __init__(self, keys, stack, logical_dim, leaf_size, _internal=False):
         if not _internal:
             raise TypeError("use from_dense() to construct a QuadTreeMatrix")
-        n = padded.shape[0]
-        depth = 0
-        while leaf_size << depth < n:
-            depth += 1
-        assert leaf_size << depth == n
-        nb = n // leaf_size
-        blocks = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
-        # ``touched`` (nb, nb) marks the blocks that may be nonzero; every
-        # other block must already hold exact +0.0 and is never read.
-        ti, tj = np.nonzero(touched)
-        sub = blocks[ti, tj]
-        nonzero = (sub != 0).any(axis=(1, 2))
+        # ``keys`` are strictly increasing row-major block keys and ``stack``
+        # the C-contiguous (m, b, b) blocks in that order, owned by the tree.
+        depth = _depth_for(logical_dim, leaf_size)
+        nb = 1 << depth
+        nonzero = (stack != 0).any(axis=(1, 2))
         if not nonzero.all():
-            # Canonical form: a structurally empty block stores exact +0.0.
-            blocks[ti[~nonzero], tj[~nonzero]] = 0.0
-            ti, tj, sub = ti[nonzero], tj[nonzero], sub[nonzero]
-        leaf_nonzero = np.zeros((nb, nb), dtype=bool)
-        leaf_nonzero[ti, tj] = True
-        leaf_norm_sq = np.zeros((nb, nb), dtype=np.float64)
-        leaf_norm_sq[ti, tj] = _leaf_norm_sq(sub)
+            keys, stack = keys[nonzero], stack[nonzero]
+        keys.flags.writeable = False
+        stack.flags.writeable = False
+        m = keys.size
+
+        leaf_norm_sq = np.zeros(nb * nb, dtype=np.float64)
+        leaf_norm_sq[keys] = _leaf_norm_sq(stack)
+        leaf_nonzero = np.zeros(nb * nb, dtype=bool)
+        leaf_nonzero[keys] = True
+        # An absent block maps past the end of the stack, so gathering one
+        # raises instead of reading another block.
+        index = np.full(nb * nb, m, dtype=np.intp)
+        index[keys] = np.arange(m, dtype=np.intp)
 
         norm_sq = [None] * (depth + 1)
         occupied = [None] * (depth + 1)
-        norm_sq[depth] = leaf_norm_sq
-        occupied[depth] = leaf_nonzero
+        norm_sq[depth] = leaf_norm_sq.reshape(nb, nb)
+        occupied[depth] = leaf_nonzero.reshape(nb, nb)
         for k in range(depth - 1, -1, -1):
             norm_sq[k] = _aggregate_norm_sq(norm_sq[k + 1])
             f = occupied[k + 1]
             occupied[k] = f[0::2, 0::2] | f[0::2, 1::2] | f[1::2, 0::2] | f[1::2, 1::2]
 
-        padded.flags.writeable = False
         self.logical_dim = logical_dim
         self.leaf_size = leaf_size
         self.depth = depth
-        self.padded_dim = n
-        self.dtype = padded.dtype
-        self._padded = padded
-        self._blocks = blocks
-        self._leaf_nonzero = leaf_nonzero
+        self.padded_dim = leaf_size << depth
+        self.dtype = stack.dtype
+        self._keys = keys
+        self._stack = stack
+        self._index = index.reshape(nb, nb)
+        self._leaf_nonzero = occupied[depth]
         self._norm_sq = norm_sq
         self._occupied = occupied
-        self._root = None
 
     # -- structure ---------------------------------------------------------
 
@@ -183,45 +153,30 @@ class QuadTreeMatrix:
     def element_precision(self):
         return "double" if self.dtype == np.float64 else "single"
 
-    @property
-    def root(self):
-        """Root node of the quadtree view (built lazily, then cached)."""
-        if self._root is None:
-            self._root = self._build_node(0, 0, 0)
-        return self._root
-
-    def _build_node(self, tier, qi, qj):
-        if not self._occupied[tier][qi, qj]:
-            return EMPTY
-        if tier == self.depth:
-            return LeafNode(self._blocks[qi, qj], float(self._norm_sq[tier][qi, qj]))
-        children = tuple(
-            self._build_node(tier + 1, 2 * qi + di, 2 * qj + dj)
-            for di, dj in _QUADRANTS
-        )
-        return InteriorNode(children, float(self._norm_sq[tier][qi, qj]))
-
     # -- basic queries ------------------------------------------------------
 
     def to_dense(self):
         """Dense logical_dim x logical_dim array (padding stripped)."""
-        n = self.logical_dim
-        return self._padded[:n, :n].copy()
+        n, pad, b, nb = self.logical_dim, self.padded_dim, self.leaf_size, self.block_grid
+        out = np.zeros((pad, pad), dtype=self.dtype)
+        out.reshape(nb, b, nb, b).swapaxes(1, 2)[
+            self._keys // nb, self._keys % nb] = self._stack
+        return out if n == pad else out[:n, :n].copy()
 
     def norm(self):
         """Frobenius norm of the whole matrix."""
         return float(np.sqrt(self._norm_sq[0][0, 0]))
 
     def structurally_equal(self, other):
-        """True iff the two trees have identical shape, node structure and
-        bit-identical leaf contents."""
+        """True iff the two trees have identical shape, the same stored
+        blocks and bit-identical leaf contents."""
         if not isinstance(other, QuadTreeMatrix):
             return False
         return (self.logical_dim == other.logical_dim
                 and self.leaf_size == other.leaf_size
                 and self.dtype == other.dtype
-                and np.array_equal(self._leaf_nonzero, other._leaf_nonzero)
-                and self._padded.tobytes() == other._padded.tobytes())
+                and np.array_equal(self._keys, other._keys)
+                and self._stack.tobytes() == other._stack.tobytes())
 
     def __repr__(self):
         return (f"QuadTreeMatrix(n={self.logical_dim}, leaf={self.leaf_size}, "
@@ -241,7 +196,7 @@ def from_dense(dense, leaf_size=4, dtype=None):
     """Build a quadtree matrix from a dense square array.
 
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
-    depth that fits; padding lives in Empty nodes and costs nothing later.
+    depth that fits; padding lives in unstored blocks and costs nothing later.
 
     Parameters
     ----------
@@ -264,22 +219,21 @@ def from_dense(dense, leaf_size=4, dtype=None):
     n = arr.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    depth = 0
-    while leaf_size << depth < n:
-        depth += 1
-    padded_dim = leaf_size << depth
+    padded_dim = leaf_size << _depth_for(n, leaf_size)
     padded = np.zeros((padded_dim, padded_dim), dtype=target)
     padded[:n, :n] = arr
     nb = padded_dim // leaf_size
-    return _from_padded(padded, n, leaf_size, np.ones((nb, nb), dtype=bool))
+    stack = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2).reshape(
+        nb * nb, leaf_size, leaf_size)
+    return _from_blocks(np.arange(nb * nb, dtype=np.intp), stack, n, leaf_size)
 
 
-def _from_padded(padded, logical_dim, leaf_size, touched):
-    """Internal: wrap an already padded, owned array (consumed; do not reuse).
-
-    ``touched`` is the (nb, nb) mask of blocks the producing operation wrote;
-    blocks outside it must hold exact +0.0."""
-    return QuadTreeMatrix(padded, logical_dim, leaf_size, touched, _internal=True)
+def _from_blocks(keys, stack, logical_dim, leaf_size):
+    """Internal: build a tree from strictly increasing block keys and their
+    C-contiguous (m, b, b) stack.  All-zero blocks are dropped.  The tree
+    takes both arrays and makes them read-only (do not reuse a writable one);
+    another tree's read-only keys may be passed as they are."""
+    return QuadTreeMatrix(keys, stack, logical_dim, leaf_size, _internal=True)
 
 
 def identity(n, leaf_size=4, dtype=None):
@@ -298,71 +252,77 @@ def node_norm(m):
 
 
 def trace(m):
-    """Sum of the logical diagonal (padding is exactly zero and excluded)."""
-    d = m._padded.diagonal()[:m.logical_dim]
-    return float(np.add.reduce(d))
+    """Sum of the logical diagonal (padding is exactly zero and excluded).
+
+    The diagonal of the padded matrix is filled from the stored diagonal
+    blocks and reduced over its logical part in one fixed order."""
+    nb, b = m.block_grid, m.leaf_size
+    diag = np.zeros((nb, b), dtype=m.dtype)
+    rows = m._index.diagonal()
+    present = rows < m._keys.size
+    diag[present] = m._stack[rows[present]].diagonal(axis1=1, axis2=2)
+    return float(np.add.reduce(diag.reshape(-1)[:m.logical_dim]))
+
+
+def _union(a, b):
+    """Sorted union of the two trees' block keys, and the positions of each
+    tree's blocks in it."""
+    keys = np.flatnonzero(a._leaf_nonzero | b._leaf_nonzero)
+    return keys, np.searchsorted(keys, a._keys), np.searchsorted(keys, b._keys)
 
 
 def distance(a, b):
-    """Frobenius norm of a - b, read from the padded arrays without building
-    a tree (padding is exactly zero in both).  The squares are summed in one
-    fixed order, so equal inputs give bit-identical results."""
+    """Frobenius norm of a - b, summed over the union of both trees' stored
+    blocks without building a tree (unstored blocks are exactly zero in
+    both).  The squares are summed in one fixed order, so equal inputs give
+    bit-identical results, and distance(a, b) == distance(b, a)."""
     _require_conformable(a, b)
-    d = a._padded.astype(np.float64, copy=False) - b._padded
-    return float(np.sqrt(np.add.reduce(d * d, axis=None)))
+    keys, pa, pb = _union(a, b)
+    d = np.zeros((keys.size, a.leaf_size, a.leaf_size), dtype=np.float64)
+    d[pa] = a._stack
+    d[pb] -= b._stack
+    return float(np.sqrt(np.add.reduce((d * d).reshape(-1))))
 
 
 def add(a, b):
     """Tree sum a + b.
 
-    Where only one operand has a nonzero block the other side's block is
-    passed through bit-identically (Empty + X = X without touching X).
-    Blocks that cancel to exact zero become Empty.
+    A block stored in only one operand is passed through bit-identically
+    (0 + X = X without touching X); a block stored in both is a + b
+    element-wise.  Blocks that cancel to exact zero are not stored.
     """
     _require_conformable(a, b)
-    out = a._padded + b._padded
-    blocks = out.reshape(a.block_grid, a.leaf_size, a.block_grid,
-                         a.leaf_size).swapaxes(1, 2)
-    a_only = a._leaf_nonzero & ~b._leaf_nonzero
-    b_only = b._leaf_nonzero & ~a._leaf_nonzero
-    if a_only.any():
-        blocks[a_only] = a._blocks[a_only]
-    if b_only.any():
-        blocks[b_only] = b._blocks[b_only]
-    return _from_padded(out, a.logical_dim, a.leaf_size,
-                        a._leaf_nonzero | b._leaf_nonzero)
+    keys, pa, pb = _union(a, b)
+    out = np.empty((keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    shared = a._leaf_nonzero.reshape(-1)[b._keys]
+    out[pa] = a._stack
+    out[pb[~shared]] = b._stack[~shared]
+    out[pb[shared]] += b._stack[shared]
+    return _from_blocks(keys, out, a.logical_dim, a.leaf_size)
 
 
 def scale(m, s):
-    """Tree scaled by a scalar; scaling by 0 yields the Empty tree.
+    """Tree scaled by a scalar; scaling by 0 yields the empty tree.
 
-    Only the nonzero blocks are scaled; empty blocks stay exact +0.0 (a
-    whole-array product by s < 0 would turn them into -0.0)."""
-    out = np.zeros(m._padded.shape, dtype=m.dtype)
-    blocks = out.reshape(m.block_grid, m.leaf_size, m.block_grid,
-                         m.leaf_size).swapaxes(1, 2)
-    nz = m._leaf_nonzero
-    blocks[nz] = m._blocks[nz] * m.dtype.type(s)
-    return _from_padded(out, m.logical_dim, m.leaf_size, nz)
+    Only the stored blocks are scaled; unstored blocks stay exact +0.0."""
+    return _from_blocks(m._keys, m._stack * m.dtype.type(s), m.logical_dim,
+                        m.leaf_size)
 
 
 def filter_drop(m, tau):
     """Drop every leaf whose Frobenius norm is < tau (element dropping).
 
-    Returns a new tree with dropped leaves replaced by Empty and interior
-    norms re-aggregated; every surviving leaf is bit-identical to its source.
+    Returns a new tree without the dropped leaves and with interior norms
+    re-aggregated; every surviving leaf is bit-identical to its source.
     Idempotent for a fixed tau.  tau < 0 is rejected.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    drop = m._leaf_nonzero & (np.sqrt(m._norm_sq[m.depth]) < tau)
+    drop = np.sqrt(m._norm_sq[m.depth].reshape(-1)[m._keys]) < tau
     if not drop.any():
         return m
-    out = m._padded.copy()
-    blocks = out.reshape(m.block_grid, m.leaf_size, m.block_grid,
-                         m.leaf_size).swapaxes(1, 2)
-    blocks[drop] = 0.0
-    return _from_padded(out, m.logical_dim, m.leaf_size, m._leaf_nonzero & ~drop)
+    keep = ~drop
+    return _from_blocks(m._keys[keep], m._stack[keep], m.logical_dim, m.leaf_size)
 
 
 def audit_norm_cache(m):
@@ -372,7 +332,10 @@ def audit_norm_cache(m):
     The norm-cache invariant requires this to be <= 4 * machine epsilon.
     """
     worst = 0.0
-    fresh = _leaf_norm_sq(m._blocks)  # every block, not only the occupied ones
+    nb = m.block_grid
+    fresh = np.zeros(nb * nb, dtype=np.float64)
+    fresh[m._keys] = _leaf_norm_sq(m._stack)
+    fresh = fresh.reshape(nb, nb)
     for k in range(m.depth, -1, -1):
         stored = m._norm_sq[k]
         denom = np.where(stored > 0, stored, 1.0)

@@ -53,6 +53,14 @@ def dense_tc2(fd, n_occ, sweeps=50):
     return x
 
 
+def padded_dense(m):
+    """``m.to_dense()`` zero-padded to ``m.padded_dim``: the square array the
+    flat-reference oracles recurse over."""
+    out = np.zeros((m.padded_dim, m.padded_dim), dtype=m.dtype)
+    out[:m.logical_dim, :m.logical_dim] = m.to_dense()
+    return out
+
+
 def eig_projector(fd, n_occ):
     """Spectral projector onto the n_occ lowest eigenvectors."""
     _, vecs = np.linalg.eigh(fd)

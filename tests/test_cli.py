@@ -11,6 +11,7 @@ from spamm.matrixmarket import read_matrix_market, write_matrix_market
 from spamm.multiply import exact_multiply
 from spamm.quadtree import node_norm, to_dense
 
+from conftest import padded_dense
 from test_multiply import _flat_reference
 
 
@@ -145,8 +146,7 @@ def test_boxes_per_tier_counts_match_flat_reference(tmp_path):
     summary = tmp_path / "summary.txt"
     assert main(["boxes", "--a", pa, "--b", pb, "--tau", "1e-4",
                  "--out", str(out), "--summary", str(summary)]) == 0
-    _, ref_boxes, _ = _flat_reference(np.asarray(a._padded),
-                                      np.asarray(b._padded), 4, 1e-4)
+    _, ref_boxes, _ = _flat_reference(padded_dense(a), padded_dense(b), 4, 1e-4)
     per_tier = {}
     for tier, *_ in ref_boxes:
         per_tier[tier] = per_tier.get(tier, 0) + 1

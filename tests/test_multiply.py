@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from spamm import multiply
 from spamm.generators import gen_exponential
 from spamm.multiply import (
     PrunedBox,
@@ -24,14 +25,13 @@ from spamm.multiply import (
 )
 from spamm.quadtree import (
     DimensionMismatchError,
-    EmptyNode,
     from_dense,
     identity,
     node_norm,
     to_dense,
 )
 
-from conftest import oracle_matmul
+from conftest import oracle_matmul, padded_dense
 
 
 # ----------------------------------------------------------- basic contracts
@@ -50,7 +50,7 @@ def test_tau_above_total_norm_prunes_root():
     b = from_dense(rng.standard_normal((16, 16)))
     budget = node_norm(a) * node_norm(b)
     c, stats = spamm(a, b, SpammConfig(tau=budget * 1.5, collect_boxes=True))
-    assert isinstance(c.root, EmptyNode)
+    assert not c._occupied[0][0, 0]
     assert stats.leaf_matmuls == 0
     assert stats.omitted_budget == budget
     assert stats.boxes == [PrunedBox(0, 0, 0, a.padded_dim, 0)]
@@ -79,12 +79,26 @@ def test_zero_operand_gives_empty():
     z = from_dense(np.zeros((24, 24)))
     m = from_dense(rng.standard_normal((24, 24)))
     c = exact_multiply(z, m)
-    assert isinstance(c.root, EmptyNode)
+    assert not c._occupied[0][0, 0]
     c2, stats = spamm(m, z, SpammConfig(tau=0.0))
-    assert isinstance(c2.root, EmptyNode)
+    assert not c2._occupied[0][0, 0]
     assert stats.leaf_matmuls == 0
     assert stats.pruned_calls == 1  # the root Empty skip
     assert stats.empty_skip_volume == m.padded_dim ** 3
+
+
+def test_chunked_leaf_stage_matches_one_chunk(monkeypatch):
+    """Leaf products split over several chunks give the same product bytes
+    and stats as one chunk."""
+    rng = np.random.default_rng(9)
+    a = from_dense(rng.standard_normal((61, 61)))
+    b = from_dense(rng.standard_normal((61, 61)))
+    whole, stats = spamm(a, b, SpammConfig(tau=1.0))
+    monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", 16 * 37)
+    chunked, chunked_stats = spamm(a, b, SpammConfig(tau=1.0))
+    assert stats.leaf_matmuls > 37 * 4
+    assert chunked.structurally_equal(whole)
+    assert chunked_stats == stats
 
 
 def test_permutation_times_transpose_is_identity():
@@ -159,8 +173,7 @@ def test_flat_recursion_agrees_on_decay_pair():
     a = gen_exponential(512, 1.0)
     b = gen_exponential(512, 2.0)
     c, stats = spamm(a, b, SpammConfig(tau=1e-8, collect_boxes=True))
-    mm, boxes, budget = _flat_reference(np.asarray(a._padded),
-                                        np.asarray(b._padded), 4, 1e-8)
+    mm, boxes, budget = _flat_reference(padded_dense(a), padded_dense(b), 4, 1e-8)
     assert stats.leaf_matmuls == mm
     got = {(bx.tier, bx.i_lo, bx.j_lo, bx.k_lo, bx.edge) for bx in stats.boxes}
     assert got == boxes

@@ -1,45 +1,59 @@
 """Quadtree construction, norm caching, padding, and the dropping filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from spamm.quadtree import (DimensionMismatchError, EmptyNode, LeafNode,
-                            add, audit_norm_cache, filter_drop, from_dense,
-                            identity, node_norm, scale, to_dense, trace)
+from spamm.quadtree import (DimensionMismatchError, add, audit_norm_cache,
+                            distance, filter_drop, from_dense, identity,
+                            node_norm, scale, to_dense, trace)
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
+
+from conftest import padded_dense
+
+
+def _stored_padded(m):
+    """The padded array the stored blocks describe, every unstored block
+    +0.0 (storage-level, read white-box from the keys and the stack)."""
+    nb, b = m.block_grid, m.leaf_size
+    out = np.zeros((m.padded_dim, m.padded_dim), dtype=m.dtype)
+    for row, key in enumerate(m._keys):
+        i, j = divmod(int(key), nb)
+        out[i * b:(i + 1) * b, j * b:(j + 1) * b] = m._stack[row]
+    return out
 
 
 def test_identity4_single_leaf():
     m = from_dense(np.eye(4), leaf_size=4)
-    assert isinstance(m.root, LeafNode)
-    assert m.root.norm_sq == 4.0
+    assert m.depth == 0 and m._occupied[0][0, 0]  # the root is a leaf
+    assert m._norm_sq[0][0, 0] == 4.0
     assert m.padded_dim == 4 and m.depth == 0
 
 
 def test_zero8_empty_root():
     m = from_dense(np.zeros((8, 8)), leaf_size=4)
-    assert isinstance(m.root, EmptyNode)
+    assert not m._occupied[0][0, 0]
     assert m.depth == 1
-    assert m.root.norm_sq == 0.0
+    assert m._norm_sq[0][0, 0] == 0.0
 
 
 def test_ones5_padding_and_quadrants():
     m = from_dense(np.ones((5, 5)), leaf_size=4)
     assert m.padded_dim == 8
     assert m.depth == 1
-    assert m.root.norm_sq == 25.0
+    assert m._norm_sq[0][0, 0] == 25.0
     # quadrant 22 covers rows/cols 4..7; only element (4,4) is inside the
     # logical region, so its subtree norm is exactly 1
-    q22 = m.root.children[3]
-    assert q22.norm_sq == 1.0
+    assert m._norm_sq[1][1, 1] == 1.0
 
 
 def test_padding_region_exact_zero():
     rng = np.random.default_rng(11)
     for n in (5, 9, 13, 33):
         m = from_dense(rng.standard_normal((n, n)))
-        padded = m._padded  # storage-level invariant, checked white-box
+        padded = _stored_padded(m)  # storage-level invariant, checked white-box
         assert padded.shape == (m.padded_dim, m.padded_dim)
         assert not padded[n:, :].any()
         assert not padded[:, n:].any()
@@ -67,7 +81,7 @@ def test_roundtrip_rebuild_identical_tree():
     again = from_dense(to_dense(m))
     assert np.array_equal(to_dense(again), data)
     assert again.padded_dim == m.padded_dim and again.depth == m.depth
-    assert again.root.norm_sq == m.root.norm_sq
+    assert again._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
 def test_to_dense_empty_is_zeros():
@@ -117,13 +131,13 @@ def test_filter_tau0_is_identity():
     m = from_dense(rng.standard_normal((20, 20)))
     f = filter_drop(m, 0.0)
     assert np.array_equal(to_dense(f), to_dense(m))
-    assert f.root.norm_sq == m.root.norm_sq
+    assert f._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
 def test_filter_above_total_norm_empties():
     m = from_dense(np.ones((8, 8)))
     f = filter_drop(m, node_norm(m) * 1.01)
-    assert isinstance(f.root, EmptyNode)
+    assert not f._occupied[0][0, 0]
 
 
 def test_filter_matches_flat_scan():
@@ -152,7 +166,7 @@ def test_filter_idempotent():
     once = filter_drop(m, tau)
     twice = filter_drop(once, tau)
     assert np.array_equal(to_dense(once), to_dense(twice))
-    assert once.root.norm_sq == twice.root.norm_sq
+    assert once._norm_sq[0][0, 0] == twice._norm_sq[0][0, 0]
 
 
 # ------------------------------------------------------------------ algebra
@@ -163,7 +177,7 @@ def test_add_empty_passthrough():
     e = from_dense(np.zeros((12, 12)))
     s = add(m, e)
     assert np.array_equal(to_dense(s), to_dense(m))
-    assert s.root.norm_sq == m.root.norm_sq
+    assert s._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
 def test_add_scale_vs_dense():
@@ -215,8 +229,16 @@ def _full_rebuild(padded, leaf_size):
 
 
 def _assert_matches_full_rebuild(m):
-    padded, nonzero, norms, occ = _full_rebuild(m._padded, m.leaf_size)
-    assert m._padded.tobytes() == padded.tobytes()
+    keys, stack = m._keys, m._stack
+    assert stack.shape == (keys.size, m.leaf_size, m.leaf_size)
+    assert np.all(np.diff(keys) > 0)
+    assert (stack != 0).any(axis=(1, 2)).all()  # no stored block is all zero
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    stored = _stored_padded(m)
+    padded, nonzero, norms, occ = _full_rebuild(stored, m.leaf_size)
+    assert stored.tobytes() == padded.tobytes()
+    n = m.logical_dim
+    assert m.to_dense().tobytes() == padded[:n, :n].tobytes()
     assert np.array_equal(m._leaf_nonzero, nonzero)
     assert len(m._norm_sq) == len(m._occupied) == len(norms) == m.depth + 1
     for k in range(m.depth + 1):
@@ -233,6 +255,16 @@ def _banded(n, width, seed, leaf_size=4):
     d = rng.standard_normal((n, n)) * np.exp(-0.5 * np.abs(i - j))
     d[np.abs(i - j) > width] = 0.0
     return from_dense(d, leaf_size=leaf_size)
+
+
+def test_from_dense_matches_full_rebuild():
+    _assert_matches_full_rebuild(_banded(45, 5, 27))
+    # a block of -0.0 is all zero, so it is not stored
+    d = np.ones((8, 8))
+    d[:4, 4:] = -0.0
+    m = from_dense(d)
+    assert m._keys.tolist() == [0, 2, 3]
+    _assert_matches_full_rebuild(m)
 
 
 def test_spamm_output_matches_full_rebuild():
@@ -269,7 +301,9 @@ def test_scale_output_matches_full_rebuild():
     assert not scale(m, 0.0)._leaf_nonzero.any()
     # a negative scale keeps empty blocks at +0.0, not -0.0
     neg = scale(m, -1.0)
-    empty = neg._blocks[~neg._leaf_nonzero]
+    nb, b = neg.block_grid, neg.leaf_size
+    blocks = padded_dense(neg).reshape(nb, b, nb, b).swapaxes(1, 2)
+    empty = blocks[~neg._leaf_nonzero]
     assert empty.size and empty.tobytes() == np.zeros_like(empty).tobytes()
 
 
@@ -278,3 +312,67 @@ def test_filter_drop_output_matches_full_rebuild():
     f = filter_drop(m, 1e-2)
     assert f is not m
     _assert_matches_full_rebuild(f)
+
+
+# ------------------------------------------------ trace and distance bits
+
+def test_trace_bits_match_dense_diagonal():
+    rng = np.random.default_rng(28)
+    for dtype in (np.float64, np.float32):
+        for n in (1, 13, 37, 61):
+            d = rng.standard_normal((n, n))
+            d[4:8, 4:8] = 0.0  # a diagonal block that is not stored
+            m = from_dense(d, dtype=dtype)
+            ref = float(np.add.reduce(np.diagonal(m.to_dense())))
+            assert trace(m) == ref, (dtype, n)
+
+
+def test_distance_matches_dense_norm():
+    a = _banded(77, 4, 29)
+    b = _banded(77, 11, 30)  # blocks where a is empty, and shared blocks
+    for x, y in ((a, b), (a, scale(a, -0.5)), (a, from_dense(np.zeros((77, 77))))):
+        ref = float(np.linalg.norm(x.to_dense() - y.to_dense()))
+        got = distance(x, y)
+        assert abs(got - ref) <= 1e-13 * ref
+        assert distance(y, x) == got
+    assert distance(a, a) == 0.0
+    a32 = from_dense(a.to_dense(), dtype=np.float32)
+    b32 = from_dense(b.to_dense(), dtype=np.float32)
+    ref = float(np.linalg.norm(a32.to_dense().astype(np.float64)
+                               - b32.to_dense().astype(np.float64)))
+    assert abs(distance(a32, b32) - ref) <= 1e-13 * ref
+
+
+def test_derived_tree_ops_allocate_no_dense_array():
+    """No operation on a tree allocates an n x n array: on a banded n=4096
+    tree, the peak allocation of each stays below a quarter of one n x n
+    float64 array (what is left is the dense pyramids and the block index)."""
+    n = 4096
+    rng = np.random.default_rng(31)
+    d = np.zeros((n, n))
+    for off in range(-6, 7):
+        i = np.arange(max(0, -off), min(n, n - off))
+        d[i, i + off] = rng.standard_normal(i.size) * 0.5 ** abs(off)
+    m = from_dense(d)
+    del d
+    other = scale(m, 2.0)
+    norms = np.sqrt(m._norm_sq[m.depth][m._leaf_nonzero])
+    tau = float(np.median(norms))
+    ops = {
+        "spamm": lambda: spamm(m, m, SpammConfig(tau=1e-10)),
+        "add": lambda: add(m, other),
+        "scale": lambda: scale(m, -1.0),
+        "filter_drop": lambda: filter_drop(m, tau),
+        "distance": lambda: distance(m, other),
+        "trace": lambda: trace(m),
+    }
+    limit = n * n * 8 / 4
+    for name, op in ops.items():
+        tracemalloc.start()
+        try:
+            result = op()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak / (n * n * 8))
+        del result
