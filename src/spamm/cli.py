@@ -10,8 +10,7 @@ sweep      work/error table over sizes x modes x thresholds (or matched
 boxes      pruned product-space cuboids of one multiply + occupancy summary
 
 All runs are deterministic: every step is closed-form or fixed-order, so a
-repeated invocation reproduces its outputs byte for byte (pass --relaxed to
-*permit* reassociation; this single-threaded build never exercises it).
+repeated invocation reproduces its outputs byte for byte.
 Exit status is 0 on success, 1 on a rejected input, 2 on bad usage.
 """
 
@@ -55,8 +54,7 @@ def cmd_generate(args):
 def cmd_multiply(args):
     a = _load_tree(args.a, args.leaf_size)
     b = _load_tree(args.b, args.leaf_size)
-    config = SpammConfig(tau=args.tau, collect_boxes=args.boxes is not None,
-                         deterministic=not args.relaxed)
+    config = SpammConfig(tau=args.tau, collect_boxes=args.boxes is not None)
     c, stats = spamm(a, b, config)
     if args.out_c:
         write_matrix_market(c, args.out_c, fmt=args.format)
@@ -149,8 +147,7 @@ def cmd_sweep(args):
 def cmd_boxes(args):
     a = _load_tree(args.a, args.leaf_size)
     b = _load_tree(args.b, args.leaf_size)
-    config = SpammConfig(tau=args.tau, collect_boxes=True,
-                         deterministic=not args.relaxed)
+    config = SpammConfig(tau=args.tau, collect_boxes=True)
     _, stats = spamm(a, b, config)
     write_box_log(stats.boxes, args.out, a.padded_dim)
     cube = a.padded_dim ** 3
@@ -183,11 +180,6 @@ def _add_model_flags(p):
 def _add_common(p):
     p.add_argument("--leaf-size", type=int, default=4,
                    help="dense leaf block side, power of two (default 4)")
-    det = p.add_mutually_exclusive_group()
-    det.add_argument("--deterministic", action="store_true", default=True,
-                     help="fixed accumulation order (default)")
-    det.add_argument("--relaxed", action="store_true", default=False,
-                     help="permit reassociation of accumulations")
 
 
 def build_parser():

@@ -18,8 +18,18 @@ time, with all surviving triples held in index arrays and all leaf products
 computed by batched ``np.matmul``.  Per-quadrant accumulation follows the
 fixed order "first sub-product, then second", which over the inner index k
 amounts to summing contributions pairwise over aligned binary intervals with
-absent contributions passed through untouched.  The merge below reproduces
+absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
+
+The leaf stage plans the merge on the sorted integer keys
+``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
+gathers put the level-0 siblings (keys equal but for bit 0) first, as
+[first members | second members | the rest], so the GEMM output holds each
+level-0 pair p rows apart and level 0, half of all merges, is one
+contiguous in-place add.  Later levels add rows of the same product buffer
+by index, each at most half the size of the one below, and stop once every
+C block has one node; one final gather puts the merged blocks in key
+order.  No level copies the product stack.
 """
 
 from __future__ import annotations
@@ -52,10 +62,6 @@ class SpammConfig:
         box lists can be large).
     count_stats
         Maintain the counters in ProductStats (on by default).
-    deterministic
-        Fixed accumulation order.  This implementation is single-threaded,
-        so results are bit-reproducible either way; relaxed mode merely
-        *permits* reassociation and is accepted for interface parity.
     tier_tau_decay
         Optional pruning policy: divide the threshold by 8 per tier of
         descent (tier k prunes against tau / 8**k).  Overly pessimistic in
@@ -66,7 +72,6 @@ class SpammConfig:
     tau: float = 0.0
     collect_boxes: bool = False
     count_stats: bool = True
-    deterministic: bool = True
     tier_tau_decay: bool = False
 
     def __post_init__(self):
@@ -116,31 +121,6 @@ class ProductStats:
                 + self.pruned_volume + self.empty_skip_volume)
 
 
-def _merge_contributions(prod, groups, slots, levels):
-    """Accumulate leaf products that share a C block (group) over the inner
-    index, pairwise over aligned binary intervals: slots 2m and 2m+1 merge
-    (first + second) when both present, singletons pass through bit-intact.
-
-    Arrays must be sorted by (group, slot).  Returns (blocks, groups) with
-    one entry per group.
-    """
-    for _ in range(levels):
-        if len(prod) > 1:
-            left = ((groups[:-1] == groups[1:])
-                    & (slots[:-1] + 1 == slots[1:])
-                    & (slots[:-1] & 1 == 0))
-            idx = np.flatnonzero(left)
-            if idx.size:
-                prod[idx] += prod[idx + 1]
-                keep = np.ones(len(prod), dtype=bool)
-                keep[idx + 1] = False
-                prod = prod[keep]
-                groups = groups[keep]
-                slots = slots[keep]
-        slots = slots >> 1
-    return prod, groups
-
-
 def spamm(a, b, config=None):
     """Multiply two quadtree matrices with norm-product pruning.
 
@@ -181,8 +161,13 @@ def spamm(a, b, config=None):
         stats.max_depth_reached = tier
         edge = n_pad >> tier
 
-        alive = a._occupied[tier][ia, ka] & b._occupied[tier][ka, ja]
-        norm_prod = np.sqrt(a._norm_sq[tier][ia, ka]) * np.sqrt(b._norm_sq[tier][ka, ja])
+        # Flat positions of the operand blocks in this tier's pyramids; at
+        # the leaf tier they also locate the blocks' stack rows.
+        fa = (ia << tier) + ka
+        fb = (ka << tier) + ja
+        alive = np.take(a._occupied[tier], fa) & np.take(b._occupied[tier], fb)
+        norm_prod = (np.sqrt(np.take(a._norm_sq[tier], fa))
+                     * np.sqrt(np.take(b._norm_sq[tier], fb)))
         tau_tier = tau * 0.125 ** tier if config.tier_tau_decay else tau
         pruned = alive & (norm_prod < tau_tier)
         active = alive & ~pruned
@@ -200,11 +185,13 @@ def spamm(a, b, config=None):
                                 ja[pruned] * edge, ka[pruned] * edge))
 
         if tier == depth:
-            ia, ja, ka = ia[active], ja[active], ka[active]
             if counting:
-                stats.leaf_matmuls += int(ia.size)
-            if ia.size:
-                keys, blocks = _leaf_stage(a, b, ia, ja, ka, nb, depth)
+                stats.leaf_matmuls += int(np.count_nonzero(active))
+            if active.any():
+                keys, blocks = _leaf_stage(
+                    a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
+                    np.take(a._index, fa[active]), np.take(b._index, fb[active]),
+                    depth)
             break
 
         ia = ia[active]
@@ -224,49 +211,67 @@ def spamm(a, b, config=None):
     return c, stats
 
 
-def _leaf_stage(a, b, ia, ja, ka, nb, depth):
+def _leaf_stage(a, b, keys, rows_a, rows_b, depth):
     """Compute the surviving leaf products (at least one) and merge them per
-    C block.  Returns the C block keys ``i * nb + j`` in increasing order
-    and the (m, b, b) stack of merged blocks in that order."""
-    m = ia.size
+    C block, in chunks of about ``_CHUNK_ELEMENTS`` product elements.
+    ``keys`` are the triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and
+    ``rows_b`` the stack rows of their operand blocks.  Returns the C block
+    keys ``i * nb + j`` in increasing order and the (m, b, b) stack of
+    merged blocks in that order."""
     leaf = a.leaf_size
-    # The (i, j, k) triples are unique, so sorting their row-major key gives
-    # the same permutation as a lexicographic sort; nb**3 fits in intp for
-    # any nb whose operands fit in memory.
-    order = np.argsort((ia * nb + ja) * nb + ka, kind="stable")
-    ia, ja, ka = ia[order], ja[order], ka[order]
-    groups = ia * nb + ja
-    rows_a = a._index[ia, ka]
-    rows_b = b._index[ka, ja]
-
+    # The (i, j, k) triples are unique, so any sort of their row-major keys
+    # gives the same permutation; nb**3 fits in intp for any nb whose
+    # operands fit in memory.
+    order = np.argsort(keys)
+    keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
+    groups = keys >> depth
+    # A chunk holds the groups that start within one span of chunk_triples
+    # triples, so it never splits a group (the pairwise merge needs the
+    # whole contribution set) and ends within one group of the span.
     chunk_triples = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
-    # Chunk boundaries must not split a group, or the pairwise merge would
-    # run on a partial contribution set.
-    starts = [0]
-    while starts[-1] + chunk_triples < m:
-        cut = starts[-1] + chunk_triples
-        g = groups[cut]
-        while cut > starts[-1] and groups[cut - 1] == g:
-            cut -= 1
-        if cut == starts[-1]:  # one group larger than a chunk; take it whole
-            cut = starts[-1] + chunk_triples
-            while cut < m and groups[cut] == g:
-                cut += 1
-        starts.append(cut)
-    starts.append(m)
+    group_starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    starts = group_starts[np.diff(group_starts // chunk_triples, prepend=-1) > 0]
+    out_keys, out_blocks = [], []
+    for s, e in zip(starts, [*starts[1:], keys.size]):
+        gg, merged = _merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e], depth)
+        out_keys.append(gg)
+        out_blocks.append(merged)
+    if len(out_keys) == 1:
+        return out_keys[0], out_blocks[0]
+    return np.concatenate(out_keys), np.concatenate(out_blocks)
 
-    keys, blocks = [], []
-    for s, e in zip(starts[:-1], starts[1:]):
-        if s == e:
-            continue
-        prod = np.matmul(np.take(a._stack, rows_a[s:e], axis=0),
-                         np.take(b._stack, rows_b[s:e], axis=0))
-        merged, gg = _merge_contributions(prod, groups[s:e], ka[s:e].copy(), depth)
-        keys.append(gg)
-        blocks.append(merged)
-    if len(keys) == 1:
-        return keys[0], blocks[0]
-    return np.concatenate(keys), np.concatenate(blocks)
+
+def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
+    """Multiply and merge one chunk of whole groups, ``keys`` sorted.  At
+    merge level l, nodes whose keys agree above bit l are siblings, and the
+    first (lower k) absorbs the second."""
+    first = np.flatnonzero(keys[:-1] >> 1 == keys[1:] >> 1)
+    p = first.size
+    rest = np.ones(keys.size, dtype=bool)
+    rest[first] = rest[first + 1] = False
+    perm = np.concatenate((first, first + 1, np.flatnonzero(rest)))
+    prod = np.matmul(np.take(a._stack, rows_a[perm], axis=0),
+                     np.take(b._stack, rows_b[perm], axis=0))
+    np.add(prod[:p], prod[p:2 * p], out=prod[:p])
+
+    # Each node lives in the product row of its lowest-k member.
+    row = np.empty(keys.size, dtype=np.intp)
+    row[perm] = np.arange(keys.size, dtype=np.intp)
+    node_keys = np.delete(keys, first + 1)
+    node_rows = np.delete(row, first + 1)
+    n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
+    for level in range(1, depth):
+        if node_keys.size == n_groups:
+            break
+        up = node_keys >> (level + 1)
+        first = np.flatnonzero(up[:-1] == up[1:])
+        if first.size:
+            dst = node_rows[first]
+            prod[dst] = (np.take(prod, dst, axis=0)
+                         + np.take(prod, node_rows[first + 1], axis=0))
+            node_keys = np.delete(node_keys, first + 1)
+            node_rows = np.delete(node_rows, first + 1)
+    return node_keys >> depth, np.take(prod, node_rows, axis=0)
 
 
 def exact_multiply(a, b):

@@ -39,6 +39,9 @@ import numpy as np
 
 _SUPPORTED_DTYPES = (np.float64, np.float32)
 
+# Elements of a dense input tested per strip by ``from_dense``.
+_STRIP_ELEMENTS = 1 << 20
+
 
 class DimensionMismatchError(ValueError):
     """Raised for unusable matrix dimensions: non-square input, or two
@@ -197,6 +200,8 @@ def from_dense(dense, leaf_size=4, dtype=None):
 
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
     depth that fits; padding lives in unstored blocks and costs nothing later.
+    Only the nonzero blocks are copied out of the input; a zero-padded copy
+    of the whole array is made only when n is not already the padded size.
 
     Parameters
     ----------
@@ -220,12 +225,32 @@ def from_dense(dense, leaf_size=4, dtype=None):
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     padded_dim = leaf_size << _depth_for(n, leaf_size)
-    padded = np.zeros((padded_dim, padded_dim), dtype=target)
-    padded[:n, :n] = arr
+    if n < padded_dim:
+        padded = np.zeros((padded_dim, padded_dim), dtype=target)
+        padded[:n, :n] = arr
+        arr = padded
     nb = padded_dim // leaf_size
-    stack = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2).reshape(
-        nb * nb, leaf_size, leaf_size)
-    return _from_blocks(np.arange(nb * nb, dtype=np.intp), stack, n, leaf_size)
+    keys = np.flatnonzero(_nonzero_blocks(arr, leaf_size))
+    grid = arr.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
+    return _from_blocks(keys, grid[keys // nb, keys % nb], n, leaf_size)
+
+
+def _nonzero_blocks(arr, b):
+    """(nb, nb) mask of the b x b blocks of ``arr`` holding a nonzero,
+    scanned in strips of block rows of about ``_STRIP_ELEMENTS`` elements so
+    the scratch is one boolean per strip element, not per array element."""
+    nb = arr.shape[0] // b
+    mask = np.empty((nb, nb), dtype=bool)
+    step = max(1, _STRIP_ELEMENTS // (b * arr.shape[1]))
+    for lo in range(0, nb, step):
+        rows = np.logical_or.reduce(
+            (arr[lo * b:(lo + step) * b] != 0).reshape(-1, b, nb, b), axis=1)
+        # column by column: a reduction over the short last axis is slower
+        strip = rows[..., 0].copy()
+        for c in range(1, b):
+            strip |= rows[..., c]
+        mask[lo:lo + step] = strip
+    return mask
 
 
 def _from_blocks(keys, stack, logical_dim, leaf_size):

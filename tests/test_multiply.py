@@ -145,7 +145,7 @@ def _flat_reference(pa, pb, leaf, tau):
 
     nsq_a, occ_a = tiers(pa)
     nsq_b, occ_b = tiers(pb)
-    mm = 0
+    leaves = []
     budget = 0.0
     boxes = set()
     stack = [(0, 0, 0, 0)]
@@ -160,25 +160,110 @@ def _flat_reference(pa, pb, leaf, tau):
             budget += prod
             continue
         if tier == depth:
-            mm += 1
+            leaves.append((i, j, k))
             continue
         for di in (0, 1):
             for dj in (0, 1):
                 for dk in (0, 1):
                     stack.append((tier + 1, 2 * i + di, 2 * j + dj, 2 * k + dk))
-    return mm, boxes, budget
+    return leaves, boxes, budget
 
 
 def test_flat_recursion_agrees_on_decay_pair():
     a = gen_exponential(512, 1.0)
     b = gen_exponential(512, 2.0)
     c, stats = spamm(a, b, SpammConfig(tau=1e-8, collect_boxes=True))
-    mm, boxes, budget = _flat_reference(padded_dense(a), padded_dense(b), 4, 1e-8)
-    assert stats.leaf_matmuls == mm
+    leaves, boxes, budget = _flat_reference(padded_dense(a), padded_dense(b), 4, 1e-8)
+    assert stats.leaf_matmuls == len(leaves)
     got = {(bx.tier, bx.i_lo, bx.j_lo, bx.k_lo, bx.edge) for bx in stats.boxes}
     assert got == boxes
     assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
     assert stats.covered_volume(4) == a.padded_dim ** 3
+
+
+def _pairwise_reference(pa, pb, leaf, leaves):
+    """The product the fixed summation tree gives from the surviving leaf
+    triples.  The leaf products come from one batched ``np.matmul`` of the
+    gathered blocks; each C block then sums its products over aligned binary
+    intervals of k, first half + second half, an absent half passing the
+    other through untouched.  Returns the stored keys and blocks, the count
+    of lone contributions passed through at each merge level, and the leaf
+    products."""
+    nb = pa.shape[0] // leaf
+    depth = nb.bit_length() - 1
+    triples = sorted(leaves)
+
+    def block(m, r, c):
+        return m[r * leaf:(r + 1) * leaf, c * leaf:(c + 1) * leaf]
+
+    prods = np.matmul(np.array([block(pa, i, k) for i, _, k in triples]),
+                      np.array([block(pb, k, j) for _, j, k in triples]))
+    parts = {}
+    for (i, j, k), p in zip(triples, prods):
+        parts.setdefault((i, j), {})[k] = p
+    lone = [0] * depth
+
+    def tree_sum(group, lo, size):
+        if size == 1:
+            return group.get(lo)
+        half = size // 2
+        first = tree_sum(group, lo, half)
+        second = tree_sum(group, lo + half, half)
+        if first is None or second is None:
+            if first is not None or second is not None:
+                lone[half.bit_length() - 1] += 1
+            return second if first is None else first
+        return first + second
+
+    keys, blocks = [], []
+    for i, j in sorted(parts):
+        c = tree_sum(parts[(i, j)], 0, nb)
+        if (c != 0).any():
+            keys.append(i * nb + j)
+            blocks.append(c)
+    return keys, np.array(blocks), lone, prods
+
+
+def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
+    """Product bytes equal the pure-Python pairwise sum over k, with lone
+    contributions at every merge level and leaf products holding -0.0 (a
+    lone -0.0 must pass through, not become +0.0), at tau 0 and at a
+    pruning tau, in one chunk and with every group alone in its chunk."""
+    n, leaf = 64, 4
+    nb = n // leaf
+    rng = np.random.default_rng(12)
+
+    def operand(tiny_rows):
+        d = rng.standard_normal((n, n))
+        d *= np.kron(10.0 ** rng.uniform(-3, 0, (nb, nb)), np.ones((leaf, leaf)))
+        # rows (columns) 0 mod leaf hold tiny values whose products
+        # underflow, so leaf product element (0, 0) is -0.0
+        if tiny_rows:
+            d[0::leaf] = -1e-200
+        else:
+            d[:, 0::leaf] = 1e-200
+        d[np.kron(rng.random((nb, nb)) < 0.5, np.ones((leaf, leaf), bool))] = 0.0
+        return d
+
+    ad, bd = operand(True), operand(False)
+    a, b = from_dense(ad), from_dense(bd)
+    full = None
+    for tau in (0.0, 1e-2):
+        leaves, _, _ = _flat_reference(ad, bd, leaf, tau)
+        keys, blocks, lone, prods = _pairwise_reference(ad, bd, leaf, leaves)
+        if full is None:
+            full = len(leaves)
+        else:
+            assert 0 < len(leaves) < full  # the second tau prunes
+        assert min(lone) > 0, lone
+        assert np.signbit(prods[:, 0, 0]).all()
+        assert np.signbit(blocks[:, 0, 0]).all()
+        for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
+            monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+            c, stats = spamm(a, b, SpammConfig(tau=tau))
+            assert stats.leaf_matmuls == len(leaves)
+            assert c._keys.tolist() == keys
+            assert c._stack.tobytes() == blocks.tobytes()
 
 
 # -------------------------------------------------------- error accounting

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spamm import quadtree
 from spamm.quadtree import (DimensionMismatchError, add, audit_norm_cache,
                             distance, filter_drop, from_dense, identity,
                             node_norm, scale, to_dense, trace)
@@ -267,6 +268,49 @@ def test_from_dense_matches_full_rebuild():
     _assert_matches_full_rebuild(m)
 
 
+def test_from_dense_strips_keep_every_block(monkeypatch):
+    """The nonzero-block scan of from_dense runs in strips of block rows;
+    with several strips (the last one partial) every nonzero block is
+    stored with its exact bytes, -0.0 elements included, for leaf sizes
+    1..8, padded and unpadded sides, and float32 storage."""
+    for n, leaf, dtype in ((45, 4, None), (64, 4, None), (33, 1, None),
+                           (24, 8, None), (20, 2, np.float32)):
+        rng = np.random.default_rng(n)
+        i, j = np.indices((n, n))
+        d = rng.standard_normal((n, n))
+        d[np.abs(i - j) > 3] = 0.0
+        d[0, 1] = -0.0 if leaf > 1 else 0.0  # a -0.0 beside nonzeros
+        d[n - 1, 0] = 1.5  # a lone nonzero block in the last block row
+        m = from_dense(d, leaf_size=leaf, dtype=dtype)
+        # three block rows per strip, so the last strip is partial
+        monkeypatch.setattr(quadtree, "_STRIP_ELEMENTS",
+                            3 * leaf * m.padded_dim)
+        m = from_dense(d, leaf_size=leaf, dtype=dtype)
+        assert m.block_grid % 3 != 0
+        _assert_matches_full_rebuild(m)
+        pad = np.zeros((m.padded_dim, m.padded_dim), dtype=m.dtype)
+        pad[:n, :n] = d
+        assert _stored_padded(m).tobytes() == pad.tobytes()
+        assert np.signbit(m.to_dense()[0, 1]) == (leaf > 1)
+        monkeypatch.undo()
+
+
+def test_from_dense_allocates_no_dense_copy():
+    """On a banded n=4096 input, from_dense allocates less than a quarter
+    of one n x n float64 array beyond the input (the dense pyramids, the
+    block index and the stored blocks)."""
+    n = 4096
+    d = _banded_dense(n, 31)
+    tracemalloc.start()
+    try:
+        m = from_dense(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m._keys.size < m.block_grid * 6
+    assert peak < n * n * 8 / 4, peak / (n * n * 8)
+
+
 def test_spamm_output_matches_full_rebuild():
     a = _banded(61, 9, 20)
     b = _banded(61, 5, 21)
@@ -343,18 +387,22 @@ def test_distance_matches_dense_norm():
     assert abs(distance(a32, b32) - ref) <= 1e-13 * ref
 
 
+def _banded_dense(n, seed):
+    """Dense n x n array that is zero beyond 6 off the diagonal."""
+    rng = np.random.default_rng(seed)
+    d = np.zeros((n, n))
+    for off in range(-6, 7):
+        i = np.arange(max(0, -off), min(n, n - off))
+        d[i, i + off] = rng.standard_normal(i.size) * 0.5 ** abs(off)
+    return d
+
+
 def test_derived_tree_ops_allocate_no_dense_array():
     """No operation on a tree allocates an n x n array: on a banded n=4096
     tree, the peak allocation of each stays below a quarter of one n x n
     float64 array (what is left is the dense pyramids and the block index)."""
     n = 4096
-    rng = np.random.default_rng(31)
-    d = np.zeros((n, n))
-    for off in range(-6, 7):
-        i = np.arange(max(0, -off), min(n, n - off))
-        d[i, i + off] = rng.standard_normal(i.size) * 0.5 ** abs(off)
-    m = from_dense(d)
-    del d
+    m = from_dense(_banded_dense(n, 31))
     other = scale(m, 2.0)
     norms = np.sqrt(m._norm_sq[m.depth][m._leaf_nonzero])
     tau = float(np.median(norms))
