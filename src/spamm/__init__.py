@@ -28,7 +28,6 @@ from .multiply import (
     SpammConfig,
     exact_multiply,
     multiply_error,
-    norm_submultiplicativity_check,
     read_box_log,
     spamm,
     write_box_log,
@@ -79,8 +78,7 @@ __all__ = [
     "filter_drop", "from_dense", "identity", "node_norm", "scale", "to_dense",
     "trace",
     "ProductStats", "PrunedBox", "SpammConfig", "exact_multiply",
-    "multiply_error", "norm_submultiplicativity_check", "read_box_log",
-    "spamm", "write_box_log",
+    "multiply_error", "read_box_log", "spamm", "write_box_log",
     "ModelHamiltonian", "bin_profile", "chain_positions", "decay_profile",
     "gen_algebraic", "gen_exponential", "gen_model_hamiltonian",
     "jittered_grid_positions", "log_linear_fit", "write_profile_csv",

@@ -30,16 +30,27 @@ contiguous in-place add.  Later levels add rows of the same product buffer
 by index, each at most half the size of the one below, and stop once every
 C block has one node; one final gather puts the merged blocks in key
 order.  No level copies the product stack.
+
+Symmetric square: when ``a is b`` and the tree equals its transpose bit for
+bit, the traversal keeps only triples with i <= j (the children of a
+strict-upper triple are all strict-upper), and C_ji is written as a
+transposed copy of C_ij.  Triple (j, i, k) multiplies the transposes of the
+blocks of (i, j, k) in swapped order, so with each C element summed over the
+inner index in order, as the leaf GEMMs do, its leaf product is that
+product's transpose and merges in the same order: no sum is reassociated.
+The pruning test of (i, j, k) decides for both; a transposed block's cached
+norm sums its squares in another order, so the full traversal could decide
+otherwise only for a norm product within an ulp of tau.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quadtree import _from_blocks, _require_conformable, node_norm
+from .quadtree import _from_blocks, _require_conformable
 
 # Child offset enumeration for one tier of expansion: (di, dj, dk).
 _DI = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.intp)
@@ -60,19 +71,10 @@ class SpammConfig:
     collect_boxes
         Record a PrunedBox for every tau-pruned call (off by default;
         box lists can be large).
-    count_stats
-        Maintain the counters in ProductStats (on by default).
-    tier_tau_decay
-        Optional pruning policy: divide the threshold by 8 per tier of
-        descent (tier k prunes against tau / 8**k).  Overly pessimistic in
-        practice — deep tiers almost never prune — so it is off by default;
-        the flat absolute tau is the standard rule.
     """
 
     tau: float = 0.0
     collect_boxes: bool = False
-    count_stats: bool = True
-    tier_tau_decay: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.tau) or self.tau < 0:
@@ -97,12 +99,18 @@ class PrunedBox:
 
 @dataclass
 class ProductStats:
-    """Work and truncation accounting for one multiply.
+    """Work and truncation accounting for one multiply, over the whole
+    (i, j, k) product cube.
 
     ``pruned_calls`` counts every short-circuited recursion call, whether
     skipped for an Empty operand or rejected by the norm test; only the
     latter contribute to ``omitted_budget``, ``boxes`` and
     ``pruned_volume``.  Volumes are in elements of the padded index cube.
+    A symmetric square (see the module note) visits only triples with
+    i <= j, but counts each off-diagonal one twice and lists its mirrored
+    box (j, i, k): ``leaf_matmuls`` counts leaf products of the cube, not
+    GEMMs run.  Its ``omitted_budget`` adds off-diagonal norm products
+    times 2, so it may differ in the last bits from the full traversal's.
     """
 
     leaf_matmuls: int = 0
@@ -139,27 +147,22 @@ def spamm(a, b, config=None):
     if config is None:
         config = SpammConfig()
     tau = float(config.tau)
-    counting = config.count_stats
+    symmetric = a is b and _is_symmetric(a)
 
-    n_pad = a.padded_dim
-    leaf = a.leaf_size
     depth = a.depth
     nb = a.block_grid
     stats = ProductStats(boxes=[] if config.collect_boxes else None)
-    box_batches = []
 
     keys = np.zeros(0, dtype=np.intp)
-    blocks = np.zeros((0, leaf, leaf), dtype=a.dtype)
+    blocks = np.zeros((0, a.leaf_size, a.leaf_size), dtype=a.dtype)
 
-    ia = np.zeros(1, dtype=np.intp)
-    ja = np.zeros(1, dtype=np.intp)
-    ka = np.zeros(1, dtype=np.intp)
+    ia = ja = ka = np.zeros(1, dtype=np.intp)
 
     for tier in range(depth + 1):
         if ia.size == 0:
             break
         stats.max_depth_reached = tier
-        edge = n_pad >> tier
+        edge = a.padded_dim >> tier
 
         # Flat positions of the operand blocks in this tier's pyramids; at
         # the leaf tier they also locate the blocks' stack rows.
@@ -168,25 +171,29 @@ def spamm(a, b, config=None):
         alive = np.take(a._occupied[tier], fa) & np.take(b._occupied[tier], fb)
         norm_prod = (np.sqrt(np.take(a._norm_sq[tier], fa))
                      * np.sqrt(np.take(b._norm_sq[tier], fb)))
-        tau_tier = tau * 0.125 ** tier if config.tier_tau_decay else tau
-        pruned = alive & (norm_prod < tau_tier)
+        pruned = alive & (norm_prod < tau)
         active = alive & ~pruned
+        # A strict-upper triple of a symmetric square also stands for (j, i, k).
+        mirrored = (ia < ja) if symmetric else np.zeros(ia.size, dtype=bool)
+        weight = 1 + mirrored
 
-        if counting:
-            n_skip = int(ia.size - np.count_nonzero(alive))
-            n_pruned = int(np.count_nonzero(pruned))
-            stats.pruned_calls += n_skip + n_pruned
-            stats.empty_skip_volume += n_skip * edge ** 3
-            stats.pruned_volume += n_pruned * edge ** 3
-            if n_pruned:
-                stats.omitted_budget += float(norm_prod[pruned].sum())
-        if config.collect_boxes and pruned.any():
-            box_batches.append((tier, edge, ia[pruned] * edge,
-                                ja[pruned] * edge, ka[pruned] * edge))
+        n_skip = int(weight[~alive].sum())
+        n_pruned = int(weight[pruned].sum())
+        stats.pruned_calls += n_skip + n_pruned
+        stats.empty_skip_volume += n_skip * edge ** 3
+        stats.pruned_volume += n_pruned * edge ** 3
+        if n_pruned:
+            stats.omitted_budget += float((norm_prod * weight)[pruned].sum())
+        if config.collect_boxes and n_pruned:
+            back = pruned & mirrored
+            stats.boxes.extend(
+                PrunedBox(int(x) * edge, int(y) * edge, int(z) * edge, edge, tier)
+                for x, y, z in zip(np.r_[ia[pruned], ja[back]],
+                                   np.r_[ja[pruned], ia[back]],
+                                   np.r_[ka[pruned], ka[back]]))
 
         if tier == depth:
-            if counting:
-                stats.leaf_matmuls += int(np.count_nonzero(active))
+            stats.leaf_matmuls += int(weight[active].sum())
             if active.any():
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
@@ -194,21 +201,42 @@ def spamm(a, b, config=None):
                     depth)
             break
 
-        ia = ia[active]
-        ja = ja[active]
-        ka = ka[active]
-        ia = (ia[:, None] * 2 + _DI).ravel()
-        ja = (ja[:, None] * 2 + _DJ).ravel()
-        ka = (ka[:, None] * 2 + _DK).ravel()
+        ia = (ia[active, None] * 2 + _DI).ravel()
+        ja = (ja[active, None] * 2 + _DJ).ravel()
+        ka = (ka[active, None] * 2 + _DK).ravel()
+        if symmetric:
+            upper = ia <= ja
+            ia, ja, ka = ia[upper], ja[upper], ka[upper]
 
-    if config.collect_boxes:
-        for tier, edge, bi, bj, bk in box_batches:
-            stats.boxes.extend(
-                PrunedBox(int(x), int(y), int(z), edge, tier)
-                for x, y, z in zip(bi, bj, bk))
-
-    c = _from_blocks(keys, blocks, a.logical_dim, leaf)
+    if symmetric:
+        keys, blocks = _mirror(keys, blocks, nb)
+    c = _from_blocks(keys, blocks, a.logical_dim, a.leaf_size)
     return c, stats
+
+
+def _is_symmetric(m):
+    """True iff ``m`` equals its transpose bit for bit (so -0.0 is not +0.0):
+    a symmetric block pattern, each block with i <= j its mirror's transpose."""
+    occ = m._leaf_nonzero
+    if not np.array_equal(occ, occ.T):
+        return False
+    i, j = np.divmod(m._keys, m.block_grid)
+    rows = np.flatnonzero(i <= j)
+    bits = m._stack.view(f"u{m.dtype.itemsize}")
+    return np.array_equal(np.take(bits, m._index[j[rows], i[rows]], axis=0),
+                          np.take(bits, rows, axis=0).swapaxes(1, 2))
+
+
+def _mirror(keys, blocks, nb):
+    """The whole product of a symmetric square from its blocks with i <= j,
+    keys ``i * nb + j`` increasing: each strict-upper block's transpose is
+    copied to key ``j * nb + i``.  Returns the keys and stack of both."""
+    i, j = np.divmod(keys, nb)
+    upper = np.flatnonzero(i < j)
+    full = np.concatenate((keys, j[upper] * nb + i[upper]))
+    stack = np.concatenate((blocks, np.take(blocks, upper, axis=0).swapaxes(1, 2)))
+    order = np.argsort(full)
+    return full[order], np.take(stack, order, axis=0)
 
 
 def _leaf_stage(a, b, keys, rows_a, rows_b, depth):
@@ -276,7 +304,7 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
 
 def exact_multiply(a, b):
     """The exact product (tau = 0); Empty blocks still short-circuit."""
-    c, _ = spamm(a, b, SpammConfig(tau=0.0, count_stats=False))
+    c, _ = spamm(a, b, SpammConfig(tau=0.0))
     return c
 
 
@@ -287,37 +315,10 @@ def multiply_error(a, b, config):
     of the dense difference.  The error contract guarantees
     abs_err <= omitted_budget + 1e-12 * ||a|| * ||b||.
     """
-    if config.tau > 0 and not config.count_stats:
-        config = replace(config, count_stats=True)
     approx, stats = spamm(a, b, config)
     exact = exact_multiply(a, b)
     abs_err = float(np.linalg.norm(approx.to_dense() - exact.to_dense()))
     return abs_err, stats.omitted_budget
-
-
-def norm_submultiplicativity_check(a, b):
-    """Verify the norm bounds the pruning rule relies on, on actual data:
-    ||A*B||_F <= ||A||_F * ||B||_F, and at tier 1 that ||A*B||_F is bounded
-    by the 2x2 block-norm expansion (sum over quadrant products of child
-    norms).  Allows 8 ulp of slack; returns True when both hold.
-    """
-    _require_conformable(a, b)
-    c = exact_multiply(a, b)
-    slack = 1.0 + 8 * float(np.finfo(a.dtype).eps)
-    nc = node_norm(c)
-    bound_root = node_norm(a) * node_norm(b)
-    if nc > bound_root * slack:
-        return False
-    if a.depth >= 1:
-        an = np.sqrt(a._norm_sq[1])
-        bn = np.sqrt(b._norm_sq[1])
-        expansion = 0.0
-        for i in range(2):
-            for j in range(2):
-                expansion += an[i, 0] * bn[0, j] + an[i, 1] * bn[1, j]
-        if nc > expansion * slack:
-            return False
-    return True
 
 
 def write_box_log(boxes, path, padded_dim):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
+from spamm.multiply import exact_multiply
 from spamm.purification import SpammMode, purify
 
 
@@ -30,6 +31,29 @@ def oracle_matmul(a, b):
             for j in range(m):
                 oi[j] += aik * bk[j]
     return np.array(out)
+
+
+def norm_submultiplicativity_check(a, b):
+    """Verify the norm bounds the pruning rule relies on, on actual data:
+    ||A*B||_F <= ||A||_F * ||B||_F, and at tier 1 that ||A*B||_F is bounded
+    by the 2x2 block-norm expansion (sum over quadrant products of child
+    norms).  Allows 8 ulp of slack; returns True when both hold.
+    """
+    c = exact_multiply(a, b)
+    slack = 1.0 + 8 * float(np.finfo(a.dtype).eps)
+    nc = c.norm()
+    if nc > a.norm() * b.norm() * slack:
+        return False
+    if a.depth >= 1:
+        an = np.sqrt(a._norm_sq[1])
+        bn = np.sqrt(b._norm_sq[1])
+        expansion = 0.0
+        for i in range(2):
+            for j in range(2):
+                expansion += an[i, 0] * bn[0, j] + an[i, 1] * bn[1, j]
+        if nc > expansion * slack:
+            return False
+    return True
 
 
 def dense_tc2(fd, n_occ, sweeps=50):

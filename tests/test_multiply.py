@@ -7,6 +7,7 @@ n = 512 exponential-decay pair.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from spamm.multiply import (
     SpammConfig,
     exact_multiply,
     multiply_error,
-    norm_submultiplicativity_check,
     read_box_log,
     spamm,
     write_box_log,
@@ -31,7 +31,7 @@ from spamm.quadtree import (
     to_dense,
 )
 
-from conftest import oracle_matmul, padded_dense
+from conftest import norm_submultiplicativity_check, oracle_matmul, padded_dense
 
 
 # ----------------------------------------------------------- basic contracts
@@ -266,6 +266,98 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
             assert c._stack.tobytes() == blocks.tobytes()
 
 
+# ------------------------------------------------------- symmetric squares
+
+def _symmetric_decay(n, seed, band=None):
+    """Bitwise-symmetric random matrix with exponential off-diagonal decay,
+    zero outside ``band`` when one is given."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    d = rng.standard_normal((n, n)) * np.exp(-0.25 * dist)
+    if band is not None:
+        d[dist > band] = 0.0
+    return d + d.T
+
+
+_MIRROR = multiply._mirror
+
+
+def _square_with_twin(monkeypatch, d, leaf, dtype, tau):
+    """Square ``from_dense(d)`` as ``spamm(x, x)`` and as ``spamm(x, twin)``
+    with ``twin`` rebuilt from the same array: a different object, so the
+    second product takes the full traversal.  Returns both (tree, stats)
+    pairs and how many of the two calls mirrored blocks."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _MIRROR(*args)
+
+    monkeypatch.setattr(multiply, "_mirror", spy)
+    x = from_dense(d, leaf_size=leaf, dtype=dtype)
+    twin = from_dense(d, leaf_size=leaf, dtype=dtype)
+    cfg = SpammConfig(tau=tau, collect_boxes=True)
+    return spamm(x, x, cfg), spamm(x, twin, cfg), len(calls)
+
+
+def _assert_same_product(got, want):
+    """Equal product bytes and whole-cube stats; the budget to 8 ulp."""
+    (c, s), (c_ref, s_ref) = got, want
+    assert c._keys.tobytes() == c_ref._keys.tobytes()
+    assert c._stack.tobytes() == c_ref._stack.tobytes()
+    for name in ("leaf_matmuls", "pruned_calls", "pruned_volume",
+                 "empty_skip_volume", "max_depth_reached"):
+        assert getattr(s, name) == getattr(s_ref, name), name
+    assert Counter(s.boxes) == Counter(s_ref.boxes)
+    assert abs(s.omitted_budget - s_ref.omitted_budget) <= 8 * np.spacing(s_ref.omitted_budget)
+    assert s.covered_volume(c.leaf_size) == c.padded_dim ** 3
+
+
+@pytest.mark.parametrize("n, leaf, band, dtype", [
+    (128, 4, None, np.float64),
+    (100, 4, 9, np.float64),    # padded; the band leaves empty blocks
+    (100, 1, 9, np.float64),
+    (64, 8, None, np.float64),
+    (100, 8, 20, np.float64),
+    (100, 4, None, np.float32),
+])
+def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
+    """Squaring a symmetric tree from its upper block triangle gives the
+    bytes and the whole-cube stats of the full traversal, at tau 0 and at a
+    tau that prunes at several tiers, in one chunk and in many."""
+    d = _symmetric_decay(n, n + leaf, band)
+    for tau in (0.0, 1e-2):
+        for chunk in (multiply._CHUNK_ELEMENTS, 5 * leaf * leaf):
+            monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+            sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, dtype, tau)
+            assert mirrored == 1
+            _assert_same_product(sym, full)
+            c, stats = sym
+            assert np.array_equal(c.to_dense(), c.to_dense().T)
+            if tau:
+                assert len({bx.tier for bx in stats.boxes}) >= 2
+            if band is not None:
+                assert not c._leaf_nonzero.all()
+
+
+def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
+    """A tree whose block pattern is asymmetric, or one element of which is
+    1 ulp off its mirror, is squared by the full traversal."""
+    d = _symmetric_decay(100, 3, band=30)
+    off_by_ulp = d.copy()
+    off_by_ulp[3, 5] = np.nextafter(off_by_ulp[3, 5], np.inf)
+    pattern = d.copy()
+    pattern[0, 90] = 1.0
+    for case in (off_by_ulp, pattern):
+        for tau in (0.0, 1e-2):
+            sym, full, mirrored = _square_with_twin(monkeypatch, case, 4, np.float64, tau)
+            assert mirrored == 0
+            _assert_same_product(sym, full)
+    c, _ = spamm(from_dense(off_by_ulp), from_dense(off_by_ulp))
+    assert not np.array_equal(c.to_dense(), c.to_dense().T)
+
+
 # -------------------------------------------------------- error accounting
 
 def test_multiply_error_tau0():
@@ -336,16 +428,6 @@ def test_tiling_with_empty_skips():
     assert stats.pruned_volume == 0
     assert stats.empty_skip_volume > 0
     assert stats.covered_volume(4) == 64 ** 3
-
-
-def test_tier_tau_decay_is_more_conservative():
-    a = gen_exponential(256, 0.7)
-    b = gen_exponential(256, 1.3)
-    flat = spamm(a, b, SpammConfig(tau=1e-6))[1]
-    decayed = spamm(a, b, SpammConfig(tau=1e-6, tier_tau_decay=True))[1]
-    assert decayed.leaf_matmuls >= flat.leaf_matmuls
-    assert decayed.omitted_budget <= flat.omitted_budget
-    assert decayed.covered_volume(4) == a.padded_dim ** 3
 
 
 # ------------------------------------------------------- norm bound checks

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from spamm import multiply, purification
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
-from spamm.multiply import exact_multiply
+from spamm.multiply import exact_multiply, spamm
 from spamm.purification import (
     DroppingMode,
     SpammMode,
@@ -183,6 +184,31 @@ def test_purify_tau0_reference_is_self():
     res = purify(_gapped(64), 32, SpammMode(0.0))
     assert res.delta_e_rel == 0.0
     assert res.reference_energy == res.energy
+
+
+def test_purify_float32_gapped64(monkeypatch):
+    """A float32 run lands within a few float32 ulps of the float64 energy
+    (both projected in float64), and every square it takes from the upper
+    block triangle has the bytes of the full traversal."""
+    n, mode = 64, SpammMode(1e-6)
+    f = _gapped(n)
+    want = purify(f, n // 2, mode, reference_energy=-1.0).energy
+    squares = []
+
+    def checked_spamm(a, b, config):
+        c, stats = spamm(a, b, config)
+        twin = from_dense(a.to_dense(), leaf_size=a.leaf_size, dtype=a.dtype)
+        assert a is b and multiply._is_symmetric(a)
+        assert c.structurally_equal(spamm(a, twin, config)[0])
+        squares.append(c.dtype)
+        return c, stats
+
+    monkeypatch.setattr(purification, "spamm", checked_spamm)
+    f32 = from_dense(f.to_dense(), dtype=np.float32)
+    got = purify(f32, n // 2, mode, reference_energy=-1.0).energy
+    assert squares == [np.float32] * 50
+    assert np.isfinite(got)
+    assert abs(got - want) <= 10 * np.finfo(np.float32).eps * abs(want)
 
 
 # ------------------------------------------------------------ matched error
