@@ -16,10 +16,7 @@ from .quadtree import (
     audit_norm_cache,
     filter_drop,
     from_dense,
-    identity,
-    node_norm,
     scale,
-    to_dense,
     trace,
 )
 from .multiply import (
@@ -75,8 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatchError", "QuadTreeMatrix", "add", "audit_norm_cache",
-    "filter_drop", "from_dense", "identity", "node_norm", "scale", "to_dense",
-    "trace",
+    "filter_drop", "from_dense", "scale", "trace",
     "ProductStats", "PrunedBox", "SpammConfig", "exact_multiply",
     "multiply_error", "read_box_log", "spamm", "write_box_log",
     "ModelHamiltonian", "bin_profile", "chain_positions", "decay_profile",

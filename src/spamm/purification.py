@@ -116,13 +116,13 @@ def tc2_step(x, n_occ, mode):
     """One purification sweep; X**2 is computed once and reused by both
     branches.  Returns (next_x, multiply_stats).
 
-    Once the iterate is idempotent to machine precision, both branches equal
-    X up to roundoff, but re-rounding the product every sweep slowly amplifies
+    Once |X**2 - X| is under the fixed-point floor, both branches equal X up
+    to roundoff, but re-rounding the product every sweep slowly amplifies
     that roundoff (each branch map has slope 2 at the eigenvalue it does not
     fix, so spectral noise doubles per sweep).  At that point X itself is the
-    correctly rounded step result, and returning it keeps the tail of a
-    fixed-length run at the noise floor.  Sweep count and multiply accounting
-    are unaffected: the multiply still runs every sweep.
+    correctly rounded step result, and the step returns ``x`` itself, the
+    same object, with the stats of the multiply that found it; ``purify``
+    takes that identity as the sign that every later sweep would repeat it.
     """
     tr = trace(x)
     if isinstance(mode, DroppingMode):
@@ -170,6 +170,12 @@ def _projector_energy(x, f_dense):
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """Run a fixed number of TC2 sweeps under the given truncation mode.
 
+    A run whose iterate is frozen -- at the fixed point of ``tc2_step``, or
+    held by the convergence latch -- stops multiplying, but its per-sweep
+    records still cover all ``max_iter`` sweeps: each remaining sweep gets
+    the frozen iterate's trace and the leaf-multiply count its square was
+    measured at, which is what multiplying it again would give.
+
     ``density`` is the final iterate X (the held one once the convergence
     latch engages, recorded in ``held_at``); ``energy`` is Tr(P F) for the
     projector P that X purifies to (see the module docstring), and
@@ -202,37 +208,32 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     # most double the gap, so once it has turned around -- grown to 4x its
     # running minimum -- or stopped being finite, the run holds the iterate
     # with the smallest gap, whatever its level.  Before the first sweep
-    # that iterate is the initial guess.
-    # The per-sweep accounting stays at the held state's steady cost: the
-    # kernel is deterministic, so multiplying the same frozen iterate gives
-    # the same statistics every sweep; they are measured once on the first
-    # held sweep and replicated for the remainder instead of recomputed.
-    best_x = x
-    best_gap = math.inf
-    held_at = None
-    frozen_stats = None
+    # that iterate is the initial guess, entering sweep 1.
+    # A held iterate, like one that ``tc2_step`` returns unchanged, is
+    # frozen: the kernel is deterministic, so every later sweep would square
+    # it again with the leaf count measured at the sweep it entered
+    # (``frozen``) and leave its trace as recorded then.  The run stops and
+    # fills the remaining sweeps with those two values.
+    best_x, best_gap, best_sweep = x, math.inf, 1
+    held_at = frozen = None
     for sweep in range(1, max_iter + 1):
-        if frozen_stats is not None:
-            step_counts.append(frozen_stats.leaf_matmuls)
-            trace_history.append(trace_history[-1])
-            continue
         nxt, stats = tc2_step(x, n_occ, mode)
         step_counts.append(stats.leaf_matmuls)
-        if held_at is not None:
-            frozen_stats = stats
-            trace_history.append(trace_history[-1])
-            continue
+        if nxt is x:
+            frozen = sweep
+            break
         gap = distance(nxt, x)
         if gap < best_gap:
-            best_gap = gap
-            best_x = x
-            x = nxt
+            best_x, best_gap, best_sweep = x, gap, sweep
         elif not math.isfinite(gap) or gap > 4.0 * best_gap:
-            x = best_x
-            held_at = sweep
-        else:
-            x = nxt
+            x, held_at, frozen = best_x, sweep, best_sweep
+            break
+        x = nxt
         trace_history.append(trace(x))
+    if frozen is not None:
+        step_counts += [step_counts[frozen - 1]] * (max_iter - len(step_counts))
+        trace_history += ([trace_history[frozen - 1]]
+                          * (max_iter + 1 - len(trace_history)))
 
     energy, idempotency_gap = _projector_energy(x, fd)
     if mode.tau == 0:

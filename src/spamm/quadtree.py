@@ -152,10 +152,6 @@ class QuadTreeMatrix:
         """Number of leaf blocks along one side (padded_dim // leaf_size)."""
         return self.padded_dim // self.leaf_size
 
-    @property
-    def element_precision(self):
-        return "double" if self.dtype == np.float64 else "single"
-
     # -- basic queries ------------------------------------------------------
 
     def to_dense(self):
@@ -259,21 +255,6 @@ def _from_blocks(keys, stack, logical_dim, leaf_size):
     takes both arrays and makes them read-only (do not reuse a writable one);
     another tree's read-only keys may be passed as they are."""
     return QuadTreeMatrix(keys, stack, logical_dim, leaf_size, _internal=True)
-
-
-def identity(n, leaf_size=4, dtype=None):
-    """Identity matrix as a quadtree."""
-    return from_dense(np.eye(n), leaf_size=leaf_size, dtype=dtype)
-
-
-def to_dense(m):
-    """Dense logical array for ``m`` (function form of m.to_dense())."""
-    return m.to_dense()
-
-
-def node_norm(m):
-    """Frobenius norm of the whole matrix, from the root's cached norm."""
-    return m.norm()
 
 
 def trace(m):

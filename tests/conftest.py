@@ -4,15 +4,21 @@ The oracles here deliberately avoid the library's own code paths: the
 triple-loop multiply is pure Python over lists, the reference projector
 comes from a dense eigensolver, and the plain-array purification recurrence
 uses numpy matmul directly.  Agreement between library output and these
-implementations is what the tests mean by "correct".
+implementations is what the tests mean by "correct".  The one exception,
+``every_sweep_tc2``, reuses ``tc2_step`` on purpose: it is a reference for
+the bookkeeping of ``purify``'s sweep loop, not for the algebra.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from spamm import purification
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
 from spamm.multiply import exact_multiply
 from spamm.purification import SpammMode, purify
+from spamm.quadtree import distance, trace
 
 
 def oracle_matmul(a, b):
@@ -75,6 +81,36 @@ def dense_tc2(fd, n_occ, sweeps=50):
             break
         x = x2 if np.trace(x) >= n_occ else 2.0 * x - x2
     return x
+
+
+def every_sweep_tc2(f, n_occ, mode, max_iter=50):
+    """``purify``'s sweep loop without its shortcuts: ``tc2_step`` (looked
+    up in ``spamm.purification`` at call time, so a patched step is used)
+    runs on every one of the ``max_iter`` sweeps, also past a fixed point
+    and on the held iterate, and every leaf count and trace is measured.
+    The convergence latch is the same: hold the smallest-gap iterate once
+    the gap is non-finite or above 4x its running minimum.  Returns the
+    final iterate, the per-sweep counts and traces, ``held_at``, and
+    ``fixed_at``, the first sweep whose step returned its input object."""
+    x = purification.tc2_initial_guess(f)
+    traces, counts = [trace(x)], []
+    best_x, best_gap, held_at, fixed_at = x, math.inf, None, None
+    for sweep in range(1, max_iter + 1):
+        nxt, stats = purification.tc2_step(x, n_occ, mode)
+        counts.append(stats.leaf_matmuls)
+        if nxt is x and fixed_at is None:
+            fixed_at = sweep
+        if held_at is None:
+            gap = distance(nxt, x)
+            if gap < best_gap:
+                best_x, best_gap, x = x, gap, nxt
+            elif not math.isfinite(gap) or gap > 4.0 * best_gap:
+                x, held_at = best_x, sweep
+            else:
+                x = nxt
+        traces.append(trace(x))
+    return {"density": x, "step_leaf_matmuls": counts, "trace_history": traces,
+            "held_at": held_at, "fixed_at": fixed_at}
 
 
 def padded_dense(m):

@@ -23,7 +23,7 @@ from spamm.multiply import SpammConfig, exact_multiply, spamm
 from spamm.ordering import AtomLayout, apply_ordering
 from spamm.ordering import _cells_to_hilbert, _hilbert_to_cells
 from spamm.purification import DroppingMode, SpammMode, match_error_threshold
-from spamm.quadtree import from_dense, node_norm, to_dense, trace
+from spamm.quadtree import from_dense, trace
 
 from conftest import dense_tc2, oracle_matmul
 
@@ -39,8 +39,8 @@ def test_exact_product_matches_oracle():
     for pair_no, (n, leaf) in enumerate(zip(sizes, leaves)):
         ad = rng.standard_normal((n, n))
         bd = rng.standard_normal((n, n))
-        got = to_dense(exact_multiply(from_dense(ad, leaf_size=leaf),
-                                      from_dense(bd, leaf_size=leaf)))
+        got = exact_multiply(from_dense(ad, leaf_size=leaf),
+                             from_dense(bd, leaf_size=leaf)).to_dense()
         ref = oracle_matmul(ad.tolist(), bd.tolist())
         scale = np.linalg.norm(ref)
         err = np.linalg.norm(got - ref) / (scale if scale > 0 else 1.0)
@@ -64,12 +64,12 @@ def test_truncation_error_bounded():
     taus = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
     summary = []
     for label, (a, b) in pairs.items():
-        exact = to_dense(exact_multiply(a, b))
-        roundoff = 1e-12 * node_norm(a) * node_norm(b)
+        exact = exact_multiply(a, b).to_dense()
+        roundoff = 1e-12 * a.norm() * b.norm()
         errs = {}
         for tau in taus:
             approx, stats = spamm(a, b, SpammConfig(tau=tau))
-            errs[tau] = float(np.linalg.norm(to_dense(approx) - exact))
+            errs[tau] = float(np.linalg.norm(approx.to_dense() - exact))
             assert errs[tau] <= stats.omitted_budget + roundoff, (
                 f"{label} tau={tau}: err {errs[tau]:.3e} > "
                 f"budget {stats.omitted_budget:.3e} + {roundoff:.1e}")
@@ -188,7 +188,7 @@ def test_matched_error_work_comparison(gapped256, gapless256):
 
 def test_purified_density_correctness(gapped256):
     """Exact-algebra purification at n=256 against the dense eigensolver."""
-    p = to_dense(gapped256["exact"].density)
+    p = gapped256["exact"].density.to_dense()
     proj_err = float(np.linalg.norm(p - gapped256["projector"]))
     trace_err = abs(trace(gapped256["exact"].density) - gapped256["n_occ"])
     f = gapped256["dense"]
@@ -230,9 +230,9 @@ def test_sfc_invariants():
         inv = AtomLayout(positions=np.zeros((12, 3)),
                          permutation=np.argsort(perm), curve_order=1)
         back = apply_ordering(out, inv, 4)
-        assert np.array_equal(to_dense(back), d)
+        assert np.array_equal(back.to_dense(), d)
         dt = abs(trace(out) - np.trace(d))
-        dn = abs(node_norm(out) - np.linalg.norm(d))
+        dn = abs(out.norm() - np.linalg.norm(d))
         assert dt <= 1e-13 * max(1.0, abs(np.trace(d)))
         assert dn <= 1e-13 * np.linalg.norm(d)
         worst_trace = max(worst_trace, dt)

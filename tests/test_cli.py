@@ -9,7 +9,6 @@ from spamm.cli import main
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
 from spamm.multiply import exact_multiply
-from spamm.quadtree import node_norm, to_dense
 
 from conftest import padded_dense
 from test_multiply import _flat_reference
@@ -56,7 +55,7 @@ def test_generate_algebraic_and_models(tmp_path):
                  "--hop", "2", "--out", str(out)]) == 0
     ref = gen_model_hamiltonian(ModelHamiltonian(16, "gapped", gap=1.0,
                                                  hopping=2.0))
-    assert np.array_equal(read_matrix_market(out), to_dense(ref))
+    assert np.array_equal(read_matrix_market(out), ref.to_dense())
 
     assert main(["generate", "--kind", "gapless", "--n", "16",
                  "--out", str(out)]) == 0
@@ -72,7 +71,7 @@ def test_multiply_exact_error_column(tmp_path):
                  "--stats", str(stats), "--with-error"]) == 0
     header, row = _read_stats(stats)
     assert header == "n,tau,leaf_matmuls,pruned_calls,omitted_budget,abs_err"
-    assert float(row[5]) <= 1e-13 * node_norm(a) * node_norm(b)
+    assert float(row[5]) <= 1e-13 * a.norm() * b.norm()
     assert float(row[4]) == 0.0
     assert int(row[0]) == 64
 
@@ -82,7 +81,7 @@ def test_multiply_writes_product(tmp_path):
     out_c = tmp_path / "c.mtx"
     assert main(["multiply", "--a", pa, "--b", pb, "--tau", "0",
                  "--out-c", str(out_c)]) == 0
-    ref = to_dense(exact_multiply(a, b))
+    ref = exact_multiply(a, b).to_dense()
     assert np.array_equal(read_matrix_market(out_c), ref)
 
 
@@ -129,7 +128,7 @@ def test_boxes_tau0_empty(tmp_path):
 
 def test_boxes_root_rejection(tmp_path):
     a, b, pa, pb = _write_pair(tmp_path, n=32)
-    big = node_norm(a) * node_norm(b) * 2
+    big = a.norm() * b.norm() * 2
     out = tmp_path / "boxes.log"
     summary = tmp_path / "summary.txt"
     assert main(["boxes", "--a", pa, "--b", pb, "--tau", f"{big:.17g}",

@@ -15,30 +15,30 @@ from spamm.generators import (
     log_linear_fit,
     write_profile_csv,
 )
-from spamm.quadtree import from_dense, to_dense
+from spamm.quadtree import from_dense
 
 
 # ------------------------------------------------------------- exponential
 
 def test_exponential_spot_values():
-    a = to_dense(gen_exponential(512, 1.0))
+    a = gen_exponential(512, 1.0).to_dense()
     assert a[0, 0] == 1.0
     assert a[0, 1] == np.exp(-1.0)
     assert a[17, 42] == np.exp(-25.0)
 
 
 def test_exponential_huge_alpha_is_identity():
-    a = to_dense(gen_exponential(64, 700.0))
+    a = gen_exponential(64, 700.0).to_dense()
     # |i-j| = 1 leaves a denormal ~1e-304; everything farther underflows to 0
     assert np.max(np.abs(a - np.eye(64))) <= 1e-300
-    assert np.count_nonzero(to_dense(gen_exponential(64, 800.0))) == 64
+    assert np.count_nonzero(gen_exponential(64, 800.0).to_dense()) == 64
 
 
 def test_exponential_matches_formula():
     for n, alpha in ((30, 0.3), (512, 2.0)):
         idx = np.arange(n)
         ref = np.exp(-alpha * np.abs(idx[:, None] - idx[None, :]))
-        assert np.array_equal(to_dense(gen_exponential(n, alpha)), ref)
+        assert np.array_equal(gen_exponential(n, alpha).to_dense(), ref)
 
 
 def test_exponential_rejects_bad_alpha():
@@ -51,7 +51,7 @@ def test_exponential_rejects_bad_alpha():
 # --------------------------------------------------------------- algebraic
 
 def test_algebraic_values():
-    a = to_dense(gen_algebraic(512, 3.0))
+    a = gen_algebraic(512, 3.0).to_dense()
     assert np.array_equal(np.diag(a), np.zeros(512))
     off = np.abs(np.arange(512)[:, None] - np.arange(512)[None, :]) == 1
     assert np.array_equal(a[off], np.ones(off.sum()))
@@ -60,7 +60,7 @@ def test_algebraic_values():
 
 def test_algebraic_n2_any_p():
     for p in (0.5, 1.0, 3.0, 7.0):
-        assert np.array_equal(to_dense(gen_algebraic(2, p)),
+        assert np.array_equal(gen_algebraic(2, p).to_dense(),
                               np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -73,28 +73,28 @@ def test_algebraic_rejects_bad_p():
 
 def test_generators_symmetric_bitexact():
     for m in (gen_exponential(100, 0.8), gen_algebraic(100, 3.0)):
-        d = to_dense(m)
+        d = m.to_dense()
         assert np.array_equal(d, d.T)
 
 
 def test_generator_roundtrip_exact():
     g = gen_exponential(75, 1.3)
-    d = to_dense(g)
-    assert np.array_equal(to_dense(from_dense(d)), d)
+    d = g.to_dense()
+    assert np.array_equal(from_dense(d).to_dense(), d)
 
 
 # ------------------------------------------------------- model Hamiltonians
 
 def test_gapped_n2_zero_hopping_eigenvalues():
     h = gen_model_hamiltonian(ModelHamiltonian(2, "gapped", gap=2.0, hopping=0.0))
-    d = to_dense(h)
+    d = h.to_dense()
     assert np.array_equal(d, np.diag([1.0, -1.0]))
     assert sorted(np.linalg.eigvalsh(d)) == [-1.0, 1.0]
 
 
 def test_gapless_spectrum_matches_dense_oracle():
     n, t = 256, 1.0
-    h = to_dense(gen_model_hamiltonian(ModelHamiltonian(n, "gapless", hopping=t)))
+    h = gen_model_hamiltonian(ModelHamiltonian(n, "gapless", hopping=t)).to_dense()
     got = np.sort(np.linalg.eigvalsh(h))
     k = np.arange(1, n + 1)
     ref = np.sort(2.0 * t * np.cos(k * np.pi / (n + 1)))
@@ -103,8 +103,8 @@ def test_gapless_spectrum_matches_dense_oracle():
 
 def test_gapped_spectral_gap_near_requested():
     n = 256
-    h = to_dense(gen_model_hamiltonian(ModelHamiltonian(n, "gapped", gap=1.0,
-                                                        hopping=1.0)))
+    h = gen_model_hamiltonian(ModelHamiltonian(n, "gapped", gap=1.0,
+                                               hopping=1.0)).to_dense()
     ev = np.sort(np.linalg.eigvalsh(h))
     gap = ev[n // 2] - ev[n // 2 - 1]
     assert abs(gap - 1.0) <= 0.05
@@ -112,7 +112,7 @@ def test_gapped_spectral_gap_near_requested():
 
 def test_hamiltonian_structure_and_symmetry():
     m = ModelHamiltonian(10, "gapped", gap=0.6, hopping=2.5)
-    d = to_dense(gen_model_hamiltonian(m))
+    d = gen_model_hamiltonian(m).to_dense()
     assert np.array_equal(d, d.T)
     assert d[3, 4] == 2.5 and d[4, 3] == 2.5
     assert d[0, 0] == 0.3 and d[1, 1] == -0.3

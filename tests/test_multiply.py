@@ -23,13 +23,7 @@ from spamm.multiply import (
     spamm,
     write_box_log,
 )
-from spamm.quadtree import (
-    DimensionMismatchError,
-    from_dense,
-    identity,
-    node_norm,
-    to_dense,
-)
+from spamm.quadtree import DimensionMismatchError, from_dense
 
 from conftest import norm_submultiplicativity_check, oracle_matmul, padded_dense
 
@@ -39,8 +33,8 @@ from conftest import norm_submultiplicativity_check, oracle_matmul, padded_dense
 def test_identity_times_b_exact():
     rng = np.random.default_rng(0)
     bd = rng.standard_normal((20, 20))
-    c, stats = spamm(identity(20), from_dense(bd), SpammConfig(tau=0.0))
-    assert np.array_equal(to_dense(c), bd)
+    c, stats = spamm(from_dense(np.eye(20)), from_dense(bd), SpammConfig(tau=0.0))
+    assert np.array_equal(c.to_dense(), bd)
     assert stats.omitted_budget == 0.0
 
 
@@ -48,7 +42,7 @@ def test_tau_above_total_norm_prunes_root():
     rng = np.random.default_rng(1)
     a = from_dense(rng.standard_normal((16, 16)))
     b = from_dense(rng.standard_normal((16, 16)))
-    budget = node_norm(a) * node_norm(b)
+    budget = a.norm() * b.norm()
     c, stats = spamm(a, b, SpammConfig(tau=budget * 1.5, collect_boxes=True))
     assert not c._occupied[0][0, 0]
     assert stats.leaf_matmuls == 0
@@ -68,7 +62,7 @@ def test_exact_vs_triple_loop_oracle_64():
     rng = np.random.default_rng(3)
     ad = rng.standard_normal((64, 64))
     bd = rng.standard_normal((64, 64))
-    got = to_dense(exact_multiply(from_dense(ad), from_dense(bd)))
+    got = exact_multiply(from_dense(ad), from_dense(bd)).to_dense()
     ref = oracle_matmul(ad, bd)
     err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
     assert err <= 1e-13
@@ -107,7 +101,7 @@ def test_permutation_times_transpose_is_identity():
     p = np.zeros((32, 32))
     p[np.arange(32), perm] = 1.0
     c = exact_multiply(from_dense(p), from_dense(p.T))
-    assert np.array_equal(to_dense(c), np.eye(32))
+    assert np.array_equal(c.to_dense(), np.eye(32))
 
 
 # ---------------------------------------------- independent flat recursion
@@ -366,7 +360,7 @@ def test_multiply_error_tau0():
     b = from_dense(rng.standard_normal((48, 48)))
     abs_err, budget = multiply_error(a, b, SpammConfig(tau=0.0))
     assert budget == 0.0
-    assert abs_err <= 1e-13 * node_norm(a) * node_norm(b)
+    assert abs_err <= 1e-13 * a.norm() * b.norm()
 
 
 def test_error_bound_random_decay_pairs():
@@ -380,22 +374,22 @@ def test_error_bound_random_decay_pairs():
         decay = np.exp(-alpha * np.abs(idx[:, None] - idx[None, :]))
         a = from_dense(decay * rng.standard_normal((n, n)))
         b = from_dense(decay * rng.standard_normal((n, n)))
-        scale_ab = node_norm(a) * node_norm(b)
-        exact = to_dense(exact_multiply(a, b))
+        scale_ab = a.norm() * b.norm()
+        exact = exact_multiply(a, b).to_dense()
         for tau in taus:
             approx, stats = spamm(a, b, SpammConfig(tau=tau))
-            abs_err = float(np.linalg.norm(to_dense(approx) - exact))
+            abs_err = float(np.linalg.norm(approx.to_dense() - exact))
             assert abs_err <= stats.omitted_budget + 1e-12 * scale_ab
 
 
 def test_error_sweep_decreases_with_tau():
     a = gen_exponential(512, 1.0)
     b = gen_exponential(512, 2.0)
-    exact = to_dense(exact_multiply(a, b))
+    exact = exact_multiply(a, b).to_dense()
     errs = {}
     for tau in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
         approx, stats = spamm(a, b, SpammConfig(tau=tau))
-        errs[tau] = float(np.linalg.norm(to_dense(approx) - exact))
+        errs[tau] = float(np.linalg.norm(approx.to_dense() - exact))
         assert errs[tau] <= stats.omitted_budget + 1e-12
     assert errs[1e-10] < errs[1e-2]
 
@@ -415,13 +409,13 @@ def test_determinism_bit_identical():
     cfg = SpammConfig(tau=1e-7, collect_boxes=True)
     c1, s1 = spamm(a, b, cfg)
     c2, s2 = spamm(a, b, cfg)
-    assert to_dense(c1).tobytes() == to_dense(c2).tobytes()
+    assert c1.to_dense().tobytes() == c2.to_dense().tobytes()
     assert s1 == s2
 
 
 def test_tiling_with_empty_skips():
     # identity has off-diagonal Empty leaves: tau=0 exercises the skip path
-    i64 = identity(64)
+    i64 = from_dense(np.eye(64))
     _, stats = spamm(i64, i64, SpammConfig(tau=0.0))
     assert stats.leaf_matmuls == 16
     assert stats.omitted_budget == 0.0
@@ -433,7 +427,8 @@ def test_tiling_with_empty_skips():
 # ------------------------------------------------------- norm bound checks
 
 def test_submultiplicativity_identity():
-    assert norm_submultiplicativity_check(identity(16), identity(16))
+    assert norm_submultiplicativity_check(from_dense(np.eye(16)),
+                                          from_dense(np.eye(16)))
 
 
 def test_submultiplicativity_random_pairs():
@@ -453,8 +448,8 @@ def test_submultiplicativity_rank1_equality():
     a = from_dense(np.outer(u, v))
     b = from_dense(np.outer(v, w))
     assert norm_submultiplicativity_check(a, b)
-    prod_norm = node_norm(exact_multiply(a, b))
-    bound = node_norm(a) * node_norm(b)
+    prod_norm = exact_multiply(a, b).norm()
+    bound = a.norm() * b.norm()
     assert abs(prod_norm - bound) <= 1e-13
 
 

@@ -20,7 +20,7 @@ from spamm.ordering import (
 )
 from spamm.ordering import _cells_to_hilbert, _hilbert_to_cells
 from spamm.generators import chain_positions, jittered_grid_positions
-from spamm.quadtree import from_dense, to_dense
+from spamm.quadtree import from_dense
 
 
 _UNIT = (np.zeros(3), np.ones(3))
@@ -116,7 +116,7 @@ def test_apply_identity_permutation_unchanged():
     rng = np.random.default_rng(1)
     m = from_dense(rng.standard_normal((24, 24)))
     out = apply_ordering(m, _layout_for(np.arange(6)), 4)
-    assert np.array_equal(to_dense(out), to_dense(m))
+    assert np.array_equal(out.to_dense(), m.to_dense())
 
 
 def test_apply_then_inverse_roundtrips():
@@ -125,7 +125,7 @@ def test_apply_then_inverse_roundtrips():
     perm = rng.permutation(8)
     fwd = apply_ordering(from_dense(d), _layout_for(perm), 4)
     back = apply_ordering(fwd, _layout_for(np.argsort(perm)), 4)
-    assert np.array_equal(to_dense(back), d)
+    assert np.array_equal(back.to_dense(), d)
 
 
 def test_apply_preserves_trace_norm_spectrum():
@@ -133,7 +133,7 @@ def test_apply_preserves_trace_norm_spectrum():
     d = rng.standard_normal((40, 40))
     d = d + d.T
     perm = rng.permutation(10)
-    out = to_dense(apply_ordering(from_dense(d), _layout_for(perm), 4))
+    out = apply_ordering(from_dense(d), _layout_for(perm), 4).to_dense()
     assert np.array_equal(np.sort(out.ravel()), np.sort(d.ravel()))
     assert abs(np.trace(out) - np.trace(d)) <= 1e-13 * abs(np.trace(d)) + 1e-13
     assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(d),
@@ -149,7 +149,7 @@ def test_apply_size_mismatch_rejected():
 def test_block_permutation_moves_blocks():
     d = np.zeros((8, 8))
     d[0:4, 0:4] = 7.0
-    out = to_dense(apply_ordering(from_dense(d), _layout_for([1, 0]), 4))
+    out = apply_ordering(from_dense(d), _layout_for([1, 0]), 4).to_dense()
     assert np.all(out[4:8, 4:8] == 7.0)
     assert np.all(out[0:4, 0:4] == 0.0)
 

@@ -16,9 +16,9 @@ from spamm.purification import (
     tc2_step,
     write_purify_report,
 )
-from spamm.quadtree import filter_drop, from_dense, node_norm, to_dense, trace
+from spamm.quadtree import filter_drop, from_dense, trace
 
-from conftest import eig_projector
+from conftest import eig_projector, every_sweep_tc2
 
 
 def _gapped(n, gap=1.0, hopping=1.0):
@@ -30,19 +30,19 @@ def _gapped(n, gap=1.0, hopping=1.0):
 
 def test_initial_guess_two_level():
     x0 = tc2_initial_guess(from_dense(np.diag([-1.0, 1.0])))
-    assert np.array_equal(to_dense(x0), np.diag([1.0, 0.0]))
+    assert np.array_equal(x0.to_dense(), np.diag([1.0, 0.0]))
 
 
 def test_initial_guess_degenerate_interval():
     x0 = tc2_initial_guess(from_dense(np.zeros((4, 4))))
-    assert np.array_equal(to_dense(x0), 0.5 * np.eye(4))
+    assert np.array_equal(x0.to_dense(), 0.5 * np.eye(4))
 
 
 def test_initial_guess_spectrum_in_unit_interval():
     rng = np.random.default_rng(0)
     d = rng.standard_normal((32, 32))
     d = d + d.T
-    ev = np.linalg.eigvalsh(to_dense(tc2_initial_guess(from_dense(d))))
+    ev = np.linalg.eigvalsh(tc2_initial_guess(from_dense(d)).to_dense())
     eps = np.finfo(np.float64).eps
     assert ev.min() >= -8 * eps
     assert ev.max() <= 1 + 8 * eps
@@ -54,13 +54,13 @@ def test_step_fixed_point_both_branches():
     x = from_dense(np.diag([1.0, 0.0]))
     for n_occ in (1, 2):  # trace 1: >= branch at 1, < branch at 2
         nxt, _ = tc2_step(x, n_occ, SpammMode(0.0))
-        assert np.array_equal(to_dense(nxt), np.diag([1.0, 0.0]))
+        assert np.array_equal(nxt.to_dense(), np.diag([1.0, 0.0]))
 
 
 def test_step_squares_on_high_trace():
     x = from_dense(0.5 * np.eye(2))
     nxt, _ = tc2_step(x, 1, SpammMode(0.0))  # Tr = 1 >= 1
-    assert np.array_equal(to_dense(nxt), 0.25 * np.eye(2))
+    assert np.array_equal(nxt.to_dense(), 0.25 * np.eye(2))
 
 
 def test_step_dropping_filters_resultant_only():
@@ -72,7 +72,7 @@ def test_step_dropping_filters_resultant_only():
     tau = 1e-3
     nxt, _ = tc2_step(x, 1, DroppingMode(tau))  # Tr >> 1: squaring branch
     expect = filter_drop(exact_multiply(x, x), tau)
-    assert np.array_equal(to_dense(nxt), to_dense(expect))
+    assert np.array_equal(nxt.to_dense(), expect.to_dense())
 
 
 def test_step_converges_gapped64():
@@ -81,7 +81,7 @@ def test_step_converges_gapped64():
     for _ in range(50):
         x, _ = tc2_step(x, 32, SpammMode(0.0))
     x2 = exact_multiply(x, x)
-    gap = np.linalg.norm(to_dense(x2) - to_dense(x))
+    gap = np.linalg.norm(x2.to_dense() - x.to_dense())
     assert gap <= 1e-10
 
 
@@ -91,13 +91,13 @@ def test_purify_two_level_analytic():
     f = from_dense(np.diag([-1.0, 1.0]))
     for mode in (SpammMode(0.0), SpammMode(1e-8), DroppingMode(1e-8)):
         res = purify(f, 1, mode)
-        assert np.array_equal(to_dense(res.density), np.diag([1.0, 0.0]))
+        assert np.array_equal(res.density.to_dense(), np.diag([1.0, 0.0]))
         assert res.energy == -1.0
         assert res.delta_e_rel == 0.0
 
 
 def test_purify_matches_eigensolver_projector(gapped256):
-    p = to_dense(gapped256["exact"].density)
+    p = gapped256["exact"].density.to_dense()
     assert np.linalg.norm(p - gapped256["projector"]) <= 1e-8
 
 
@@ -105,12 +105,12 @@ def test_purify_idempotency_and_trace(gapped256):
     p = gapped256["exact"].density
     n = gapped256["n"]
     p2 = exact_multiply(p, p)
-    assert np.linalg.norm(to_dense(p2) - to_dense(p)) <= 1e-8 * n
+    assert np.linalg.norm(p2.to_dense() - p.to_dense()) <= 1e-8 * n
     assert abs(trace(p) - gapped256["n_occ"]) <= 1e-6
 
 
 def test_purify_commutes_with_generator(gapped256):
-    p = to_dense(gapped256["exact"].density)
+    p = gapped256["exact"].density.to_dense()
     f = gapped256["dense"]
     comm = np.linalg.norm(p @ f - f @ p)
     assert comm <= 1e-6 * np.linalg.norm(f)
@@ -147,7 +147,7 @@ def test_purify_flags_held_run(gapless256):
     held = res.trace_history[res.held_at]
     assert all(t == held for t in res.trace_history[res.held_at:])
     assert res.trace_history[res.held_at - 1] != held
-    p = to_dense(res.density)
+    p = res.density.to_dense()
     assert res.idempotency_gap == float(np.linalg.norm(p @ p - p))
     assert 2e-2 <= res.idempotency_gap <= 5e-2
 
@@ -163,11 +163,11 @@ def test_energy_is_that_of_purified_projector(gapped256):
     the final iterate with eigenvalue above 1/2, not to the iterate."""
     res = purify(gapped256["tree"], gapped256["n_occ"], SpammMode(1e-4),
                  reference_energy=gapped256["exact"].energy)
-    vals, vecs = np.linalg.eigh(to_dense(res.density))
+    vals, vecs = np.linalg.eigh(res.density.to_dense())
     occ = vecs[:, vals > 0.5]
     energy = float(np.trace(occ.T @ gapped256["dense"] @ occ))
     assert abs(res.energy - energy) <= 1e-12 * abs(energy)
-    raw = float(np.trace(to_dense(res.density) @ gapped256["dense"]))
+    raw = float(np.trace(res.density.to_dense() @ gapped256["dense"]))
     assert abs(raw - energy) > 1e-12 * abs(energy)
 
 
@@ -206,9 +206,62 @@ def test_purify_float32_gapped64(monkeypatch):
     monkeypatch.setattr(purification, "spamm", checked_spamm)
     f32 = from_dense(f.to_dense(), dtype=np.float32)
     got = purify(f32, n // 2, mode, reference_energy=-1.0).energy
-    assert squares == [np.float32] * 50
+    # One square per distinct iterate: tc2_step returns its input at sweep
+    # 15 (the fixed_at of every_sweep_tc2 on this run).
+    assert squares == [np.float32] * 15
     assert np.isfinite(got)
     assert abs(got - want) <= 10 * np.finfo(np.float32).eps * abs(want)
+
+
+def _non_finite_first(step):
+    """``step`` whose first result is all NaN (with the real stats of that
+    sweep's multiply), so the latch holds the initial guess at sweep 1."""
+    calls = []
+
+    def stepped(x, n_occ, mode):
+        nxt, stats = step(x, n_occ, mode)
+        calls.append(None)
+        if len(calls) == 1:
+            nxt = from_dense(np.full((x.logical_dim,) * 2, np.nan),
+                             leaf_size=x.leaf_size)
+        return nxt, stats
+    return stepped
+
+
+# case: (chain, n, mode, tc2_step calls of purify, held_at)
+_FROZEN_RUNS = {
+    "gapped64-exact": ("gapped", 64, SpammMode(0.0), 19, None),
+    "gapless256-spamm": ("gapless", 256, SpammMode(1e-4), 33, 33),
+    "gapless64-drop": ("gapless", 64, DroppingMode(1e-5), 29, None),
+    "non-finite-first": ("gapped", 64, SpammMode(0.0), 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_RUNS))
+def test_purify_matches_every_sweep_driver(case, monkeypatch):
+    """Stopping once the iterate is frozen changes no output: density bytes,
+    counts, traces and held_at equal a driver that squares on every sweep;
+    and tc2_step runs once per distinct iterate (to the fixed point, or to
+    the sweep at which the latch holds)."""
+    chain, n, mode, want_calls, want_held = _FROZEN_RUNS[case]
+    f = gen_model_hamiltonian(ModelHamiltonian(n, chain))
+    real = purification.tc2_step
+    wrap = _non_finite_first if case == "non-finite-first" else (lambda s: s)
+    monkeypatch.setattr(purification, "tc2_step", wrap(real))
+    want = every_sweep_tc2(f, n // 2, mode)
+    step, calls = wrap(real), []
+
+    def counted(x, n_occ, mode):
+        calls.append(None)
+        return step(x, n_occ, mode)
+
+    monkeypatch.setattr(purification, "tc2_step", counted)
+    res = purify(f, n // 2, mode, reference_energy=-1.0)
+    assert res.density.structurally_equal(want["density"])
+    assert res.step_leaf_matmuls == want["step_leaf_matmuls"]
+    assert res.trace_history == want["trace_history"]
+    assert res.held_at == want["held_at"] == want_held
+    assert len(calls) == want_calls == (want_held or want["fixed_at"])
 
 
 # ------------------------------------------------------------ matched error

@@ -7,8 +7,7 @@ import pytest
 
 from spamm import quadtree
 from spamm.quadtree import (DimensionMismatchError, add, audit_norm_cache,
-                            distance, filter_drop, from_dense, identity,
-                            node_norm, scale, to_dense, trace)
+                            distance, filter_drop, from_dense, scale, trace)
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
 
@@ -64,13 +63,13 @@ def test_padding_region_exact_zero():
 
 
 def test_roundtrip_exhaustive_small():
-    """to_dense(from_dense(M)) == M bit-exactly for n = 1..65, leaf 1/2/4."""
+    """from_dense(M).to_dense() == M bit-exactly for n = 1..65, leaf 1/2/4."""
     rng = np.random.default_rng(0)
     for n in range(1, 66):
         data = rng.standard_normal((n, n))
         for leaf in (1, 2, 4):
             m = from_dense(data, leaf_size=leaf)
-            back = to_dense(m)
+            back = m.to_dense()
             assert back.shape == (n, n)
             assert np.array_equal(back, data), (n, leaf)
 
@@ -79,20 +78,20 @@ def test_roundtrip_rebuild_identical_tree():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((100, 100))
     m = from_dense(data)
-    again = from_dense(to_dense(m))
-    assert np.array_equal(to_dense(again), data)
+    again = from_dense(m.to_dense())
+    assert np.array_equal(again.to_dense(), data)
     assert again.padded_dim == m.padded_dim and again.depth == m.depth
     assert again._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
 def test_to_dense_empty_is_zeros():
     m = from_dense(np.zeros((4, 4)))
-    assert np.array_equal(to_dense(m), np.zeros((4, 4)))
+    assert np.array_equal(m.to_dense(), np.zeros((4, 4)))
 
 
 def test_to_dense_matches_generator():
     a = gen_exponential(512, 1.0)
-    d = to_dense(a)
+    d = a.to_dense()
     i, j = np.indices((512, 512))
     assert np.array_equal(d, np.exp(-np.abs(i - j).astype(float)))
 
@@ -103,7 +102,7 @@ def test_norm_matches_dense():
         data = rng.standard_normal((n, n))
         m = from_dense(data)
         ref = float(np.linalg.norm(data))
-        assert abs(node_norm(m) - ref) <= 8 * np.finfo(float).eps * ref
+        assert abs(m.norm() - ref) <= 8 * np.finfo(float).eps * ref
 
 
 def test_norm_cache_audit():
@@ -131,13 +130,13 @@ def test_filter_tau0_is_identity():
     rng = np.random.default_rng(4)
     m = from_dense(rng.standard_normal((20, 20)))
     f = filter_drop(m, 0.0)
-    assert np.array_equal(to_dense(f), to_dense(m))
+    assert np.array_equal(f.to_dense(), m.to_dense())
     assert f._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
 def test_filter_above_total_norm_empties():
     m = from_dense(np.ones((8, 8)))
-    f = filter_drop(m, node_norm(m) * 1.01)
+    f = filter_drop(m, m.norm() * 1.01)
     assert not f._occupied[0][0, 0]
 
 
@@ -146,7 +145,7 @@ def test_filter_matches_flat_scan():
     a = gen_exponential(512, 1.0)
     tau = 1e-8
     filtered = filter_drop(a, tau)
-    dense = to_dense(a)
+    dense = a.to_dense()
     pad = a.padded_dim
     padded = np.zeros((pad, pad))
     padded[:512, :512] = dense
@@ -155,7 +154,7 @@ def test_filter_matches_flat_scan():
     keep = norms >= tau
     expect = blocks * keep[:, :, None, None]
     flat = expect.swapaxes(1, 2).reshape(pad, pad)[:512, :512]
-    assert np.array_equal(to_dense(filtered), flat)
+    assert np.array_equal(filtered.to_dense(), flat)
     # every kept block has norm >= tau > 0, so survivor counts agree exactly
     assert int(filtered._leaf_nonzero.sum()) == int(keep.sum())
 
@@ -166,7 +165,7 @@ def test_filter_idempotent():
     tau = 2e-3
     once = filter_drop(m, tau)
     twice = filter_drop(once, tau)
-    assert np.array_equal(to_dense(once), to_dense(twice))
+    assert np.array_equal(once.to_dense(), twice.to_dense())
     assert once._norm_sq[0][0, 0] == twice._norm_sq[0][0, 0]
 
 
@@ -177,7 +176,7 @@ def test_add_empty_passthrough():
     m = from_dense(rng.standard_normal((12, 12)))
     e = from_dense(np.zeros((12, 12)))
     s = add(m, e)
-    assert np.array_equal(to_dense(s), to_dense(m))
+    assert np.array_equal(s.to_dense(), m.to_dense())
     assert s._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
 
 
@@ -185,15 +184,15 @@ def test_add_scale_vs_dense():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((50, 50))
     b = rng.standard_normal((50, 50))
-    got = to_dense(add(from_dense(a), from_dense(b)))
+    got = add(from_dense(a), from_dense(b)).to_dense()
     ref = a + b
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-    got = to_dense(scale(from_dense(a), -2.5))
+    got = scale(from_dense(a), -2.5).to_dense()
     assert np.linalg.norm(got - (-2.5 * a)) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_trace_excludes_padding():
-    assert trace(identity(7)) == 7.0
+    assert trace(from_dense(np.eye(7))) == 7.0
     rng = np.random.default_rng(8)
     d = rng.standard_normal((37, 37))
     assert np.isclose(trace(from_dense(d)), np.trace(d), rtol=1e-14)
@@ -331,7 +330,7 @@ def test_add_output_matches_full_rebuild():
     b = _banded(70, 14, 23)  # blocks where a is empty
     _assert_matches_full_rebuild(add(a, b))
     # blocks where only one side is nonzero, and blocks that cancel exactly
-    d = to_dense(a)
+    d = a.to_dense()
     half = np.where(np.indices(d.shape)[0] < 35, -d, 0.0)
     s = add(a, from_dense(half))
     assert not s._leaf_nonzero[:8].any() and s._leaf_nonzero[9:].any()
