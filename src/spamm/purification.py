@@ -3,8 +3,9 @@
 Starting from a linear map of the Hamiltonian whose spectrum lies in [0, 1],
 each sweep applies X <- X**2 when Tr(X) >= n_occ and X <- 2X - X**2
 otherwise; the iterates converge to the spectral projector onto the n_occ
-lowest states.  One matrix multiply per sweep is the entire cost, which is
-what makes the multiply's truncation policy measurable end to end.
+lowest states.  One matrix multiply per sweep is the entire cost of the
+sweeps, which is what makes the multiply's truncation policy measurable end
+to end.
 
 Two truncation policies are compared on equal footing:
 
@@ -14,12 +15,14 @@ Two truncation policies are compared on equal footing:
 
 The reported energy is Tr(P F) in exact dense algebra, where P is the
 projector that the run's final iterate X purifies to: McWeeny steps
-P <- 3P**2 - 2P**3 from P = X, taken while the idempotency gap |P**2 - P|
-keeps falling.  A truncated run ends at a noise floor where the eigenvalues
-of X sit off 0 and 1 by about tau; Tr(X F) would read that noise as a
-first-order energy error, while Tr(P F) measures only the occupied subspace
-the run computed.  The McWeeny steps are not counted as sweep work, and
-``density`` stays the iterate X itself.
+P <- 3P**2 - 2P**3 from P = X, until the idempotency gap |P**2 - P| stops
+falling or falls less than exact arithmetic guarantees (a step from a gap
+g < 1/4 leaves at most 4 g**2), that is, until float64's rounding floor.  A
+truncated run ends at a noise floor where the eigenvalues of X sit off 0
+and 1 by about tau; Tr(X F) would read that noise as a first-order energy
+error, while Tr(P F) measures only the occupied subspace the run computed.
+The McWeeny steps are not counted as sweep work, and ``density`` stays the
+iterate X itself.
 """
 
 from __future__ import annotations
@@ -146,12 +149,25 @@ def tc2_step(x, n_occ, mode):
 
 def _projector_energy(x, f_dense):
     """Tr(P F) in exact dense algebra for the projector P that ``x`` purifies
-    to: McWeeny steps P <- 3P**2 - 2P**3 from P = X while |P**2 - P| keeps
-    falling; the P with the smallest gap is used.  Stopping on the gap
-    rather than at a fixed tolerance ends at float64's own noise floor, and
-    keeps the result finite when X is too far from idempotent for McWeeny
-    to converge.  Returns (energy, |X**2 - X|), the second being the gap of
-    ``x`` itself that the first step measures."""
+    to: McWeeny steps P <- 3P**2 - 2P**3 from P = X, stopping at the first
+    P whose gap |P**2 - P|_F does not fall below the gap g of the P before
+    it, or exceeds 4 g**2.  Exact arithmetic cannot exceed 4 g**2, so such
+    a step ended on float64's rounding floor and another would only stir
+    the noise; the P with the smaller gap of the last two is used.  Stopping
+    on the gap rather than at a fixed tolerance keeps the result finite when
+    X is too far from idempotent for McWeeny to converge.
+
+    The bound: an eigenvalue with gap g_i = |l**2 - l| leaves the step with
+    gap g_i**2 (3 + 4 g_i) if l lies in [0, 1], and g_i**2 |3 - 4 g_i| if
+    not.  Every g_i is at most g, so the new gap is at most
+    h(g) = g**2 (3 + 4g), which is below 4 g**2 while g < 1/4; for
+    g >= 1/4 the test cannot fire, since then 4 g**2 >= g.  One eigenvalue
+    carrying the whole gap attains h(g), where rounding alone would trip a
+    test against h(g) one step early; 4 g**2 keeps a margin of
+    (1 - 4g) g**2 above it.
+
+    Returns (energy, |X**2 - X|), the second being the gap of ``x`` itself
+    that the first step measures."""
     p = x.to_dense().astype(np.float64, copy=False)
     best, best_gap = p, math.inf
     x_gap = None
@@ -162,7 +178,10 @@ def _projector_energy(x, f_dense):
             x_gap = gap
         if not gap < best_gap:
             break
+        at_floor = gap > 4.0 * best_gap * best_gap
         best, best_gap = p, gap
+        if at_floor:
+            break
         p = 3.0 * p2 - 2.0 * (p2 @ p)
     return float(np.einsum("ij,ji->", best, f_dense)), x_gap
 

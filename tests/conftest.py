@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths: the
 triple-loop multiply is pure Python over lists, the reference projector
 comes from a dense eigensolver, and the plain-array purification recurrence
-uses numpy matmul directly.  Agreement between library output and these
+uses numpy matmul directly, as does the falling-gap McWeeny loop that
+defined the projector energy.  Agreement between library output and these
 implementations is what the tests mean by "correct".  The one exception,
 ``every_sweep_tc2``, reuses ``tc2_step`` on purpose: it is a reference for
 the bookkeeping of ``purify``'s sweep loop, not for the algebra.
@@ -111,6 +112,33 @@ def every_sweep_tc2(f, n_occ, mode, max_iter=50):
         traces.append(trace(x))
     return {"density": x, "step_leaf_matmuls": counts, "trace_history": traces,
             "held_at": held_at, "fixed_at": fixed_at}
+
+
+def falling_gap_mcweeny(p, f_dense):
+    """The projector energy as first defined: dense McWeeny steps
+    P <- 3P**2 - 2P**3 from P = ``p`` for as long as |P**2 - P|_F keeps
+    falling, then Tr(P F) of the P with the smallest gap.  Returns the
+    energy and every gap it measured, the first being that of ``p``."""
+    best, best_gap, gaps = p, math.inf, []
+    while best_gap > 0:
+        p2 = p @ p
+        gaps.append(float(np.linalg.norm(p2 - p)))
+        if not gaps[-1] < best_gap:
+            break
+        best, best_gap = p, gaps[-1]
+        p = 3.0 * p2 - 2.0 * (p2 @ p)
+    return float(np.einsum("ij,ji->", best, f_dense)), gaps
+
+
+def mcweeny_gap_bound(g):
+    """The largest |P'**2 - P'|_F one exact McWeeny step can leave from a
+    symmetric P with gap g <= 1/4, derived through the eigenvalue distance:
+    d = 2g / (1 + sqrt(1 - 4g)) is how far an eigenvalue with gap g sits
+    from {0, 1}, the step leaves it d' = d**2 (3 - 2d) away, with gap
+    d'(1 - d')."""
+    d = 2.0 * g / (1.0 + math.sqrt(1.0 - 4.0 * g))
+    d_next = d * d * (3.0 - 2.0 * d)
+    return d_next * (1.0 - d_next)
 
 
 def padded_dense(m):

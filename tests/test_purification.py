@@ -18,7 +18,12 @@ from spamm.purification import (
 )
 from spamm.quadtree import filter_drop, from_dense, trace
 
-from conftest import eig_projector, every_sweep_tc2
+from conftest import (
+    eig_projector,
+    every_sweep_tc2,
+    falling_gap_mcweeny,
+    mcweeny_gap_bound,
+)
 
 
 def _gapped(n, gap=1.0, hopping=1.0):
@@ -169,6 +174,95 @@ def test_energy_is_that_of_purified_projector(gapped256):
     assert abs(res.energy - energy) <= 1e-12 * abs(energy)
     raw = float(np.trace(res.density.to_dense() @ gapped256["dense"]))
     assert abs(raw - energy) > 1e-12 * abs(energy)
+
+
+# case: (fixture, mode)
+_ENERGY_STOP_RUNS = {
+    "gapped256-exact": ("gapped256", SpammMode(0.0)),
+    "gapped256-spamm": ("gapped256", SpammMode(1e-8)),
+    "gapped256-drop": ("gapped256", DroppingMode(1e-5)),
+    "gapless256-held": ("gapless256", SpammMode(1e-4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENERGY_STOP_RUNS))
+def test_projector_energy_stops_at_rounding_floor(case, request, monkeypatch):
+    """The McWeeny steps behind ``energy`` end at float64's rounding floor:
+    the energy is the falling-gap loop's to 1e-13, ``idempotency_gap`` is
+    that loop's first gap bit for bit, and no more gaps are measured (fewer
+    on the gapped chain, where the falling-gap loop idles on the floor)."""
+    name, mode = _ENERGY_STOP_RUNS[case]
+    data = request.getfixturevalue(name)
+    res = purify(data["tree"], data["n_occ"], mode,
+                 reference_energy=data["exact"].energy)
+    fd = data["tree"].to_dense()
+    want, gaps = falling_gap_mcweeny(res.density.to_dense(), fd)
+    norm, calls = np.linalg.norm, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    got = purification._projector_energy(res.density, fd)
+    monkeypatch.undo()
+    assert got == (res.energy, res.idempotency_gap)
+    assert abs(res.energy - want) <= 1e-13 * abs(want)
+    assert res.idempotency_gap == gaps[0]
+    assert len(calls) <= len(gaps)
+    if name == "gapped256":
+        assert len(calls) < len(gaps)
+
+
+@pytest.mark.parametrize("chain, sweeps", [("gapped", 3), ("gapless", 5)])
+def test_projector_energy_lone_eigenvalue_near_bound(chain, sweeps):
+    """A run cut after a few sweeps leaves eigenvalues near 1/2; as McWeeny
+    moves them out, the one nearest 1/2 comes to carry the whole gap, and a
+    step then leaves almost exactly the gap g**2 (3 + 4g) that exact
+    arithmetic allows.  The loop must not take that for the rounding floor,
+    and must reach the falling-gap loop's energy."""
+    f = gen_model_hamiltonian(ModelHamiltonian(128, chain))
+    res = purify(f, 64, SpammMode(0.0), max_iter=sweeps)
+    want, _ = falling_gap_mcweeny(res.density.to_dense(), f.to_dense())
+    assert abs(res.energy - want) <= 1e-13 * abs(want)
+
+
+def test_mcweeny_gap_bound():
+    """One exact McWeeny step from gap g <= 1/4 leaves a gap of at most
+    h(g) = g**2 (3 + 4g), for eigenvalues in [-0.2, 1.2]; one eigenvalue
+    deviating by d in [0, 1/2] attains it; and h(g) stays below the 4 g**2
+    that the projector energy stops on, except at g = 1/4."""
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(5)
+
+    def gaps_across_step(lam):
+        p = np.diag(lam)
+        p2 = p @ p
+        q = 3.0 * p2 - 2.0 * (p2 @ p)
+        return float(np.linalg.norm(p2 - p)), float(np.linalg.norm(q @ q - q))
+
+    checked = 0
+    while checked < 500:
+        m = int(rng.integers(1, 9))
+        if checked % 2:
+            lam = rng.uniform(-0.2, 1.2, m)
+        else:  # clustered near 0 and 1, as a converging iterate is
+            dev = 10.0 ** rng.uniform(-6, np.log10(0.2), m)
+            lam = rng.integers(0, 2, m) + dev * rng.choice([-1.0, 1.0], m)
+        g, g_next = gaps_across_step(lam)
+        if g > 0.25:
+            continue
+        assert g_next <= mcweeny_gap_bound(g) + 8 * eps
+        checked += 1
+
+    for d in np.linspace(0.0, 0.5, 51):
+        for lone in (d, 1.0 - d):
+            g, g_next = gaps_across_step(np.array([0.0, 1.0, lone, 1.0]))
+            h = mcweeny_gap_bound(g)
+            assert abs(g_next - h) <= 8 * eps
+            assert abs(h - g * g * (3.0 + 4.0 * g)) <= 8 * eps
+            if 0.0 < g < 0.24:
+                assert g_next < 4.0 * g * g
 
 
 def test_matmul_accounting():
