@@ -14,7 +14,7 @@ import numpy as np
 
 from spamm.generators import ModelHamiltonian, chain_positions, gen_model_hamiltonian
 from spamm.multiply import SpammConfig, spamm
-from spamm.ordering import AtomLayout, apply_ordering, order_atoms
+from spamm.ordering import apply_ordering, order_atoms
 from spamm.purification import SpammMode, purify
 
 
@@ -35,10 +35,9 @@ def main():
     chain = chain_positions(args.n)
 
     perm = np.random.default_rng(args.seed).permutation(args.n)
-    scrambled = apply_ordering(
-        density, AtomLayout(chain, perm, curve_order=10), block_size=1)
-    layout = order_atoms(chain[np.argsort(perm)])
-    recovered = apply_ordering(scrambled, layout, block_size=1)
+    scrambled = apply_ordering(density, perm, block_size=1)
+    recovered = apply_ordering(scrambled, order_atoms(chain[np.argsort(perm)]),
+                               block_size=1)
 
     natural = _count(density, args.tau)
     shuffled = _count(scrambled, args.tau)

@@ -13,7 +13,6 @@ from .quadtree import (
     DimensionMismatchError,
     QuadTreeMatrix,
     add,
-    audit_norm_cache,
     filter_drop,
     from_dense,
     scale,
@@ -23,9 +22,6 @@ from .multiply import (
     ProductStats,
     PrunedBox,
     SpammConfig,
-    exact_multiply,
-    multiply_error,
-    read_box_log,
     spamm,
     write_box_log,
 )
@@ -37,24 +33,11 @@ from .generators import (
     gen_algebraic,
     gen_exponential,
     gen_model_hamiltonian,
-    jittered_grid_positions,
     log_linear_fit,
     write_profile_csv,
 )
-from .ordering import (
-    AtomLayout,
-    MortonKey,
-    apply_ordering,
-    hilbert_cell,
-    hilbert_index,
-    morton_key,
-    order_atoms,
-    read_permutation,
-    split_key_ranges,
-    write_permutation,
-)
+from .ordering import apply_ordering, order_atoms
 from .purification import (
-    AlgebraMode,
     DroppingMode,
     MatchResult,
     PurificationResult,
@@ -71,18 +54,15 @@ from .matrixmarket import read_matrix_market, write_matrix_market
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatchError", "QuadTreeMatrix", "add", "audit_norm_cache",
-    "filter_drop", "from_dense", "scale", "trace",
-    "ProductStats", "PrunedBox", "SpammConfig", "exact_multiply",
-    "multiply_error", "read_box_log", "spamm", "write_box_log",
+    "DimensionMismatchError", "QuadTreeMatrix", "add", "filter_drop",
+    "from_dense", "scale", "trace",
+    "ProductStats", "PrunedBox", "SpammConfig", "spamm", "write_box_log",
     "ModelHamiltonian", "bin_profile", "chain_positions", "decay_profile",
     "gen_algebraic", "gen_exponential", "gen_model_hamiltonian",
-    "jittered_grid_positions", "log_linear_fit", "write_profile_csv",
-    "AtomLayout", "MortonKey", "apply_ordering", "hilbert_cell",
-    "hilbert_index", "morton_key", "order_atoms", "read_permutation",
-    "split_key_ranges", "write_permutation",
-    "AlgebraMode", "DroppingMode", "MatchResult", "PurificationResult",
-    "SpammMode", "ThresholdMatchError", "match_error_threshold", "purify",
+    "log_linear_fit", "write_profile_csv",
+    "apply_ordering", "order_atoms",
+    "DroppingMode", "MatchResult", "PurificationResult", "SpammMode",
+    "ThresholdMatchError", "match_error_threshold", "purify",
     "tc2_initial_guess", "tc2_step", "write_purify_report",
     "read_matrix_market", "write_matrix_market",
 ]

@@ -97,19 +97,6 @@ def chain_positions(count, spacing=1.0):
     return pts
 
 
-def jittered_grid_positions(count, spacing=1.0, jitter=0.25, seed=0):
-    """``count`` atoms on a cubic lattice with seeded uniform jitter (a
-    molecular-cluster-like geometry); deterministic for a fixed seed."""
-    side = 1
-    while side ** 3 < count:
-        side += 1
-    ii, jj, kk = np.meshgrid(range(side), range(side), range(side),
-                             indexing="ij")
-    lattice = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)[:count] * spacing
-    rng = np.random.default_rng(seed)
-    return lattice + rng.uniform(-jitter, jitter, size=(count, 3))
-
-
 # -- decay profiles -----------------------------------------------------------
 
 def decay_profile(m, positions, block_size):

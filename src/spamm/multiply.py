@@ -302,45 +302,25 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
     return node_keys >> depth, np.take(prod, node_rows, axis=0)
 
 
-def exact_multiply(a, b):
-    """The exact product (tau = 0); Empty blocks still short-circuit."""
-    c, _ = spamm(a, b, SpammConfig(tau=0.0))
-    return c
-
-
-def multiply_error(a, b, config):
-    """Run the truncated multiply and measure it against the exact product.
-
-    Returns ``(abs_err, omitted_budget)`` where abs_err is the Frobenius norm
-    of the dense difference.  The error contract guarantees
-    abs_err <= omitted_budget + 1e-12 * ||a|| * ||b||.
-    """
-    approx, stats = spamm(a, b, config)
-    exact = exact_multiply(a, b)
-    abs_err = float(np.linalg.norm(approx.to_dense() - exact.to_dense()))
-    return abs_err, stats.omitted_budget
+def _interleave3(i, j, k):
+    """Morton (Z-order) key: the bits of three non-negative ints
+    interleaved, i-major."""
+    key = 0
+    t = 0
+    while i or j or k:
+        key |= (((i & 1) << 2) | ((j & 1) << 1) | (k & 1)) << (3 * t)
+        i >>= 1
+        j >>= 1
+        k >>= 1
+        t += 1
+    return key
 
 
 def write_box_log(boxes, path, padded_dim):
     """Write a box log: one line per pruned box, ``tier i_lo j_lo k_lo edge``,
     sorted by Morton key of (i_lo, j_lo, k_lo) so nearby cuboids are nearby
     in the file."""
-    from .ordering import _interleave3
-
     ordered = sorted(boxes, key=lambda bx: _interleave3(bx.i_lo, bx.j_lo, bx.k_lo))
     with open(path, "w") as fh:
         for bx in ordered:
             fh.write(f"{bx.tier} {bx.i_lo} {bx.j_lo} {bx.k_lo} {bx.edge}\n")
-
-
-def read_box_log(path):
-    """Parse a box log written by write_box_log."""
-    boxes = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            tier, i_lo, j_lo, k_lo, edge = (int(tok) for tok in line.split())
-            boxes.append(PrunedBox(i_lo, j_lo, k_lo, edge, tier))
-    return boxes

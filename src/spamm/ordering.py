@@ -1,9 +1,9 @@
-"""Space-filling-curve orderings for atoms and product-space boxes.
+"""Hilbert-curve atom ordering.
 
-Two curves are used: a 3-D Hilbert curve to order atoms so that spatially
-close atoms get nearby matrix indices (which concentrates block norms near
-the diagonal and lets the hierarchical norm pruning bite), and Morton (Z)
-keys to give product-space cuboids a locality-preserving total order.
+A 3-D Hilbert curve orders atoms so that spatially close atoms get nearby
+matrix indices, which concentrates block norms near the diagonal and lets
+the hierarchical norm pruning bite.  An ordering is a plain permutation
+array, ``permutation[old_index] = new_index``.
 
 Conventions, fixed once: axis priority is x, y, z (x owns the most
 significant bit of every interleaved group), and the Hilbert base cell uses
@@ -14,68 +14,9 @@ in reflected-Gray-code order; restricted to the z = 0 face that is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-# -- bit interleaving (Morton) ----------------------------------------------
-
-def _interleave3(i, j, k):
-    """Interleave the bits of three non-negative ints, i-major."""
-    key = 0
-    t = 0
-    while i or j or k:
-        key |= (((i & 1) << 2) | ((j & 1) << 1) | (k & 1)) << (3 * t)
-        i >>= 1
-        j >>= 1
-        k >>= 1
-        t += 1
-    return key
-
-
-@dataclass(frozen=True)
-class MortonKey:
-    """Z-order key of a product-space cuboid at a given tier; keys at equal
-    tier sort the tier's boxes along the Z curve."""
-
-    key: int
-    tier: int
-
-
-def morton_key(box, padded_dim):
-    """Morton key of a pruned box (cell coordinates at the box's own tier)."""
-    edge = padded_dim >> box.tier
-    if edge != box.edge:
-        raise ValueError(
-            f"box edge {box.edge} inconsistent with tier {box.tier} "
-            f"for padded_dim {padded_dim}")
-    return MortonKey(_interleave3(box.i_lo // edge, box.j_lo // edge,
-                                  box.k_lo // edge), box.tier)
-
-
-def split_key_ranges(keys, parts):
-    """Split a sorted key list into ``parts`` contiguous index ranges of
-    near-equal count (sizes differ by at most one).  Returns a list of
-    (start, stop) half-open index pairs covering the whole list in order.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    keys = np.asarray(keys)
-    if keys.size > 1 and not (keys[1:] >= keys[:-1]).all():
-        raise ValueError("keys must be sorted ascending")
-    m = keys.size
-    base, extra = divmod(m, parts)
-    ranges = []
-    start = 0
-    for p in range(parts):
-        stop = start + base + (1 if p < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-# -- Hilbert curve ------------------------------------------------------------
+from .quadtree import from_dense
 
 _MAX_ORDER = 20  # 3 * 20 = 60 index bits, safely inside uint64
 
@@ -121,46 +62,10 @@ def _cells_to_hilbert(cells, order):
     return idx
 
 
-def _hilbert_to_cells(idx, order):
-    """Inverse of _cells_to_hilbert: (3, m) grid cells for Hilbert indices."""
-    idx = idx.astype(np.uint64)
-    one = np.uint64(1)
-    x = np.zeros((3, idx.size), dtype=np.uint64)
-    for bit in range(order - 1, -1, -1):
-        grp = idx >> np.uint64(3 * bit)
-        b = np.uint64(bit)
-        x[0] |= ((grp >> np.uint64(2)) & one) << b
-        x[1] |= ((grp >> one) & one) << b
-        x[2] |= (grp & one) << b
-
-    n = np.uint64(1) << np.uint64(order)
-    t = x[2] >> one
-    x[2] ^= x[1]
-    x[1] ^= x[0]
-    x[0] ^= t
-    q = np.uint64(2)
-    while q != n:
-        p = q - one
-        for i in (2, 1, 0):
-            high = (x[i] & q) != 0
-            x[0] = np.where(high, x[0] ^ p, x[0])
-            t = np.where(high, np.uint64(0), (x[0] ^ x[i]) & p)
-            x[0] ^= t
-            x[i] ^= t
-        q <<= one
-    return x
-
-
-def _points_to_cells(points, bounds, order):
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    hi = np.asarray(bounds[1], dtype=np.float64)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValueError("bounds must be a (lo, hi) pair of 3-vectors")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
-    if (pts < lo).any() or (pts > hi).any():
-        raise ValueError("point outside bounds")
+def _points_to_cells(pts, bounds, order):
+    """(3, m) grid cells of (m, 3) points inside ``bounds = (lo, hi)``, cut
+    into 2**order cells per axis; zero-extent axes collapse to cell 0."""
+    lo, hi = bounds
     size = 1 << order
     extent = hi - lo
     safe = np.where(extent > 0, extent, 1.0)
@@ -170,95 +75,42 @@ def _points_to_cells(points, bounds, order):
     return cells.T
 
 
-def hilbert_index(point, bounds, order):
-    """Hilbert index of one 3-D point.
-
-    The bounding box ``bounds = (lo, hi)`` is divided into 2**order cells
-    per axis; the point's cell is mapped to its position along the Hilbert
-    curve, an int in [0, 2**(3*order)).  Points outside the bounds are
-    rejected.  Zero-extent axes collapse to cell 0.
-    """
-    _check_order(order)
-    cells = _points_to_cells(np.asarray(point, dtype=np.float64)[None, :],
-                             bounds, order)
-    return int(_cells_to_hilbert(cells, order)[0])
-
-
-def hilbert_cell(index, order):
-    """Grid cell (3 ints) at position ``index`` along the order-``order``
-    curve; inverse of the cell -> index map underlying hilbert_index."""
-    _check_order(order)
-    if not 0 <= index < 1 << (3 * order):
-        raise ValueError(f"index {index} out of range for order {order}")
-    cells = _hilbert_to_cells(np.array([index], dtype=np.uint64), order)
-    return tuple(int(v) for v in cells[:, 0])
-
-
-# -- atom ordering ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AtomLayout:
-    """An atom ordering: ``permutation[old_index] = new_index`` along the
-    Hilbert curve of ``curve_order`` over the positions' bounding box."""
-
-    positions: np.ndarray
-    permutation: np.ndarray
-    curve_order: int
-
-
 def order_atoms(positions, order=10):
     """Sort atoms along the Hilbert curve over their own bounding box.
 
     Ties (atoms sharing a grid cell) keep their original relative order, so
-    the result is deterministic.  Returns an AtomLayout.
+    the result is deterministic.  Returns the permutation array
+    ``permutation[old_index] = new_index``.
     """
     _check_order(order)
     pts = np.asarray(positions, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"expected (m, 3) positions with m >= 1, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("positions must be finite")
     bounds = (pts.min(axis=0), pts.max(axis=0))
     keys = _cells_to_hilbert(_points_to_cells(pts, bounds, order), order)
     visit = np.argsort(keys, kind="stable")
     perm = np.empty(pts.shape[0], dtype=np.int64)
     perm[visit] = np.arange(pts.shape[0])
-    return AtomLayout(positions=pts, permutation=perm, curve_order=order)
+    return perm
 
 
-def apply_ordering(m, layout, block_size):
+def apply_ordering(m, permutation, block_size):
     """Symmetrically permute a matrix at atom-block granularity: P m P^T for
-    the permutation matrix of ``layout``.  Row/column block ``a`` of the
-    input lands at block ``layout.permutation[a]`` of the output.
+    the permutation matrix of ``permutation``.  Row/column block ``a`` of
+    the input lands at block ``permutation[a]`` of the output.
     """
-    from .quadtree import from_dense
-
-    perm = np.asarray(layout.permutation, dtype=np.int64)
+    perm = np.asarray(permutation)
     count = perm.size
     if count * block_size != m.logical_dim:
         raise ValueError(
             f"{count} atoms x block {block_size} != matrix dim {m.logical_dim}")
+    if not np.array_equal(np.sort(perm), np.arange(count)):
+        raise ValueError(f"permutation is not a bijection of range({count})")
     old_of_new = np.argsort(perm)
     rows = (old_of_new[:, None] * block_size
             + np.arange(block_size)[None, :]).ravel()
     dense = m.to_dense()
     return from_dense(dense[np.ix_(rows, rows)], leaf_size=m.leaf_size,
                       dtype=m.dtype)
-
-
-def write_permutation(layout, path):
-    """Write a permutation file: one original atom index per line, in the
-    new (curve) order."""
-    perm = layout.permutation if hasattr(layout, "permutation") else np.asarray(layout)
-    old_of_new = np.argsort(np.asarray(perm, dtype=np.int64))
-    with open(path, "w") as fh:
-        for old in old_of_new:
-            fh.write(f"{int(old)}\n")
-
-
-def read_permutation(path):
-    """Read a permutation file back into old-index -> new-index form."""
-    with open(path) as fh:
-        old_of_new = np.array([int(line) for line in fh if line.strip()],
-                              dtype=np.int64)
-    perm = np.empty_like(old_of_new)
-    perm[old_of_new] = np.arange(old_of_new.size)
-    return perm

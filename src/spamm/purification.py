@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -49,9 +48,6 @@ class DroppingMode:
     """Multiply exactly, then drop resultant blocks with norm < tau."""
 
     tau: float
-
-
-AlgebraMode = Union[SpammMode, DroppingMode]
 
 
 class ThresholdMatchError(RuntimeError):
@@ -285,22 +281,27 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     )
 
 
+# The tau range of match_error_threshold and its band around the target.
+_TAU_LO = 1e-14
+_TAU_HI = 1e-1
+_BAND_FACTOR = 2.0
+
+
 def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
-                          band_factor=2.0, max_steps=40,
-                          tau_lo=1e-14, tau_hi=1e-1, reference_energy=None):
+                          max_steps=40, reference_energy=None):
     """Find tau such that delta_e_rel lands within a band around the target.
 
-    Bisection on log tau over [tau_lo, tau_hi], accepting any tau whose
-    delta_e_rel falls in [target/band_factor, target*band_factor] (the
-    default band is a factor of two each way), for the truncation family of
-    ``mode`` (its own tau is ignored).  Boundary outcomes:
+    Bisection on log tau over [_TAU_LO, _TAU_HI] = [1e-14, 1e-1], accepting
+    any tau whose delta_e_rel falls in [target/2, target*2], for the
+    truncation family of ``mode`` (its own tau is ignored); at most
+    ``max_steps`` bisection steps.  Boundary outcomes:
 
-    * error at tau_hi still below the target band: returns tau_hi with
+    * error at _TAU_HI still below the target band: returns _TAU_HI with
       ``hit_boundary`` set (the target is too coarse to reach);
     * target band wholly below float64 resolution
-      (``target_delta_e * band_factor < eps``): no run can resolve it;
+      (``target_delta_e * 2 < eps``): no run can resolve it;
       raises ThresholdMatchError before any purification runs;
-    * error at tau_lo above the band: no threshold can be that accurate;
+    * error at _TAU_LO above the band: no threshold can be that accurate;
       raises ThresholdMatchError reporting the floor;
     * a non-finite delta_e_rel at any tau: raises ThresholdMatchError
       naming that tau, since such a run cannot be ranked against the band.
@@ -310,21 +311,19 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     """
     if target_delta_e <= 0:
         raise ValueError(f"target_delta_e must be > 0, got {target_delta_e}")
-    if band_factor <= 1:
-        raise ValueError(f"band_factor must be > 1, got {band_factor}")
     eps = np.finfo(np.float64).eps
-    if target_delta_e * band_factor < eps:
+    if target_delta_e * _BAND_FACTOR < eps:
         raise ThresholdMatchError(
-            f"target band [{target_delta_e / band_factor:.3e}, "
-            f"{target_delta_e * band_factor:.3e}] lies below float64 "
+            f"target band [{target_delta_e / _BAND_FACTOR:.3e}, "
+            f"{target_delta_e * _BAND_FACTOR:.3e}] lies below float64 "
             f"resolution {eps:.3e}")
     mode_type = type(mode)
     if reference_energy is None:
         reference = purify(f, n_occ, SpammMode(0.0), max_iter=max_iter).energy
     else:
         reference = float(reference_energy)
-    lo_band = target_delta_e / band_factor
-    hi_band = target_delta_e * band_factor
+    lo_band = target_delta_e / _BAND_FACTOR
+    hi_band = target_delta_e * _BAND_FACTOR
     evaluations = 0
 
     def run(tau):
@@ -338,21 +337,21 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
                 f"(energy {res.energy})")
         return res
 
-    res_hi = run(tau_hi)
+    res_hi = run(_TAU_HI)
     if lo_band <= res_hi.delta_e_rel <= hi_band:
-        return MatchResult(tau_hi, res_hi.delta_e_rel, True, False,
+        return MatchResult(_TAU_HI, res_hi.delta_e_rel, True, False,
                            evaluations, res_hi)
     if res_hi.delta_e_rel < lo_band:
-        return MatchResult(tau_hi, res_hi.delta_e_rel, False, True,
+        return MatchResult(_TAU_HI, res_hi.delta_e_rel, False, True,
                            evaluations, res_hi)
 
-    res_lo = run(tau_lo)
+    res_lo = run(_TAU_LO)
     if lo_band <= res_lo.delta_e_rel <= hi_band:
-        return MatchResult(tau_lo, res_lo.delta_e_rel, True, False,
+        return MatchResult(_TAU_LO, res_lo.delta_e_rel, True, False,
                            evaluations, res_lo)
     if res_lo.delta_e_rel > hi_band:
         raise ThresholdMatchError(
-            f"error floor {res_lo.delta_e_rel:.3e} at tau={tau_lo:.3e} exceeds "
+            f"error floor {res_lo.delta_e_rel:.3e} at tau={_TAU_LO:.3e} exceeds "
             f"target band [{lo_band:.3e}, {hi_band:.3e}]")
 
     def log_distance(delta):
@@ -360,8 +359,8 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
             return math.inf
         return abs(math.log(delta) - math.log(target_delta_e))
 
-    lo, hi = tau_lo, tau_hi
-    best = (log_distance(res_lo.delta_e_rel), tau_lo, res_lo)
+    lo, hi = _TAU_LO, _TAU_HI
+    best = (log_distance(res_lo.delta_e_rel), _TAU_LO, res_lo)
     for _ in range(max_steps):
         mid = math.sqrt(lo * hi)
         mid_res = run(mid)

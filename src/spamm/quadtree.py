@@ -329,24 +329,3 @@ def filter_drop(m, tau):
         return m
     keep = ~drop
     return _from_blocks(m._keys[keep], m._stack[keep], m.logical_dim, m.leaf_size)
-
-
-def audit_norm_cache(m):
-    """Recompute every cached norm from leaf data; return the maximum
-    relative discrepancy over all nodes (0.0 for a healthy tree).
-
-    The norm-cache invariant requires this to be <= 4 * machine epsilon.
-    """
-    worst = 0.0
-    nb = m.block_grid
-    fresh = np.zeros(nb * nb, dtype=np.float64)
-    fresh[m._keys] = _leaf_norm_sq(m._stack)
-    fresh = fresh.reshape(nb, nb)
-    for k in range(m.depth, -1, -1):
-        stored = m._norm_sq[k]
-        denom = np.where(stored > 0, stored, 1.0)
-        rel = np.abs(fresh - stored) / denom
-        worst = max(worst, float(rel.max()))
-        if k > 0:
-            fresh = _aggregate_norm_sq(fresh)
-    return worst

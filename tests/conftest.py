@@ -17,7 +17,7 @@ import pytest
 
 from spamm import purification
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
-from spamm.multiply import exact_multiply
+from spamm.multiply import spamm
 from spamm.purification import SpammMode, purify
 from spamm.quadtree import distance, trace
 
@@ -46,7 +46,7 @@ def norm_submultiplicativity_check(a, b):
     by the 2x2 block-norm expansion (sum over quadrant products of child
     norms).  Allows 8 ulp of slack; returns True when both hold.
     """
-    c = exact_multiply(a, b)
+    c = spamm(a, b)[0]
     slack = 1.0 + 8 * float(np.finfo(a.dtype).eps)
     nc = c.norm()
     if nc > a.norm() * b.norm() * slack:
@@ -61,6 +61,46 @@ def norm_submultiplicativity_check(a, b):
         if nc > expansion * slack:
             return False
     return True
+
+
+def audit_norm_cache(m):
+    """Recompute every cached norm of ``m`` from its stored blocks, summing
+    each block's squares in row-major order and each node's children in
+    the order 11, 12, 21, 22; return the largest relative discrepancy over
+    all nodes.  The norm-cache invariant requires at most 4 * machine
+    epsilon; a tree built along the library's one construction path gives
+    0.0."""
+    nb, b = m.block_grid, m.leaf_size
+    stack = m._stack.astype(np.float64)
+    leaf = np.zeros(m._keys.size)
+    for r in range(b):
+        for c in range(b):
+            leaf += stack[:, r, c] * stack[:, r, c]
+    fresh = np.zeros(nb * nb)
+    fresh[m._keys] = leaf
+    fresh = fresh.reshape(nb, nb)
+    worst = 0.0
+    for k in range(m.depth, -1, -1):
+        stored = m._norm_sq[k]
+        rel = np.abs(fresh - stored) / np.where(stored > 0, stored, 1.0)
+        worst = max(worst, float(rel.max()))
+        if k > 0:
+            fresh = (((fresh[0::2, 0::2] + fresh[0::2, 1::2]) + fresh[1::2, 0::2])
+                     + fresh[1::2, 1::2])
+    return worst
+
+
+def jittered_grid_positions(count, spacing=1.0, jitter=0.25, seed=0):
+    """``count`` atoms on a cubic lattice with seeded uniform jitter (a
+    molecular-cluster-like geometry); deterministic for a fixed seed."""
+    side = 1
+    while side ** 3 < count:
+        side += 1
+    ii, jj, kk = np.meshgrid(range(side), range(side), range(side),
+                             indexing="ij")
+    lattice = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)[:count] * spacing
+    rng = np.random.default_rng(seed)
+    return lattice + rng.uniform(-jitter, jitter, size=(count, 3))
 
 
 def dense_tc2(fd, n_occ, sweeps=50):

@@ -19,13 +19,13 @@ from spamm.generators import (
     gen_exponential,
     gen_model_hamiltonian,
 )
-from spamm.multiply import SpammConfig, exact_multiply, spamm
-from spamm.ordering import AtomLayout, apply_ordering
-from spamm.ordering import _cells_to_hilbert, _hilbert_to_cells
+from spamm.multiply import SpammConfig, spamm
+from spamm.ordering import _cells_to_hilbert, apply_ordering
 from spamm.purification import DroppingMode, SpammMode, match_error_threshold
 from spamm.quadtree import from_dense, trace
 
 from conftest import dense_tc2, oracle_matmul
+from test_ordering import _all_cells
 
 
 def test_exact_product_matches_oracle():
@@ -39,8 +39,8 @@ def test_exact_product_matches_oracle():
     for pair_no, (n, leaf) in enumerate(zip(sizes, leaves)):
         ad = rng.standard_normal((n, n))
         bd = rng.standard_normal((n, n))
-        got = exact_multiply(from_dense(ad, leaf_size=leaf),
-                             from_dense(bd, leaf_size=leaf)).to_dense()
+        got = spamm(from_dense(ad, leaf_size=leaf),
+                    from_dense(bd, leaf_size=leaf))[0].to_dense()
         ref = oracle_matmul(ad.tolist(), bd.tolist())
         scale = np.linalg.norm(ref)
         err = np.linalg.norm(got - ref) / (scale if scale > 0 else 1.0)
@@ -64,7 +64,7 @@ def test_truncation_error_bounded():
     taus = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
     summary = []
     for label, (a, b) in pairs.items():
-        exact = exact_multiply(a, b).to_dense()
+        exact = spamm(a, b)[0].to_dense()
         roundoff = 1e-12 * a.norm() * b.norm()
         errs = {}
         for tau in taus:
@@ -202,19 +202,16 @@ def test_purified_density_correctness(gapped256):
 
 
 def test_sfc_invariants():
-    """Hilbert bijection exhaustively at orders 1..6; symmetric block
-    permutations round-trip bit-exactly and preserve trace and norm on 20
-    random symmetric matrices."""
+    """Hilbert bijection exhaustively at orders 1..6 (every cell gets its
+    own index in [0, 8**order)); symmetric block permutations round-trip
+    bit-exactly and preserve trace and norm on 20 random symmetric
+    matrices."""
     checked = 0
     for order in range(1, 7):
-        side = 1 << order
-        total = side ** 3
-        idx = np.arange(total, dtype=np.uint64)
-        cells = _hilbert_to_cells(idx, order)
-        flat = (cells[0] * side + cells[1]) * side + cells[2]
-        assert len(np.unique(flat)) == total, f"order {order} not bijective"
-        assert np.array_equal(_cells_to_hilbert(cells, order), idx), (
-            f"order {order} round-trip broken")
+        total = 8 ** order
+        idx = _cells_to_hilbert(_all_cells(order), order)
+        assert np.array_equal(np.sort(idx), np.arange(total)), (
+            f"order {order} not bijective")
         checked += total
 
     rng = np.random.default_rng(7)
@@ -224,12 +221,8 @@ def test_sfc_invariants():
         d = d + d.T
         m = from_dense(d)
         perm = rng.permutation(12)
-        layout = AtomLayout(positions=np.zeros((12, 3)), permutation=perm,
-                            curve_order=1)
-        out = apply_ordering(m, layout, 4)
-        inv = AtomLayout(positions=np.zeros((12, 3)),
-                         permutation=np.argsort(perm), curve_order=1)
-        back = apply_ordering(out, inv, 4)
+        out = apply_ordering(m, perm, 4)
+        back = apply_ordering(out, np.argsort(perm), 4)
         assert np.array_equal(back.to_dense(), d)
         dt = abs(trace(out) - np.trace(d))
         dn = abs(out.norm() - np.linalg.norm(d))

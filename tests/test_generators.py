@@ -11,11 +11,12 @@ from spamm.generators import (
     gen_algebraic,
     gen_exponential,
     gen_model_hamiltonian,
-    jittered_grid_positions,
     log_linear_fit,
     write_profile_csv,
 )
 from spamm.quadtree import from_dense
+
+from conftest import jittered_grid_positions
 
 
 # ------------------------------------------------------------- exponential

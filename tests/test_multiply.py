@@ -6,6 +6,7 @@ identical leaf-multiply counts and an identical pruned-box set on the
 n = 512 exponential-decay pair.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -17,9 +18,6 @@ from spamm.generators import gen_exponential
 from spamm.multiply import (
     PrunedBox,
     SpammConfig,
-    exact_multiply,
-    multiply_error,
-    read_box_log,
     spamm,
     write_box_log,
 )
@@ -62,7 +60,7 @@ def test_exact_vs_triple_loop_oracle_64():
     rng = np.random.default_rng(3)
     ad = rng.standard_normal((64, 64))
     bd = rng.standard_normal((64, 64))
-    got = exact_multiply(from_dense(ad), from_dense(bd)).to_dense()
+    got = spamm(from_dense(ad), from_dense(bd))[0].to_dense()
     ref = oracle_matmul(ad, bd)
     err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
     assert err <= 1e-13
@@ -72,7 +70,7 @@ def test_zero_operand_gives_empty():
     rng = np.random.default_rng(4)
     z = from_dense(np.zeros((24, 24)))
     m = from_dense(rng.standard_normal((24, 24)))
-    c = exact_multiply(z, m)
+    c = spamm(z, m)[0]
     assert not c._occupied[0][0, 0]
     c2, stats = spamm(m, z, SpammConfig(tau=0.0))
     assert not c2._occupied[0][0, 0]
@@ -100,7 +98,7 @@ def test_permutation_times_transpose_is_identity():
     perm = rng.permutation(32)
     p = np.zeros((32, 32))
     p[np.arange(32), perm] = 1.0
-    c = exact_multiply(from_dense(p), from_dense(p.T))
+    c = spamm(from_dense(p), from_dense(p.T))[0]
     assert np.array_equal(c.to_dense(), np.eye(32))
 
 
@@ -358,8 +356,9 @@ def test_multiply_error_tau0():
     rng = np.random.default_rng(6)
     a = from_dense(rng.standard_normal((48, 48)))
     b = from_dense(rng.standard_normal((48, 48)))
-    abs_err, budget = multiply_error(a, b, SpammConfig(tau=0.0))
-    assert budget == 0.0
+    c, stats = spamm(a, b, SpammConfig(tau=0.0))
+    abs_err = np.linalg.norm(c.to_dense() - a.to_dense() @ b.to_dense())
+    assert stats.omitted_budget == 0.0
     assert abs_err <= 1e-13 * a.norm() * b.norm()
 
 
@@ -375,7 +374,7 @@ def test_error_bound_random_decay_pairs():
         a = from_dense(decay * rng.standard_normal((n, n)))
         b = from_dense(decay * rng.standard_normal((n, n)))
         scale_ab = a.norm() * b.norm()
-        exact = exact_multiply(a, b).to_dense()
+        exact = spamm(a, b)[0].to_dense()
         for tau in taus:
             approx, stats = spamm(a, b, SpammConfig(tau=tau))
             abs_err = float(np.linalg.norm(approx.to_dense() - exact))
@@ -385,7 +384,7 @@ def test_error_bound_random_decay_pairs():
 def test_error_sweep_decreases_with_tau():
     a = gen_exponential(512, 1.0)
     b = gen_exponential(512, 2.0)
-    exact = exact_multiply(a, b).to_dense()
+    exact = spamm(a, b)[0].to_dense()
     errs = {}
     for tau in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
         approx, stats = spamm(a, b, SpammConfig(tau=tau))
@@ -448,7 +447,7 @@ def test_submultiplicativity_rank1_equality():
     a = from_dense(np.outer(u, v))
     b = from_dense(np.outer(v, w))
     assert norm_submultiplicativity_check(a, b)
-    prod_norm = exact_multiply(a, b).norm()
+    prod_norm = spamm(a, b)[0].norm()
     bound = a.norm() * b.norm()
     assert abs(prod_norm - bound) <= 1e-13
 
@@ -471,14 +470,31 @@ def test_box_log_roundtrip_and_order(tmp_path):
     assert stats.boxes
     path = tmp_path / "boxes.log"
     write_box_log(stats.boxes, path, a.padded_dim)
-    back = read_box_log(path)
-    assert sorted(map(repr, back)) == sorted(map(repr, stats.boxes))
-    keys = [_interleave3_ref(bx.i_lo, bx.j_lo, bx.k_lo) for bx in back]
-    assert keys == sorted(keys)
+    back = []
     for line in path.read_text().splitlines():
         tier, i_lo, j_lo, k_lo, edge = map(int, line.split())
         assert edge == a.padded_dim >> tier
         assert i_lo % edge == j_lo % edge == k_lo % edge == 0
+        back.append(PrunedBox(i_lo, j_lo, k_lo, edge, tier))
+    assert sorted(map(repr, back)) == sorted(map(repr, stats.boxes))
+    keys = [_interleave3_ref(bx.i_lo, bx.j_lo, bx.k_lo) for bx in back]
+    assert keys == sorted(keys)
+
+
+def _z_curve(order):
+    if order == 0:
+        return [(0, 0, 0)]
+    half = 1 << (order - 1)
+    sub = _z_curve(order - 1)
+    return [(i * half + si, j * half + sj, k * half + sk)
+            for i, j, k in itertools.product((0, 1), repeat=3)
+            for si, sj, sk in sub]
+
+
+def test_box_log_sort_is_z_curve():
+    cells = [(i, j, k) for i in range(8) for j in range(8) for k in range(8)]
+    cells.sort(key=lambda c: multiply._interleave3(*c))
+    assert cells == _z_curve(3)
 
 
 # -------------------------------------------------------------- validation

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from spamm import quadtree
-from spamm.quadtree import (DimensionMismatchError, add, audit_norm_cache,
-                            distance, filter_drop, from_dense, scale, trace)
+from spamm.quadtree import (DimensionMismatchError, add, distance, filter_drop,
+                            from_dense, scale, trace)
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
 
-from conftest import padded_dense
+from conftest import audit_norm_cache, padded_dense
 
 
 def _stored_padded(m):
