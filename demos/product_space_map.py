@@ -41,7 +41,7 @@ def main():
         print(f"  tier {tier}: {per_tier[tier]:>6} boxes of edge {edge:<4} "
               f"pruning {frac:7.2%} of the cube")
 
-    write_box_log(stats.boxes, args.out, a.padded_dim)
+    write_box_log(stats.boxes, args.out)
     print(f"box log written to {args.out}")
 
 

@@ -59,7 +59,7 @@ def cmd_multiply(args):
     if args.out_c:
         write_matrix_market(c, args.out_c, fmt=args.format)
     if args.boxes:
-        write_box_log(stats.boxes, args.boxes, a.padded_dim)
+        write_box_log(stats.boxes, args.boxes)
     header = "n,tau,leaf_matmuls,pruned_calls,omitted_budget"
     row = (f"{a.logical_dim},{args.tau:.17g},{stats.leaf_matmuls},"
            f"{stats.pruned_calls},{stats.omitted_budget:.17g}")
@@ -149,7 +149,7 @@ def cmd_boxes(args):
     b = _load_tree(args.b, args.leaf_size)
     config = SpammConfig(tau=args.tau, collect_boxes=True)
     _, stats = spamm(a, b, config)
-    write_box_log(stats.boxes, args.out, a.padded_dim)
+    write_box_log(stats.boxes, args.out)
     cube = a.padded_dim ** 3
     per_tier = {}
     for box in stats.boxes:

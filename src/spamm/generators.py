@@ -51,15 +51,12 @@ class ModelHamiltonian:
         nearest-neighbour hopping, spectral gap ~ ``gap`` at half filling.
         "gapless": uniform chain (zero on-site), eigenvalues
         2 * hopping * cos(m pi / (n + 1)).
-    n_occ
-        Occupation count for purification; defaults to half filling.
     """
 
     n: int
     kind: str = "gapped"
     gap: float = 1.0
     hopping: float = 1.0
-    n_occ: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -68,10 +65,11 @@ class ModelHamiltonian:
             raise ValueError(f"kind must be 'gapped' or 'gapless', got {self.kind!r}")
         if self.kind == "gapped" and self.gap <= 0:
             raise ValueError(f"gap must be > 0, got {self.gap}")
-        if self.n_occ is None:
-            self.n_occ = self.n // 2
-        if not 0 <= self.n_occ <= self.n:
-            raise ValueError(f"n_occ must be in [0, {self.n}], got {self.n_occ}")
+
+    @property
+    def n_occ(self):
+        """Occupation count for purification: half filling."""
+        return self.n // 2
 
 
 def gen_model_hamiltonian(model, leaf_size=4):
@@ -90,10 +88,10 @@ def gen_model_hamiltonian(model, leaf_size=4):
 
 # -- geometries ---------------------------------------------------------------
 
-def chain_positions(count, spacing=1.0):
+def chain_positions(count):
     """Unit-spaced 1-D chain along x (a nanotube-like geometry)."""
     pts = np.zeros((count, 3))
-    pts[:, 0] = np.arange(count) * spacing
+    pts[:, 0] = np.arange(count)
     return pts
 
 
@@ -140,14 +138,15 @@ def bin_profile(profile, width=0.5):
     return np.array(centers), np.array(means)
 
 
-def log_linear_fit(profile, bin_width=0.5):
-    """Least-squares line through (distance, log norm) on binned data.
+def log_linear_fit(profile):
+    """Least-squares line through (distance, log norm) on data binned at
+    ``bin_profile``'s default width.
 
     Returns (slope, intercept, r_squared); a clearly negative slope with
     r_squared near 1 certifies an exponential decay envelope
     norm <= C * exp(slope * distance).
     """
-    centers, means = bin_profile(profile, width=bin_width)
+    centers, means = bin_profile(profile)
     if centers.size < 2:
         raise ValueError("need at least two populated bins to fit")
     logs = np.log(means)

@@ -116,7 +116,6 @@ class ProductStats:
     leaf_matmuls: int = 0
     pruned_calls: int = 0
     omitted_budget: float = 0.0
-    max_depth_reached: int = 0
     boxes: list[PrunedBox] | None = None
     pruned_volume: int = 0
     empty_skip_volume: int = 0
@@ -161,7 +160,6 @@ def spamm(a, b, config=None):
     for tier in range(depth + 1):
         if ia.size == 0:
             break
-        stats.max_depth_reached = tier
         edge = a.padded_dim >> tier
 
         # Flat positions of the operand blocks in this tier's pyramids; at
@@ -316,7 +314,7 @@ def _interleave3(i, j, k):
     return key
 
 
-def write_box_log(boxes, path, padded_dim):
+def write_box_log(boxes, path):
     """Write a box log: one line per pruned box, ``tier i_lo j_lo k_lo edge``,
     sorted by Morton key of (i_lo, j_lo, k_lo) so nearby cuboids are nearby
     in the file."""

@@ -84,7 +84,6 @@ class MatchResult:
     delta_e_rel: float
     converged: bool
     hit_boundary: bool
-    evaluations: int
     result: PurificationResult
 
 
@@ -105,42 +104,28 @@ def tc2_initial_guess(f):
     return from_dense(x0, leaf_size=f.leaf_size, dtype=f.dtype)
 
 
-# Converged-iterate detector, in units of (machine epsilon * matrix dim).
-# Sits orders of magnitude above the noise floor of one multiply and orders
-# of magnitude below any unconverged idempotency gap.
+# Fixed-point floor of a sweep's displacement, in units of (machine epsilon
+# * matrix dim).  Sits orders of magnitude above the noise floor of one
+# multiply and orders of magnitude below any unconverged idempotency gap.
 _FIXED_POINT_FACTOR = 16.0
 
 
 def tc2_step(x, n_occ, mode):
-    """One purification sweep; X**2 is computed once and reused by both
-    branches.  Returns (next_x, multiply_stats).
-
-    Once |X**2 - X| is under the fixed-point floor, both branches equal X up
-    to roundoff, but re-rounding the product every sweep slowly amplifies
-    that roundoff (each branch map has slope 2 at the eigenvalue it does not
-    fix, so spectral noise doubles per sweep).  At that point X itself is the
-    correctly rounded step result, and the step returns ``x`` itself, the
-    same object, with the stats of the multiply that found it; ``purify``
-    takes that identity as the sign that every later sweep would repeat it.
-    """
+    """One purification sweep: X**2 when Tr(X) >= n_occ, else 2X - X**2,
+    with X**2 computed once under the truncation of ``mode``.  Returns
+    (next_x, multiply_stats); deciding when to stop sweeping is left to
+    ``purify``."""
     tr = trace(x)
     if isinstance(mode, DroppingMode):
         x2, stats = spamm(x, x, SpammConfig(tau=0.0))
-        if mode.tau > 0:
-            x2 = filter_drop(x2, mode.tau)
+        x2 = filter_drop(x2, mode.tau)
     elif isinstance(mode, SpammMode):
         x2, stats = spamm(x, x, SpammConfig(tau=mode.tau))
     else:
         raise TypeError(f"mode must be SpammMode or DroppingMode, got {mode!r}")
-    gap = distance(x2, x)
-    floor = _FIXED_POINT_FACTOR * np.finfo(x.dtype).eps * x.logical_dim
-    if gap <= floor:
-        return x, stats
     if tr >= n_occ:
-        nxt = x2
-    else:
-        nxt = add(scale(x, 2.0), scale(x2, -1.0))
-    return nxt, stats
+        return x2, stats
+    return add(scale(x, 2.0), scale(x2, -1.0)), stats
 
 
 def _projector_energy(x, f_dense):
@@ -185,11 +170,14 @@ def _projector_energy(x, f_dense):
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """Run a fixed number of TC2 sweeps under the given truncation mode.
 
-    A run whose iterate is frozen -- at the fixed point of ``tc2_step``, or
-    held by the convergence latch -- stops multiplying, but its per-sweep
-    records still cover all ``max_iter`` sweeps: each remaining sweep gets
-    the frozen iterate's trace and the leaf-multiply count its square was
-    measured at, which is what multiplying it again would give.
+    Each sweep measures one gap, the displacement |X_{k+1} - X_k|_F, and it
+    alone decides when the run stops: at or below the fixed-point floor the
+    iterate X_k is frozen there, and the convergence latch holds the
+    smallest-gap iterate once the gap turns around.  A frozen run stops
+    multiplying, but its per-sweep records still cover all ``max_iter``
+    sweeps: each remaining sweep gets the frozen iterate's trace and the
+    leaf-multiply count its square was measured at, which is what
+    multiplying it again would give.
 
     ``density`` is the final iterate X (the held one once the convergence
     latch engages, recorded in ``held_at``); ``energy`` is Tr(P F) for the
@@ -213,31 +201,37 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     x = tc2_initial_guess(f)
     trace_history = [trace(x)]
     step_counts = []
-    # Convergence latch.  The sweep displacement |X_{k+1} - X_k| equals the
-    # idempotency gap |X^2 - X| on either branch, so it tracks convergence.
-    # A truncated run bottoms out at a noise floor whose level depends on
-    # tau and on the problem (3e-2 on the gapless chain at n = 256 and
-    # tau = 1e-4); past it further sweeps can only amplify the noise (both
-    # branch maps have slope 2 at the eigenvalue they do not fix), and a
-    # run left going overflows to inf and then NaN.  One exact sweep can at
-    # most double the gap, so once it has turned around -- grown to 4x its
+    # Fixed point.  Once the sweep displacement is under the floor, both
+    # branches equal X up to roundoff, but re-rounding the product every
+    # sweep slowly amplifies that roundoff (each branch map has slope 2 at
+    # the eigenvalue it does not fix, so spectral noise doubles per sweep).
+    # X itself is then the correctly rounded sweep result, and the run
+    # freezes it at this sweep.
+    floor = _FIXED_POINT_FACTOR * np.finfo(x.dtype).eps * x.logical_dim
+    # Convergence latch.  The sweep displacement equals the idempotency gap
+    # |X^2 - X| on either branch, so it tracks convergence.  A truncated
+    # run bottoms out at a noise floor whose level depends on tau and on
+    # the problem (3e-2 on the gapless chain at n = 256 and tau = 1e-4);
+    # past it further sweeps can only amplify the noise, and a run left
+    # going overflows to inf and then NaN.  One exact sweep can at most
+    # double the gap, so once it has turned around -- grown to 4x its
     # running minimum -- or stopped being finite, the run holds the iterate
     # with the smallest gap, whatever its level.  Before the first sweep
     # that iterate is the initial guess, entering sweep 1.
-    # A held iterate, like one that ``tc2_step`` returns unchanged, is
-    # frozen: the kernel is deterministic, so every later sweep would square
-    # it again with the leaf count measured at the sweep it entered
-    # (``frozen``) and leave its trace as recorded then.  The run stops and
-    # fills the remaining sweeps with those two values.
+    # A held iterate, like one at the fixed point, is frozen: the kernel is
+    # deterministic, so every later sweep would square it again with the
+    # leaf count measured at the sweep it entered (``frozen``) and leave its
+    # trace as recorded then.  The run stops and fills the remaining sweeps
+    # with those two values.
     best_x, best_gap, best_sweep = x, math.inf, 1
     held_at = frozen = None
     for sweep in range(1, max_iter + 1):
         nxt, stats = tc2_step(x, n_occ, mode)
         step_counts.append(stats.leaf_matmuls)
-        if nxt is x:
+        gap = distance(nxt, x)
+        if gap <= floor:
             frozen = sweep
             break
-        gap = distance(nxt, x)
         if gap < best_gap:
             best_x, best_gap, best_sweep = x, gap, sweep
         elif not math.isfinite(gap) or gap > 4.0 * best_gap:
@@ -306,8 +300,9 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     * a non-finite delta_e_rel at any tau: raises ThresholdMatchError
       naming that tau, since such a run cannot be ranked against the band.
 
-    ``reference_energy`` skips the internal tau=0 reference run when the
-    caller already has one (e.g. shared across a sweep).
+    ``reference_energy`` skips the tau=0 reference run, which the first
+    purification makes otherwise, when the caller already has one (e.g.
+    shared across a sweep).
     """
     if target_delta_e <= 0:
         raise ValueError(f"target_delta_e must be > 0, got {target_delta_e}")
@@ -318,17 +313,11 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
             f"{target_delta_e * _BAND_FACTOR:.3e}] lies below float64 "
             f"resolution {eps:.3e}")
     mode_type = type(mode)
-    if reference_energy is None:
-        reference = purify(f, n_occ, SpammMode(0.0), max_iter=max_iter).energy
-    else:
-        reference = float(reference_energy)
+    reference = reference_energy
     lo_band = target_delta_e / _BAND_FACTOR
     hi_band = target_delta_e * _BAND_FACTOR
-    evaluations = 0
 
     def run(tau):
-        nonlocal evaluations
-        evaluations += 1
         res = purify(f, n_occ, mode_type(tau), max_iter=max_iter,
                      reference_energy=reference)
         if not math.isfinite(res.delta_e_rel):
@@ -337,18 +326,18 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
                 f"(energy {res.energy})")
         return res
 
+    # Without a supplied reference the first run makes the tau=0 one, and
+    # every later run reuses its energy.
     res_hi = run(_TAU_HI)
+    reference = res_hi.reference_energy
     if lo_band <= res_hi.delta_e_rel <= hi_band:
-        return MatchResult(_TAU_HI, res_hi.delta_e_rel, True, False,
-                           evaluations, res_hi)
+        return MatchResult(_TAU_HI, res_hi.delta_e_rel, True, False, res_hi)
     if res_hi.delta_e_rel < lo_band:
-        return MatchResult(_TAU_HI, res_hi.delta_e_rel, False, True,
-                           evaluations, res_hi)
+        return MatchResult(_TAU_HI, res_hi.delta_e_rel, False, True, res_hi)
 
     res_lo = run(_TAU_LO)
     if lo_band <= res_lo.delta_e_rel <= hi_band:
-        return MatchResult(_TAU_LO, res_lo.delta_e_rel, True, False,
-                           evaluations, res_lo)
+        return MatchResult(_TAU_LO, res_lo.delta_e_rel, True, False, res_lo)
     if res_lo.delta_e_rel > hi_band:
         raise ThresholdMatchError(
             f"error floor {res_lo.delta_e_rel:.3e} at tau={_TAU_LO:.3e} exceeds "
@@ -365,8 +354,7 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
         mid = math.sqrt(lo * hi)
         mid_res = run(mid)
         if lo_band <= mid_res.delta_e_rel <= hi_band:
-            return MatchResult(mid, mid_res.delta_e_rel, True, False,
-                               evaluations, mid_res)
+            return MatchResult(mid, mid_res.delta_e_rel, True, False, mid_res)
         cand = (log_distance(mid_res.delta_e_rel), mid, mid_res)
         if cand[0] < best[0]:
             best = cand
@@ -378,8 +366,7 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     # threshold, or the target sits beyond a stability cliff); report the
     # closest evaluation instead of the last midpoint.
     _, best_tau, best_res = best
-    return MatchResult(best_tau, best_res.delta_e_rel, False, False,
-                       evaluations, best_res)
+    return MatchResult(best_tau, best_res.delta_e_rel, False, False, best_res)
 
 
 def write_purify_report(result, path):

@@ -129,21 +129,24 @@ def every_sweep_tc2(f, n_occ, mode, max_iter=50):
     up in ``spamm.purification`` at call time, so a patched step is used)
     runs on every one of the ``max_iter`` sweeps, also past a fixed point
     and on the held iterate, and every leaf count and trace is measured.
-    The convergence latch is the same: hold the smallest-gap iterate once
-    the gap is non-finite or above 4x its running minimum.  Returns the
-    final iterate, the per-sweep counts and traces, ``held_at``, and
-    ``fixed_at``, the first sweep whose step returned its input object."""
+    The stopping tests are the same: the iterate is kept from the first
+    sweep whose displacement |X_{k+1} - X_k|_F is at most
+    16 * eps * n (``fixed_at``), and the latch holds the smallest-gap
+    iterate once the gap is non-finite or above 4x its running minimum.
+    Returns the final iterate, the per-sweep counts and traces,
+    ``held_at`` and ``fixed_at``."""
     x = purification.tc2_initial_guess(f)
+    floor = 16.0 * np.finfo(x.dtype).eps * x.logical_dim
     traces, counts = [trace(x)], []
     best_x, best_gap, held_at, fixed_at = x, math.inf, None, None
     for sweep in range(1, max_iter + 1):
         nxt, stats = purification.tc2_step(x, n_occ, mode)
         counts.append(stats.leaf_matmuls)
-        if nxt is x and fixed_at is None:
-            fixed_at = sweep
-        if held_at is None:
+        if held_at is None and fixed_at is None:
             gap = distance(nxt, x)
-            if gap < best_gap:
+            if gap <= floor:
+                fixed_at = sweep
+            elif gap < best_gap:
                 best_x, best_gap, x = x, gap, nxt
             elif not math.isfinite(gap) or gap > 4.0 * best_gap:
                 x, held_at = best_x, sweep

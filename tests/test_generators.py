@@ -127,8 +127,6 @@ def test_hamiltonian_validation():
         ModelHamiltonian(8, "metallic")
     with pytest.raises(ValueError):
         ModelHamiltonian(8, "gapped", gap=-1.0)
-    with pytest.raises(ValueError):
-        ModelHamiltonian(8, n_occ=9)
     assert ModelHamiltonian(8).n_occ == 4  # half filling default
 
 

@@ -81,10 +81,18 @@ def test_step_dropping_filters_resultant_only():
 
 
 def test_step_converges_gapped64():
+    """Bare steps reach the fixed-point floor within 50 sweeps: a step that
+    moves X by at most 16 eps n, from an X with |X**2 - X| <= 1e-10."""
     h = _gapped(64)
     x = tc2_initial_guess(h)
+    floor = 16 * np.finfo(np.float64).eps * 64
     for _ in range(50):
-        x, _ = tc2_step(x, 32, SpammMode(0.0))
+        nxt, _ = tc2_step(x, 32, SpammMode(0.0))
+        if np.linalg.norm(nxt.to_dense() - x.to_dense()) <= floor:
+            break
+        x = nxt
+    else:
+        pytest.fail("no step reached the fixed-point floor in 50 sweeps")
     x2 = spamm(x, x)[0]
     gap = np.linalg.norm(x2.to_dense() - x.to_dense())
     assert gap <= 1e-10
@@ -300,8 +308,8 @@ def test_purify_float32_gapped64(monkeypatch):
     monkeypatch.setattr(purification, "spamm", checked_spamm)
     f32 = from_dense(f.to_dense(), dtype=np.float32)
     got = purify(f32, n // 2, mode, reference_energy=-1.0).energy
-    # One square per distinct iterate: tc2_step returns its input at sweep
-    # 15 (the fixed_at of every_sweep_tc2 on this run).
+    # One square per distinct iterate: the run reaches the fixed-point floor
+    # at sweep 15 (the fixed_at of every_sweep_tc2 on this run).
     assert squares == [np.float32] * 15
     assert np.isfinite(got)
     assert abs(got - want) <= 10 * np.finfo(np.float32).eps * abs(want)
@@ -336,7 +344,7 @@ def test_purify_matches_every_sweep_driver(case, monkeypatch):
     """Stopping once the iterate is frozen changes no output: density bytes,
     counts, traces and held_at equal a driver that squares on every sweep;
     and tc2_step runs once per distinct iterate (to the fixed point, or to
-    the sweep at which the latch holds)."""
+    the sweep at which the latch holds), with one gap measured per sweep."""
     chain, n, mode, want_calls, want_held = _FROZEN_RUNS[case]
     f = gen_model_hamiltonian(ModelHamiltonian(n, chain))
     real = purification.tc2_step
@@ -344,18 +352,25 @@ def test_purify_matches_every_sweep_driver(case, monkeypatch):
     monkeypatch.setattr(purification, "tc2_step", wrap(real))
     want = every_sweep_tc2(f, n // 2, mode)
     step, calls = wrap(real), []
+    real_distance, gaps = purification.distance, []
 
     def counted(x, n_occ, mode):
         calls.append(None)
         return step(x, n_occ, mode)
 
+    def counted_distance(a, b):
+        gaps.append(None)
+        return real_distance(a, b)
+
     monkeypatch.setattr(purification, "tc2_step", counted)
+    monkeypatch.setattr(purification, "distance", counted_distance)
     res = purify(f, n // 2, mode, reference_energy=-1.0)
     assert res.density.structurally_equal(want["density"])
     assert res.step_leaf_matmuls == want["step_leaf_matmuls"]
     assert res.trace_history == want["trace_history"]
     assert res.held_at == want["held_at"] == want_held
     assert len(calls) == want_calls == (want_held or want["fixed_at"])
+    assert len(gaps) == len(calls)
 
 
 # ------------------------------------------------------------ matched error
