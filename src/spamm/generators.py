@@ -117,15 +117,14 @@ def decay_profile(m, positions, block_size):
     return np.column_stack([dists.ravel(), norms.ravel()])
 
 
-def bin_profile(profile, width=0.5):
+def bin_profile(profile):
     """Geometric mean of block norms per distance bin.
 
-    Bins have the given width; zero norms are excluded (they carry no
-    information on a log scale) and empty bins are dropped.  Returns
+    Bins are 0.5 wide; zero norms are excluded (they carry no information
+    on a log scale) and empty bins are dropped.  Returns
     (bin_centers, geometric_means).
     """
-    if width <= 0:
-        raise ValueError(f"bin width must be > 0, got {width}")
+    width = 0.5
     dist, norm = np.asarray(profile).T
     keep = norm > 0
     dist, norm = dist[keep], norm[keep]
@@ -139,8 +138,8 @@ def bin_profile(profile, width=0.5):
 
 
 def log_linear_fit(profile):
-    """Least-squares line through (distance, log norm) on data binned at
-    ``bin_profile``'s default width.
+    """Least-squares line through (distance, log norm) on data binned by
+    ``bin_profile``.
 
     Returns (slope, intercept, r_squared); a clearly negative slope with
     r_squared near 1 certifies an exponential decay envelope

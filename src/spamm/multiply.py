@@ -31,16 +31,14 @@ by index, each at most half the size of the one below, and stop once every
 C block has one node; one final gather puts the merged blocks in key
 order.  No level copies the product stack.
 
-Symmetric square: when ``a is b`` and the tree equals its transpose bit for
-bit, the traversal keeps only triples with i <= j (the children of a
-strict-upper triple are all strict-upper), and C_ji is written as a
-transposed copy of C_ij.  Triple (j, i, k) multiplies the transposes of the
-blocks of (i, j, k) in swapped order, so with each C element summed over the
-inner index in order, as the leaf GEMMs do, its leaf product is that
-product's transpose and merges in the same order: no sum is reassociated.
-The pruning test of (i, j, k) decides for both; a transposed block's cached
-norm sums its squares in another order, so the full traversal could decide
-otherwise only for a norm product within an ulp of tau.
+Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
+keeps only triples with i <= j (the children of a strict-upper triple are
+all strict-upper) and writes C_ji as a transposed copy of C_ij.  Triple
+(j, i, k) multiplies the transposes of the blocks of (i, j, k) in swapped
+order; each C element is summed over the inner index in order, as the leaf
+GEMMs do, so its leaf product is that product's transpose, merged in the
+same order.  Cached norms are transpose-invariant, so the pruning test of
+(i, j, k) is that of (j, i, k): the product is the full one by construction.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ def spamm(a, b, config=None):
     if config is None:
         config = SpammConfig()
     tau = float(config.tau)
-    symmetric = a is b and _is_symmetric(a)
+    symmetric = a is b and a.symmetric
 
     depth = a.depth
     nb = a.block_grid
@@ -208,21 +206,8 @@ def spamm(a, b, config=None):
 
     if symmetric:
         keys, blocks = _mirror(keys, blocks, nb)
-    c = _from_blocks(keys, blocks, a.logical_dim, a.leaf_size)
+    c = _from_blocks(keys, blocks, a.logical_dim, a.leaf_size, symmetric)
     return c, stats
-
-
-def _is_symmetric(m):
-    """True iff ``m`` equals its transpose bit for bit (so -0.0 is not +0.0):
-    a symmetric block pattern, each block with i <= j its mirror's transpose."""
-    occ = m._leaf_nonzero
-    if not np.array_equal(occ, occ.T):
-        return False
-    i, j = np.divmod(m._keys, m.block_grid)
-    rows = np.flatnonzero(i <= j)
-    bits = m._stack.view(f"u{m.dtype.itemsize}")
-    return np.array_equal(np.take(bits, m._index[j[rows], i[rows]], axis=0),
-                          np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 
 def _mirror(keys, blocks, nb):
@@ -257,24 +242,23 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, depth):
     chunk_triples = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
     group_starts = np.flatnonzero(np.diff(groups, prepend=-1))
     starts = group_starts[np.diff(group_starts // chunk_triples, prepend=-1) > 0]
-    out_keys, out_blocks = [], []
-    for s, e in zip(starts, [*starts[1:], keys.size]):
-        gg, merged = _merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e], depth)
-        out_keys.append(gg)
-        out_blocks.append(merged)
-    if len(out_keys) == 1:
-        return out_keys[0], out_blocks[0]
-    return np.concatenate(out_keys), np.concatenate(out_blocks)
+    parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e], depth)
+             for s, e in zip(starts, [*starts[1:], keys.size])]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
     """Multiply and merge one chunk of whole groups, ``keys`` sorted.  At
     merge level l, nodes whose keys agree above bit l are siblings, and the
     first (lower k) absorbs the second."""
-    first = np.flatnonzero(keys[:-1] >> 1 == keys[1:] >> 1)
+    same = keys[:-1] >> 1 == keys[1:] >> 1
+    first = np.flatnonzero(same)
     p = first.size
-    rest = np.ones(keys.size, dtype=bool)
-    rest[first] = rest[first + 1] = False
+    # The nodes left after level 0 (second members go), and the lone triples.
+    keep = np.concatenate(([True], ~same))
+    rest = keep & np.concatenate((~same, [True]))
     perm = np.concatenate((first, first + 1, np.flatnonzero(rest)))
     prod = np.matmul(np.take(a._stack, rows_a[perm], axis=0),
                      np.take(b._stack, rows_b[perm], axis=0))
@@ -283,20 +267,17 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
     # Each node lives in the product row of its lowest-k member.
     row = np.empty(keys.size, dtype=np.intp)
     row[perm] = np.arange(keys.size, dtype=np.intp)
-    node_keys = np.delete(keys, first + 1)
-    node_rows = np.delete(row, first + 1)
+    node_keys, node_rows = keys[keep], row[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     for level in range(1, depth):
         if node_keys.size == n_groups:
             break
         up = node_keys >> (level + 1)
-        first = np.flatnonzero(up[:-1] == up[1:])
-        if first.size:
-            dst = node_rows[first]
-            prod[dst] = (np.take(prod, dst, axis=0)
-                         + np.take(prod, node_rows[first + 1], axis=0))
-            node_keys = np.delete(node_keys, first + 1)
-            node_rows = np.delete(node_rows, first + 1)
+        same = up[:-1] == up[1:]
+        first = np.flatnonzero(same)
+        prod[node_rows[first]] += np.take(prod, node_rows[first + 1], axis=0)
+        keep = np.concatenate(([True], ~same))
+        node_keys, node_rows = node_keys[keep], node_rows[keep]
     return node_keys >> depth, np.take(prod, node_rows, axis=0)
 
 

@@ -19,9 +19,11 @@ unoccupied nodes, which short-circuit all arithmetic.
 
 Canonical form: a stored block has at least one nonzero element.  There is
 one construction path: it takes keys and a stack, drops the blocks that
-are all zero (including blocks of -0.0), and sums each block's norm in its
-own row-major order, so a block's norm is the same bits whichever
-operation produced it.
+are all zero (including blocks of -0.0), and sums norms in one order that a
+matrix and its transpose share: a block's diagonal squares, then its mirrored
+pairs; a node's children as (11 + 22) + (12 + 21).  So a block's norm has the
+same bits whichever operation produced it, and on a tree flagged ``symmetric``
+(equal to its transpose bit for bit) each norm has its mirror's.
 
 Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
 O(stored blocks) in block data plus O(nb**2) for the pyramids and the
@@ -49,27 +51,24 @@ class DimensionMismatchError(ValueError):
 
 
 def _leaf_norm_sq(blocks):
-    """Squared Frobenius norm of every block, accumulated element by element
-    in row-major order (fixed summation order for bit reproducibility).
-
-    ``blocks`` is a stack of b x b blocks, shape (..., b, b); returns
-    float64 of shape ``blocks.shape[:-2]``.  Each block's sum depends on
-    that block alone, so a block's norm is the same bits whichever stack it
-    is part of.
-    """
+    """Squared Frobenius norm, as float64, of each block of an (m, b, b) stack:
+    its diagonal squares in order, then each mirrored pair ``sq[r, c] +
+    sq[c, r]`` (r < c, row-major), so a block and its transpose give the same
+    bits.  A block's sum depends on that block alone, not on its stack."""
     b = blocks.shape[-1]
-    sq = blocks.astype(np.float64, copy=False)
-    acc = np.zeros(blocks.shape[:-2], dtype=np.float64)
+    sq = np.square(blocks, dtype=np.float64).reshape(-1, b * b)
+    acc = sq[:, 0].copy()
+    for d in range(1, b):
+        acc += sq[:, d * (b + 1)]
     for r in range(b):
-        for c in range(b):
-            e = sq[..., r, c]
-            acc += e * e
+        for c in range(r + 1, b):
+            acc += sq[:, r * b + c] + sq[:, c * b + r]
     return acc
 
 
 def _aggregate_norm_sq(fine):
-    """One tier of norm aggregation: children summed in order 11, 12, 21, 22."""
-    return ((fine[0::2, 0::2] + fine[0::2, 1::2]) + fine[1::2, 0::2]) + fine[1::2, 1::2]
+    """One tier of norm aggregation: children summed as (11 + 22) + (12 + 21)."""
+    return (fine[0::2, 0::2] + fine[1::2, 1::2]) + (fine[0::2, 1::2] + fine[1::2, 0::2])
 
 
 def _depth_for(logical_dim, leaf_size):
@@ -99,9 +98,9 @@ class QuadTreeMatrix:
 
     __slots__ = ("logical_dim", "leaf_size", "depth", "padded_dim", "dtype",
                  "_keys", "_stack", "_index", "_leaf_nonzero", "_norm_sq",
-                 "_occupied")
+                 "_occupied", "_symmetric")
 
-    def __init__(self, keys, stack, logical_dim, leaf_size, _internal=False):
+    def __init__(self, keys, stack, logical_dim, leaf_size, symmetric, _internal=False):
         if not _internal:
             raise TypeError("use from_dense() to construct a QuadTreeMatrix")
         # ``keys`` are strictly increasing row-major block keys and ``stack``
@@ -144,8 +143,15 @@ class QuadTreeMatrix:
         self._leaf_nonzero = occupied[depth]
         self._norm_sq = norm_sq
         self._occupied = occupied
+        self._symmetric = symmetric
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def symmetric(self):
+        """True only if the matrix equals its transpose bit for bit; read-only,
+        exact from ``from_dense``, and a derived tree may miss a symmetry."""
+        return self._symmetric
 
     @property
     def block_grid(self):
@@ -226,9 +232,20 @@ def from_dense(dense, leaf_size=4, dtype=None):
         padded[:n, :n] = arr
         arr = padded
     nb = padded_dim // leaf_size
-    keys = np.flatnonzero(_nonzero_blocks(arr, leaf_size))
+    mask = _nonzero_blocks(arr, leaf_size)
+    keys = np.flatnonzero(mask)
     grid = arr.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
-    return _from_blocks(keys, grid[keys // nb, keys % nb], n, leaf_size)
+    stack = grid[keys // nb, keys % nb]
+    # Bitwise symmetry (-0.0 is not +0.0) of the pattern and the kept blocks.
+    symmetric = np.array_equal(mask, mask.T)
+    if symmetric:
+        i, j = np.divmod(keys, nb)
+        rows = np.flatnonzero(i <= j)
+        mirror = (np.cumsum(mask) - 1).reshape(nb, nb)[j[rows], i[rows]]
+        bits = stack.view(f"u{stack.itemsize}")
+        symmetric = np.array_equal(np.take(bits, mirror, axis=0),
+                                   np.take(bits, rows, axis=0).swapaxes(1, 2))
+    return _from_blocks(keys, stack, n, leaf_size, symmetric)
 
 
 def _nonzero_blocks(arr, b):
@@ -249,12 +266,13 @@ def _nonzero_blocks(arr, b):
     return mask
 
 
-def _from_blocks(keys, stack, logical_dim, leaf_size):
+def _from_blocks(keys, stack, logical_dim, leaf_size, symmetric):
     """Internal: build a tree from strictly increasing block keys and their
     C-contiguous (m, b, b) stack.  All-zero blocks are dropped.  The tree
     takes both arrays and makes them read-only (do not reuse a writable one);
-    another tree's read-only keys may be passed as they are."""
-    return QuadTreeMatrix(keys, stack, logical_dim, leaf_size, _internal=True)
+    another tree's read-only keys may be passed as they are.  ``symmetric``
+    is stored unchecked: the caller vouches for it."""
+    return QuadTreeMatrix(keys, stack, logical_dim, leaf_size, symmetric, _internal=True)
 
 
 def trace(m):
@@ -304,7 +322,8 @@ def add(a, b):
     out[pa] = a._stack
     out[pb[~shared]] = b._stack[~shared]
     out[pb[shared]] += b._stack[shared]
-    return _from_blocks(keys, out, a.logical_dim, a.leaf_size)
+    return _from_blocks(keys, out, a.logical_dim, a.leaf_size,
+                        a.symmetric and b.symmetric)
 
 
 def scale(m, s):
@@ -312,7 +331,7 @@ def scale(m, s):
 
     Only the stored blocks are scaled; unstored blocks stay exact +0.0."""
     return _from_blocks(m._keys, m._stack * m.dtype.type(s), m.logical_dim,
-                        m.leaf_size)
+                        m.leaf_size, m.symmetric)
 
 
 def filter_drop(m, tau):
@@ -328,4 +347,5 @@ def filter_drop(m, tau):
     if not drop.any():
         return m
     keep = ~drop
-    return _from_blocks(m._keys[keep], m._stack[keep], m.logical_dim, m.leaf_size)
+    return _from_blocks(m._keys[keep], m._stack[keep], m.logical_dim,
+                        m.leaf_size, m.symmetric)

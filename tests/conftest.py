@@ -63,19 +63,37 @@ def norm_submultiplicativity_check(a, b):
     return True
 
 
+def mirrored_sum_of_squares(blocks):
+    """Squared Frobenius norm of each b x b block in the library's one
+    order: the diagonal squares in order, then each mirrored pair
+    ``sq[r, c] + sq[c, r]`` for r < c in row-major order."""
+    b = blocks.shape[-1]
+    sq = blocks.astype(np.float64) ** 2
+    acc = np.zeros(blocks.shape[:-2])
+    for d in range(b):
+        acc += sq[..., d, d]
+    for r in range(b):
+        for c in range(r + 1, b):
+            acc += sq[..., r, c] + sq[..., c, r]
+    return acc
+
+
+def mirrored_child_sum(fine):
+    """One tier of norm aggregation in the library's one order:
+    (11 + 22) + (12 + 21)."""
+    return ((fine[0::2, 0::2] + fine[1::2, 1::2])
+            + (fine[0::2, 1::2] + fine[1::2, 0::2]))
+
+
 def audit_norm_cache(m):
     """Recompute every cached norm of ``m`` from its stored blocks, summing
-    each block's squares in row-major order and each node's children in
-    the order 11, 12, 21, 22; return the largest relative discrepancy over
-    all nodes.  The norm-cache invariant requires at most 4 * machine
-    epsilon; a tree built along the library's one construction path gives
-    0.0."""
-    nb, b = m.block_grid, m.leaf_size
-    stack = m._stack.astype(np.float64)
-    leaf = np.zeros(m._keys.size)
-    for r in range(b):
-        for c in range(b):
-            leaf += stack[:, r, c] * stack[:, r, c]
+    each block's squares and each node's children in the library's one
+    order (``mirrored_sum_of_squares``, ``mirrored_child_sum``); return the
+    largest relative discrepancy over all nodes.  The norm-cache invariant
+    requires at most 4 * machine epsilon; a tree built along the library's
+    one construction path gives 0.0."""
+    nb = m.block_grid
+    leaf = mirrored_sum_of_squares(m._stack)
     fresh = np.zeros(nb * nb)
     fresh[m._keys] = leaf
     fresh = fresh.reshape(nb, nb)
@@ -85,9 +103,22 @@ def audit_norm_cache(m):
         rel = np.abs(fresh - stored) / np.where(stored > 0, stored, 1.0)
         worst = max(worst, float(rel.max()))
         if k > 0:
-            fresh = (((fresh[0::2, 0::2] + fresh[0::2, 1::2]) + fresh[1::2, 0::2])
-                     + fresh[1::2, 1::2])
+            fresh = mirrored_child_sum(fresh)
     return worst
+
+
+def is_bitwise_symmetric(m):
+    """True iff the tree ``m`` equals its transpose bit for bit (so -0.0 is
+    not +0.0): a symmetric block pattern, each block with i <= j its
+    mirror's transpose."""
+    occ = m._leaf_nonzero
+    if not np.array_equal(occ, occ.T):
+        return False
+    i, j = np.divmod(m._keys, m.block_grid)
+    rows = np.flatnonzero(i <= j)
+    bits = m._stack.view(f"u{m.dtype.itemsize}")
+    return np.array_equal(np.take(bits, m._index[j[rows], i[rows]], axis=0),
+                          np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 
 def jittered_grid_positions(count, spacing=1.0, jitter=0.25, seed=0):

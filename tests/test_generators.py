@@ -142,7 +142,7 @@ def test_profile_identity_offdiagonal_zero():
 
 def test_profile_exponential_monotone_bins():
     prof = decay_profile(gen_exponential(64, 1.0), chain_positions(16), 4)
-    centers, gmeans = bin_profile(prof, width=0.5)
+    centers, gmeans = bin_profile(prof)
     assert len(centers) > 3
     assert np.all(np.diff(gmeans) < 0)
 
@@ -171,7 +171,7 @@ def test_profile_csv_roundtrip(tmp_path):
 
 def test_bin_profile_excludes_zero_norms():
     prof = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 4.0], [2.0, 9.0]])
-    centers, gmeans = bin_profile(prof, width=0.5)
+    centers, gmeans = bin_profile(prof)
     # the (1, 0) row carries no log-scale information and is dropped
     assert len(centers) == 3
     assert gmeans[1] == 4.0

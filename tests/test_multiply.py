@@ -13,17 +13,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spamm import multiply
-from spamm.generators import gen_exponential
+from spamm import multiply, purification
+from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.multiply import (
     PrunedBox,
     SpammConfig,
     spamm,
     write_box_log,
 )
+from spamm.purification import DroppingMode, SpammMode, purify
 from spamm.quadtree import DimensionMismatchError, from_dense
 
-from conftest import norm_submultiplicativity_check, oracle_matmul, padded_dense
+from conftest import (is_bitwise_symmetric, norm_submultiplicativity_check,
+                      oracle_matmul, padded_dense)
 
 
 # ----------------------------------------------------------- basic contracts
@@ -342,12 +344,62 @@ def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
     pattern = d.copy()
     pattern[0, 90] = 1.0
     for case in (off_by_ulp, pattern):
+        x = from_dense(case)
+        assert not x.symmetric and not is_bitwise_symmetric(x)
         for tau in (0.0, 1e-2):
             sym, full, mirrored = _square_with_twin(monkeypatch, case, 4, np.float64, tau)
             assert mirrored == 0
             _assert_same_product(sym, full)
     c, _ = spamm(from_dense(off_by_ulp), from_dense(off_by_ulp))
     assert not np.array_equal(c.to_dense(), c.to_dense().T)
+    assert not c.symmetric
+
+
+def test_symmetric_square_at_a_tied_tau(monkeypatch):
+    """With tau exactly the norm product of one off-diagonal triple, which
+    is computed (ties are), its mirrored triple ties too, so the symmetric
+    square still has the bytes of the full traversal; at the leaf tier and
+    at tiers above it."""
+    d = _symmetric_decay(128, 17)
+    x = from_dense(d)
+    for tier, i, j, k in ((x.depth, 3, 5, 4), (x.depth, 10, 12, 11),
+                          (x.depth, 20, 23, 21), (x.depth - 1, 4, 6, 5),
+                          (x.depth - 2, 1, 3, 2)):
+        norms = x._norm_sq[tier]
+        tau = float(np.sqrt(norms[i, k]) * np.sqrt(norms[k, j]))
+        assert tau == float(np.sqrt(norms[j, k]) * np.sqrt(norms[k, i]))
+        sym, full, mirrored = _square_with_twin(monkeypatch, d, 4, np.float64, tau)
+        assert mirrored == 1
+        _assert_same_product(sym, full)
+        assert sym[1].pruned_calls > 0
+
+
+@pytest.mark.parametrize("kind, mode", [("gapped", SpammMode(1e-6)),
+                                        ("gapless", DroppingMode(1e-5))])
+def test_symmetric_flag_through_a_tc2_run(monkeypatch, kind, mode):
+    """Every tree that from_dense, add, scale, filter_drop and spamm build
+    in a TC2 run carries a ``symmetric`` flag equal to the bitwise oracle,
+    and, TC2 iterates being symmetric by construction, that flag is set."""
+    built = Counter()
+
+    def checked(name):
+        op = getattr(purification, name)
+
+        def wrapper(*args, **kwargs):
+            out = op(*args, **kwargs)
+            tree = out[0] if name == "spamm" else out
+            assert tree.symmetric and is_bitwise_symmetric(tree), name
+            built[name] += 1
+            return out
+        return wrapper
+
+    for name in ("from_dense", "add", "scale", "filter_drop", "spamm"):
+        monkeypatch.setattr(purification, name, checked(name))
+    f = gen_model_hamiltonian(ModelHamiltonian(64, kind))
+    purify(f, 32, mode, reference_energy=-1.0)
+    assert built["from_dense"] == 1
+    assert min(built["spamm"], built["add"], built["scale"]) > 0
+    assert built["filter_drop"] == (built["spamm"] if kind == "gapless" else 0)
 
 
 # -------------------------------------------------------- error accounting

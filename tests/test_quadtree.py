@@ -11,7 +11,9 @@ from spamm.quadtree import (DimensionMismatchError, add, distance, filter_drop,
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
 
-from conftest import audit_norm_cache, padded_dense
+from conftest import (audit_norm_cache, is_bitwise_symmetric,
+                      mirrored_child_sum, mirrored_sum_of_squares,
+                      padded_dense)
 
 
 def _stored_padded(m):
@@ -207,23 +209,17 @@ def test_add_dimension_mismatch():
 
 def _full_rebuild(padded, leaf_size):
     """Reference build that scans every block of ``padded``: nonzero test,
-    +0.0 reset of empty blocks, row-major leaf norms over the whole grid,
-    then tier sums in order 11, 12, 21, 22."""
+    +0.0 reset of empty blocks, leaf norms over the whole grid, then tier
+    sums, both in the library's one mirrored order."""
     padded = padded.copy()
     nb = padded.shape[0] // leaf_size
     blocks = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
     nonzero = (blocks != 0).any(axis=(2, 3))
     blocks[~nonzero] = 0.0
-    leaf = np.zeros((nb, nb))
-    for r in range(leaf_size):
-        for c in range(leaf_size):
-            e = blocks[:, :, r, c].astype(np.float64)
-            leaf += e * e
-    norms, occ = [leaf], [nonzero]
+    norms, occ = [mirrored_sum_of_squares(blocks)], [nonzero]
     while norms[-1].shape[0] > 1:
         f, o = norms[-1], occ[-1]
-        norms.append(((f[0::2, 0::2] + f[0::2, 1::2]) + f[1::2, 0::2])
-                     + f[1::2, 1::2])
+        norms.append(mirrored_child_sum(f))
         occ.append(o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2])
     return padded, nonzero, norms[::-1], occ[::-1]
 
@@ -423,3 +419,55 @@ def test_derived_tree_ops_allocate_no_dense_array():
             tracemalloc.stop()
         assert peak < limit, (name, peak / (n * n * 8))
         del result
+
+
+# ------------------------------------------------------------------ symmetry
+
+def _symmetric_dense(n, seed):
+    """Bitwise-symmetric random matrix with exponential off-diagonal decay."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    d = rng.standard_normal((n, n)) * np.exp(-0.25 * np.abs(i - j))
+    return d + d.T
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("leaf", [1, 4, 8])
+@pytest.mark.parametrize("n", [100, 128])
+def test_mirrored_norms_are_bit_equal(n, leaf, dtype):
+    """On a bitwise-symmetric tree, and on its symmetric square, every
+    cached norm has the bits of its mirror's, at every tier."""
+    x = from_dense(_symmetric_dense(n, n + leaf), leaf_size=leaf, dtype=dtype)
+    c, stats = spamm(x, x, SpammConfig(tau=1e-2))
+    assert stats.pruned_calls > 0
+    for m in (x, c):
+        assert len(m._norm_sq) == m.depth + 1
+        for k, norms in enumerate(m._norm_sq):
+            bits = norms.view(np.uint64)
+            assert np.array_equal(bits, bits.T), k
+        assert m.symmetric and is_bitwise_symmetric(m)
+
+
+def test_from_dense_symmetric_flag_is_exact():
+    """from_dense flags a tree symmetric exactly when it equals its
+    transpose bit for bit: a value 1 ulp off its mirror, a -0.0 facing a
+    +0.0 inside a stored block, or an unmirrored block clears the flag;
+    padding, float32 storage and the empty tree keep it (a 1 x 1 leaf of
+    -0.0 is all zero, so it is not stored)."""
+    base = _symmetric_dense(45, 9)
+    base[np.abs(np.subtract.outer(np.arange(45), np.arange(45))) > 12] = 0.0
+    for dtype in (np.float64, np.float32):
+        d = base.astype(dtype)
+        off_by_ulp = d.copy()
+        off_by_ulp[3, 5] = np.nextafter(d[3, 5], dtype(np.inf))
+        signed_zero = d.copy()
+        signed_zero[2, 6] = -0.0
+        signed_zero[6, 2] = 0.0
+        pattern = d.copy()
+        pattern[0, 40] = 1.0
+        for leaf in (1, 4, 8):
+            cases = [(d, True), (off_by_ulp, False), (signed_zero, leaf == 1),
+                     (pattern, False), (np.zeros((45, 45), dtype), True)]
+            for arr, want in cases:
+                m = from_dense(arr, leaf_size=leaf, dtype=dtype)
+                assert m.symmetric == is_bitwise_symmetric(m) == want, (leaf, dtype)
