@@ -17,6 +17,7 @@ Exit status is 0 on success, 1 on a rejected input, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -32,6 +33,15 @@ from .quadtree import from_dense
 
 def _load_tree(path, leaf_size):
     return from_dense(read_matrix_market(path), leaf_size=leaf_size)
+
+
+def _multiply_files(args, collect_boxes):
+    """(a, b, c, stats) of spamm(a, b) at --tau for the files --a and --b;
+    paths naming one file load one tree, so spamm takes the symmetric square."""
+    a = _load_tree(args.a, args.leaf_size)
+    same = os.path.realpath(args.a) == os.path.realpath(args.b)
+    b = a if same else _load_tree(args.b, args.leaf_size)
+    return (a, b, *spamm(a, b, SpammConfig(args.tau, collect_boxes)))
 
 
 def _generate_tree(args):
@@ -52,10 +62,7 @@ def cmd_generate(args):
 
 
 def cmd_multiply(args):
-    a = _load_tree(args.a, args.leaf_size)
-    b = _load_tree(args.b, args.leaf_size)
-    config = SpammConfig(tau=args.tau, collect_boxes=args.boxes is not None)
-    c, stats = spamm(a, b, config)
+    a, b, c, stats = _multiply_files(args, collect_boxes=args.boxes is not None)
     if args.out_c:
         write_matrix_market(c, args.out_c, fmt=args.format)
     if args.boxes:
@@ -145,10 +152,7 @@ def cmd_sweep(args):
 
 
 def cmd_boxes(args):
-    a = _load_tree(args.a, args.leaf_size)
-    b = _load_tree(args.b, args.leaf_size)
-    config = SpammConfig(tau=args.tau, collect_boxes=True)
-    _, stats = spamm(a, b, config)
+    a, _, _, stats = _multiply_files(args, collect_boxes=True)
     write_box_log(stats.boxes, args.out)
     cube = a.padded_dim ** 3
     per_tier = {}

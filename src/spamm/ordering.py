@@ -21,11 +21,6 @@ from .quadtree import from_dense
 _MAX_ORDER = 20  # 3 * 20 = 60 index bits, safely inside uint64
 
 
-def _check_order(order):
-    if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {order}")
-
-
 def _cells_to_hilbert(cells, order):
     """Hilbert indices for integer grid cells, vectorized.
 
@@ -62,10 +57,10 @@ def _cells_to_hilbert(cells, order):
     return idx
 
 
-def _points_to_cells(pts, bounds, order):
-    """(3, m) grid cells of (m, 3) points inside ``bounds = (lo, hi)``, cut
-    into 2**order cells per axis; zero-extent axes collapse to cell 0."""
-    lo, hi = bounds
+def _points_to_cells(pts, order):
+    """(3, m) grid cells of (m, 3) points in their bounding box, cut into
+    2**order cells per axis; zero-extent axes collapse to cell 0."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     size = 1 << order
     extent = hi - lo
     safe = np.where(extent > 0, extent, 1.0)
@@ -82,14 +77,14 @@ def order_atoms(positions, order=10):
     the result is deterministic.  Returns the permutation array
     ``permutation[old_index] = new_index``.
     """
-    _check_order(order)
+    if not 1 <= order <= _MAX_ORDER:
+        raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {order}")
     pts = np.asarray(positions, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError(f"expected (m, 3) positions with m >= 1, got {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("positions must be finite")
-    bounds = (pts.min(axis=0), pts.max(axis=0))
-    keys = _cells_to_hilbert(_points_to_cells(pts, bounds, order), order)
+    keys = _cells_to_hilbert(_points_to_cells(pts, order), order)
     visit = np.argsort(keys, kind="stable")
     perm = np.empty(pts.shape[0], dtype=np.int64)
     perm[visit] = np.arange(pts.shape[0])

@@ -92,7 +92,7 @@ def tc2_initial_guess(f):
     X0 = (eps_max I - F) / (eps_max - eps_min) with Gershgorin bounds.
     A matrix whose Gershgorin interval collapses to a point maps to I/2.
     """
-    fd = f.to_dense().astype(np.float64)
+    fd = f.to_dense().astype(np.float64, copy=False)
     centers = np.diag(fd)
     radii = np.abs(fd).sum(axis=1) - np.abs(centers)
     eps_min = float((centers - radii).min())
@@ -183,18 +183,19 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     latch engages, recorded in ``held_at``); ``energy`` is Tr(P F) for the
     projector P that X purifies to (see the module docstring), and
     ``idempotency_gap`` is |X**2 - X|_F, so a run held far from idempotency
-    shows as one.  ``delta_e_rel`` is
-    |energy - reference| / |reference| against a tau = 0 run of this same
-    driver (supply ``reference_energy`` to reuse one across a sweep).
-    Rejects asymmetric ``f`` and out-of-range ``n_occ``.
+    shows as one.  ``delta_e_rel`` is |energy - reference| / |reference|
+    against a tau = 0 run of this same driver (supply ``reference_energy``
+    to reuse one across a sweep).  Rejects out-of-range ``n_occ``, and an
+    ``f`` whose ``symmetric`` flag is unset, even when it is symmetric in
+    value (-0.0 facing +0.0, or a product ``spamm(a, b)``).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if mode.tau < 0 or not math.isfinite(mode.tau):
         raise ValueError(f"mode.tau must be finite and >= 0, got {mode.tau}")
-    fd = f.to_dense().astype(np.float64)
-    if not np.array_equal(fd, fd.T):
-        raise ValueError("purification requires a symmetric matrix")
+    if not f.symmetric:
+        raise ValueError("purification requires f flagged symmetric: equal "
+                         "to its transpose bit for bit, -0.0 unequal to +0.0")
     if not 0 <= n_occ <= f.logical_dim:
         raise ValueError(f"n_occ must be in [0, {f.logical_dim}], got {n_occ}")
 
@@ -244,6 +245,7 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
         trace_history += ([trace_history[frozen - 1]]
                           * (max_iter + 1 - len(trace_history)))
 
+    fd = f.to_dense().astype(np.float64, copy=False)
     energy, idempotency_gap = _projector_energy(x, fd)
     if mode.tau == 0:
         reference = energy

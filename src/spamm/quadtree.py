@@ -97,8 +97,7 @@ class QuadTreeMatrix:
     """
 
     __slots__ = ("logical_dim", "leaf_size", "depth", "padded_dim", "dtype",
-                 "_keys", "_stack", "_index", "_leaf_nonzero", "_norm_sq",
-                 "_occupied", "_symmetric")
+                 "_keys", "_stack", "_index", "_norm_sq", "_occupied", "_symmetric")
 
     def __init__(self, keys, stack, logical_dim, leaf_size, symmetric, _internal=False):
         if not _internal:
@@ -140,7 +139,6 @@ class QuadTreeMatrix:
         self._keys = keys
         self._stack = stack
         self._index = index.reshape(nb, nb)
-        self._leaf_nonzero = occupied[depth]
         self._norm_sq = norm_sq
         self._occupied = occupied
         self._symmetric = symmetric
@@ -291,7 +289,7 @@ def trace(m):
 def _union(a, b):
     """Sorted union of the two trees' block keys, and the positions of each
     tree's blocks in it."""
-    keys = np.flatnonzero(a._leaf_nonzero | b._leaf_nonzero)
+    keys = np.flatnonzero(a._occupied[a.depth] | b._occupied[b.depth])
     return keys, np.searchsorted(keys, a._keys), np.searchsorted(keys, b._keys)
 
 
@@ -318,7 +316,7 @@ def add(a, b):
     _require_conformable(a, b)
     keys, pa, pb = _union(a, b)
     out = np.empty((keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
-    shared = a._leaf_nonzero.reshape(-1)[b._keys]
+    shared = a._occupied[a.depth].reshape(-1)[b._keys]
     out[pa] = a._stack
     out[pb[~shared]] = b._stack[~shared]
     out[pb[shared]] += b._stack[shared]

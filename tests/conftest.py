@@ -111,7 +111,7 @@ def is_bitwise_symmetric(m):
     """True iff the tree ``m`` equals its transpose bit for bit (so -0.0 is
     not +0.0): a symmetric block pattern, each block with i <= j its
     mirror's transpose."""
-    occ = m._leaf_nonzero
+    occ = m._occupied[m.depth]
     if not np.array_equal(occ, occ.T):
         return False
     i, j = np.divmod(m._keys, m.block_grid)

@@ -1,10 +1,12 @@
 """End-to-end command-line tests; every invocation runs in process."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spamm import multiply
 from spamm.cli import main
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
@@ -111,6 +113,49 @@ def test_multiply_deterministic_outputs(tmp_path):
         blobs.append((stats.read_bytes(), boxes.read_bytes(),
                       out_c.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_one_file_for_both_operands_is_squared_symmetrically(tmp_path, monkeypatch):
+    """--a and --b naming one file (by the same path or through a link) load
+    one tree, so multiply and boxes each run the symmetric square, one
+    _mirror call; a copy under a second name loads two trees and runs the
+    full traversal.  Both give the same bytes but for omitted_budget, which
+    the square sums with off-diagonal norm products doubled."""
+    a = gen_exponential(64, 0.5)
+    path, copy, link = (tmp_path / f"{name}.mtx" for name in ("a", "copy", "link"))
+    write_matrix_market(a, path, fmt="array")
+    write_matrix_market(a, copy, fmt="array")
+    os.symlink(path, link)
+    mirror, calls = multiply._mirror, []
+
+    def counted(*args):
+        calls.append(None)
+        return mirror(*args)
+
+    monkeypatch.setattr(multiply, "_mirror", counted)
+    outputs = {}
+    for tag, other, mirrors in (("same", path, 1), ("link", link, 1),
+                                ("copy", copy, 0)):
+        files = [tmp_path / f"out-{tag}.{ext}"
+                 for ext in ("csv", "mtx", "boxes", "log", "txt")]
+        operands = ["--a", str(path), "--b", str(other), "--tau", "1e-6"]
+        del calls[:]
+        assert main(["multiply", *operands, "--stats", str(files[0]),
+                     "--out-c", str(files[1]), "--boxes", str(files[2])]) == 0
+        assert len(calls) == mirrors
+        del calls[:]
+        assert main(["boxes", *operands, "--out", str(files[3]),
+                     "--summary", str(files[4])]) == 0
+        assert len(calls) == mirrors
+        outputs[tag] = [f.read_bytes() for f in files[1:]]
+        outputs[tag].append(_read_stats(files[0])[1])
+    assert outputs["copy"][1] != b""  # the comparison covers pruned boxes
+    for tag in ("same", "link"):
+        *blobs, row = outputs[tag]
+        *copy_blobs, copy_row = outputs["copy"]
+        assert blobs == copy_blobs
+        assert row[:4] == copy_row[:4]
+        assert math.isclose(float(row[4]), float(copy_row[4]), rel_tol=1e-14)
 
 
 # -------------------------------------------------------------------- boxes

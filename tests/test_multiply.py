@@ -332,7 +332,7 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
             if tau:
                 assert len({bx.tier for bx in stats.boxes}) >= 2
             if band is not None:
-                assert not c._leaf_nonzero.all()
+                assert not c._occupied[c.depth].all()
 
 
 def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):

@@ -16,7 +16,7 @@ from spamm.purification import (
     tc2_step,
     write_purify_report,
 )
-from spamm.quadtree import filter_drop, from_dense, trace
+from spamm.quadtree import add, filter_drop, from_dense, scale, trace
 
 from conftest import (
     eig_projector,
@@ -458,3 +458,24 @@ def test_purify_validation():
         tc2_step(tc2_initial_guess(h), 4, "spamm")
     with pytest.raises(ValueError):
         match_error_threshold(h, 4, 0.0, SpammMode(0.0))
+
+
+def test_purify_requires_symmetric_flag():
+    """purify accepts f exactly when f.symmetric is set.  A -0.0 facing a
+    +0.0 inside a stored block is symmetric to ``==`` but not bit for bit,
+    and a product of two trees is never flagged, even when it equals its
+    transpose bit for bit; sums and scalings of flagged trees keep the flag."""
+    h = _gapped(8)
+    d = h.to_dense()
+    d[0, 2], d[2, 0] = -0.0, 0.0
+    signed = from_dense(d)
+    assert np.array_equal(d, d.T) and signed._occupied[signed.depth][0, 0]
+    product = spamm(h, from_dense(np.eye(8)))[0]
+    assert is_bitwise_symmetric(product)
+    for f in (signed, product):
+        assert not f.symmetric
+        with pytest.raises(ValueError, match="bit for bit"):
+            purify(f, 4, SpammMode(0.0))
+    for f in (add(h, scale(h, 0.5)), scale(h, -1.0)):
+        assert f.symmetric
+        assert np.isfinite(purify(f, 4, SpammMode(0.0)).energy)

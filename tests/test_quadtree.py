@@ -158,7 +158,7 @@ def test_filter_matches_flat_scan():
     flat = expect.swapaxes(1, 2).reshape(pad, pad)[:512, :512]
     assert np.array_equal(filtered.to_dense(), flat)
     # every kept block has norm >= tau > 0, so survivor counts agree exactly
-    assert int(filtered._leaf_nonzero.sum()) == int(keep.sum())
+    assert int(filtered._occupied[filtered.depth].sum()) == int(keep.sum())
 
 
 def test_filter_idempotent():
@@ -235,7 +235,7 @@ def _assert_matches_full_rebuild(m):
     assert stored.tobytes() == padded.tobytes()
     n = m.logical_dim
     assert m.to_dense().tobytes() == padded[:n, :n].tobytes()
-    assert np.array_equal(m._leaf_nonzero, nonzero)
+    assert np.array_equal(m._occupied[m.depth], nonzero)
     assert len(m._norm_sq) == len(m._occupied) == len(norms) == m.depth + 1
     for k in range(m.depth + 1):
         assert m._norm_sq[k].tobytes() == norms[k].tobytes(), k
@@ -317,7 +317,7 @@ def test_spamm_output_matches_full_rebuild():
     z = np.zeros((4, 4))
     c, _ = spamm(from_dense(np.block([[eye, eye], [z, z]])),
                  from_dense(np.block([[eye, z], [-eye, z]])))
-    assert not c._leaf_nonzero.any()
+    assert not c._occupied[c.depth].any()
     _assert_matches_full_rebuild(c)
 
 
@@ -329,7 +329,7 @@ def test_add_output_matches_full_rebuild():
     d = a.to_dense()
     half = np.where(np.indices(d.shape)[0] < 35, -d, 0.0)
     s = add(a, from_dense(half))
-    assert not s._leaf_nonzero[:8].any() and s._leaf_nonzero[9:].any()
+    assert not s._occupied[s.depth][:8].any() and s._occupied[s.depth][9:].any()
     _assert_matches_full_rebuild(s)
 
 
@@ -337,12 +337,12 @@ def test_scale_output_matches_full_rebuild():
     m = _banded(50, 7, 24)
     for s in (2.0, -1.0, 0.0):
         _assert_matches_full_rebuild(scale(m, s))
-    assert not scale(m, 0.0)._leaf_nonzero.any()
+    assert not scale(m, 0.0)._occupied[m.depth].any()
     # a negative scale keeps empty blocks at +0.0, not -0.0
     neg = scale(m, -1.0)
     nb, b = neg.block_grid, neg.leaf_size
     blocks = padded_dense(neg).reshape(nb, b, nb, b).swapaxes(1, 2)
-    empty = blocks[~neg._leaf_nonzero]
+    empty = blocks[~neg._occupied[neg.depth]]
     assert empty.size and empty.tobytes() == np.zeros_like(empty).tobytes()
 
 
@@ -399,7 +399,7 @@ def test_derived_tree_ops_allocate_no_dense_array():
     n = 4096
     m = from_dense(_banded_dense(n, 31))
     other = scale(m, 2.0)
-    norms = np.sqrt(m._norm_sq[m.depth][m._leaf_nonzero])
+    norms = np.sqrt(m._norm_sq[m.depth][m._occupied[m.depth]])
     tau = float(np.median(norms))
     ops = {
         "spamm": lambda: spamm(m, m, SpammConfig(tau=1e-10)),
