@@ -21,6 +21,18 @@ amounts to summing contributions pairwise over aligned binary intervals with
 absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
 
+A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
+as a whole subcube, or at the leaf tier.  At tier depth - 3 a triple whose
+two operand tiles of 8 x 8 leaf blocks are fully stored, and whose smallest
+leaf norms have a product ``>= tau``, is a whole subcube: a node's norm is
+never below any of its leaves' (float sums and square roots are monotone),
+so no call below it would be skipped or pruned.  Its 512 leaf products come
+from one broadcast ``np.matmul``, which runs each leaf product's GEMM as the
+batched one does, and three slab adds sum them over k; on a complete
+aligned window of 8 that is the pairwise tree itself.  The sums enter the
+leaf stage's merge as level-3 nodes beside the leaf products' nodes, so
+each C block still has one summation tree and one order.
+
 The leaf stage plans the merge on the sorted integer keys
 ``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
 gathers put the level-0 siblings (keys equal but for bit 0) first, as
@@ -33,12 +45,13 @@ order.  No level copies the product stack.
 
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
-all strict-upper) and writes C_ji as a transposed copy of C_ij.  Triple
-(j, i, k) multiplies the transposes of the blocks of (i, j, k) in swapped
-order; each C element is summed over the inner index in order, as the leaf
-GEMMs do, so its leaf product is that product's transpose, merged in the
-same order.  Cached norms are transpose-invariant, so the pruning test of
-(i, j, k) is that of (j, i, k): the product is the full one by construction.
+all strict-upper; only those become whole subcubes) and writes C_ji as a
+transposed copy of C_ij.  Triple (j, i, k) multiplies the transposes of the
+blocks of (i, j, k) in swapped order; each C element is summed over the
+inner index in order, as the leaf GEMMs do, so its leaf product is that
+product's transpose, merged in the same order.  Cached norms are
+transpose-invariant, so the pruning test of (i, j, k) is that of (j, i, k):
+the product is the full one by construction.
 """
 
 from __future__ import annotations
@@ -57,6 +70,12 @@ _DK = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.intp)
 
 # Leaf products are batched; cap the scratch size per batch (in elements).
 _CHUNK_ELEMENTS = 1 << 23
+
+# A whole subcube spans 2**_CUBE_LEVELS leaf blocks along each axis and
+# leaves the traversal at tier depth - _CUBE_LEVELS.
+_CUBE_LEVELS = 3
+_CUBE_EDGE = 1 << _CUBE_LEVELS
+_CUBE_OFFSETS = np.arange(_CUBE_EDGE, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -152,12 +171,11 @@ def spamm(a, b, config=None):
 
     keys = np.zeros(0, dtype=np.intp)
     blocks = np.zeros((0, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    cubes = (keys, keys, keys)  # (i, j, k) of the whole subcubes
 
     ia = ja = ka = np.zeros(1, dtype=np.intp)
 
     for tier in range(depth + 1):
-        if ia.size == 0:
-            break
         edge = a.padded_dim >> tier
 
         # Flat positions of the operand blocks in this tier's pyramids; at
@@ -190,12 +208,28 @@ def spamm(a, b, config=None):
 
         if tier == depth:
             stats.leaf_matmuls += int(weight[active].sum())
-            if active.any():
+            if active.any() or cubes[0].size:
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
                     np.take(a._index, fa[active]), np.take(b._index, fb[active]),
-                    depth)
+                    cubes, depth)
             break
+
+        if tier == depth - _CUBE_LEVELS and active.any():
+            # Every leaf triple below a triple whose operand tiles have all
+            # leaves stored, with smallest norms whose product is >= tau,
+            # is computed: a node's norm is never below one of its leaves'.
+            # The diagonal triples of a symmetric square stay below, where
+            # the traversal keeps only their upper children.
+            low_a = _tile_min_norm_sq(a, tier)
+            low_b = low_a if b is a else _tile_min_norm_sq(b, tier)
+            low = np.sqrt(np.take(low_a, fa)) * np.sqrt(np.take(low_b, fb))
+            whole = active & (low >= tau) & (low > 0)
+            if symmetric:
+                whole &= mirrored
+            stats.leaf_matmuls += _CUBE_EDGE ** 3 * int(weight[whole].sum())
+            cubes = (ia[whole], ja[whole], ka[whole])
+            active &= ~whole
 
         ia = (ia[active, None] * 2 + _DI).ravel()
         ja = (ja[active, None] * 2 + _DJ).ravel()
@@ -210,6 +244,16 @@ def spamm(a, b, config=None):
     return c, stats
 
 
+def _tile_min_norm_sq(m, tier):
+    """Smallest leaf squared norm under each node of ``tier``: an unstored
+    leaf counts as 0."""
+    f = m._norm_sq[m.depth]
+    for _ in range(m.depth - tier):
+        f = np.minimum(np.minimum(f[0::2, 0::2], f[0::2, 1::2]),
+                       np.minimum(f[1::2, 0::2], f[1::2, 1::2]))
+    return f
+
+
 def _mirror(keys, blocks, nb):
     """The whole product of a symmetric square from its blocks with i <= j,
     keys ``i * nb + j`` increasing: each strict-upper block's transpose is
@@ -222,13 +266,14 @@ def _mirror(keys, blocks, nb):
     return full[order], np.take(stack, order, axis=0)
 
 
-def _leaf_stage(a, b, keys, rows_a, rows_b, depth):
-    """Compute the surviving leaf products (at least one) and merge them per
-    C block, in chunks of about ``_CHUNK_ELEMENTS`` product elements.
-    ``keys`` are the triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and
-    ``rows_b`` the stack rows of their operand blocks.  Returns the C block
-    keys ``i * nb + j`` in increasing order and the (m, b, b) stack of
-    merged blocks in that order."""
+def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
+    """Compute the surviving leaf products and the whole subcubes and merge
+    them per C block, in chunks of about ``_CHUNK_ELEMENTS`` product
+    elements.  ``keys`` are the leaf triples' keys ``(i*nb + j)*nb + k``,
+    ``rows_a`` and ``rows_b`` the stack rows of their operand blocks;
+    ``cubes`` holds the (i, j, k) of the whole subcubes at tier depth -
+    _CUBE_LEVELS.  Returns the C block keys ``i * nb + j`` in increasing
+    order and the (m, b, b) stack of merged blocks in that order."""
     leaf = a.leaf_size
     # The (i, j, k) triples are unique, so any sort of their row-major keys
     # gives the same permutation; nb**3 fits in intp for any nb whose
@@ -236,38 +281,95 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, depth):
     order = np.argsort(keys)
     keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
     groups = keys >> depth
+    if cubes[0].size:
+        node_keys, sums = _subcube_sums(a, b, *cubes, depth)
+        groups = np.sort(np.concatenate((groups, node_keys >> depth)))
+    else:
+        node_keys, sums = cubes[0], np.zeros((0, leaf, leaf), dtype=a.dtype)
+    node_rows = np.argsort(node_keys)
+    node_keys = node_keys[node_rows]
     # A chunk holds the groups that start within one span of chunk_triples
-    # triples, so it never splits a group (the pairwise merge needs the
+    # products, so it never splits a group (the pairwise merge needs the
     # whole contribution set) and ends within one group of the span.
     chunk_triples = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
     group_starts = np.flatnonzero(np.diff(groups, prepend=-1))
     starts = group_starts[np.diff(group_starts // chunk_triples, prepend=-1) > 0]
-    parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e], depth)
-             for s, e in zip(starts, [*starts[1:], keys.size])]
+    first_keys = groups[starts] << depth
+    cuts = np.append(np.searchsorted(keys, first_keys), keys.size)
+    node_cuts = np.append(np.searchsorted(node_keys, first_keys), node_keys.size)
+    parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e],
+                          node_keys[t:u], np.take(sums, node_rows[t:u], axis=0), depth)
+             for s, e, t, u in zip(cuts, cuts[1:], node_cuts, node_cuts[1:])]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _merge_chunk(a, b, keys, rows_a, rows_b, depth):
-    """Multiply and merge one chunk of whole groups, ``keys`` sorted.  At
-    merge level l, nodes whose keys agree above bit l are siblings, and the
-    first (lower k) absorbs the second."""
+def _subcube_sums(a, b, ci, cj, ck, depth):
+    """Multiply whole subcubes: those at (ci, cj, ck) in tier depth -
+    _CUBE_LEVELS.  Each one's leaf products come from one broadcast
+    ``np.matmul`` of its two operand tiles, which runs the GEMM of each leaf
+    product as a stack of them does.  The sum over k then follows the
+    merge's pairwise tree, which on a complete aligned window has no lone
+    nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
+    level-``_CUBE_LEVELS`` merge nodes made, and their (m, b, b) stack in
+    that order."""
+    e, leaf, nb = _CUBE_EDGE, a.leaf_size, a.block_grid
+    rows = (ci[:, None] * e + _CUBE_OFFSETS)[None, :, :]     # [1, cube, i]
+    cols = (cj[:, None] * e + _CUBE_OFFSETS)[None, :, :]     # [1, cube, j]
+    inner = (ck[:, None] * e + _CUBE_OFFSETS).T[:, :, None]  # [k, cube, 1]
+    flat_a = np.take(a._index, rows * nb + inner)            # [k, cube, i]
+    flat_b = np.take(b._index, inner * nb + cols)            # [k, cube, j]
+    sums = np.empty((ci.size, e, e, leaf, leaf), dtype=a.dtype)
+    batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
+    for lo in range(0, ci.size, batch):
+        tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)
+        tile_b = np.take(b._stack, flat_b[:, lo:lo + batch], axis=0)
+        prod = np.matmul(tile_a[:, :, :, None], tile_b[:, :, None])  # [k, cube, i, j]
+        # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
+        step = 1
+        while step < e // 2:
+            np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
+            step *= 2
+        np.add(prod[0], prod[step], out=sums[lo:lo + batch])
+    keys = (((rows[0, :, :, None] * nb + cols[0, :, None, :]) << depth)
+            + ck[:, None, None] * e)
+    return keys.reshape(-1), sums.reshape(-1, leaf, leaf)
+
+
+def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, nodes, depth):
+    """Multiply and merge one chunk of whole groups: the leaf triples at
+    ``keys``, sorted, and the subcube sums ``nodes`` at sorted
+    ``node_keys``.  At merge level l, nodes whose keys agree above bit l are
+    siblings, and the first (lower k) absorbs the second; a subcube sum is
+    a node from level _CUBE_LEVELS on."""
+    m = keys.size
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)
     p = first.size
     # The nodes left after level 0 (second members go), and the lone triples.
-    keep = np.concatenate(([True], ~same))
-    rest = keep & np.concatenate((~same, [True]))
+    keep = np.ones(m, dtype=bool)
+    keep[1:] = ~same
+    rest = keep.copy()
+    rest[:-1] &= ~same
     perm = np.concatenate((first, first + 1, np.flatnonzero(rest)))
-    prod = np.matmul(np.take(a._stack, rows_a[perm], axis=0),
-                     np.take(b._stack, rows_b[perm], axis=0))
+    prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    np.matmul(np.take(a._stack, rows_a[perm], axis=0),
+              np.take(b._stack, rows_b[perm], axis=0), out=prod[:m])
+    prod[m:] = nodes
     np.add(prod[:p], prod[p:2 * p], out=prod[:p])
 
     # Each node lives in the product row of its lowest-k member.
-    row = np.empty(keys.size, dtype=np.intp)
-    row[perm] = np.arange(keys.size, dtype=np.intp)
-    node_keys, node_rows = keys[keep], row[keep]
+    row = np.empty(m, dtype=np.intp)
+    row[perm] = np.arange(m, dtype=np.intp)
+    node_rows = row[keep]
+    if node_keys.size:
+        node_keys = np.concatenate((keys[keep], node_keys))
+        node_rows = np.concatenate((node_rows, np.arange(m, len(prod), dtype=np.intp)))
+        order = np.argsort(node_keys, kind="stable")
+        node_keys, node_rows = node_keys[order], node_rows[order]
+    else:
+        node_keys = keys[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     for level in range(1, depth):
         if node_keys.size == n_groups:

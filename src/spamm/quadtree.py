@@ -37,6 +37,8 @@ result is provably identical).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SUPPORTED_DTYPES = (np.float64, np.float32)
@@ -106,15 +108,21 @@ class QuadTreeMatrix:
         # the C-contiguous (m, b, b) blocks in that order, owned by the tree.
         depth = _depth_for(logical_dim, leaf_size)
         nb = 1 << depth
-        nonzero = (stack != 0).any(axis=(1, 2))
-        if not nonzero.all():
-            keys, stack = keys[nonzero], stack[nonzero]
+        # A block with a positive squared norm holds a nonzero, so only the
+        # blocks whose squares sum to 0 (or underflow to it) are tested.
+        norms = _leaf_norm_sq(stack)
+        maybe = np.flatnonzero(norms == 0)
+        if maybe.size:
+            kept = np.ones(keys.size, dtype=bool)
+            kept[maybe] = (np.take(stack, maybe, axis=0) != 0).any(axis=(1, 2))
+            if not kept.all():
+                keys, stack, norms = keys[kept], stack[kept], norms[kept]
         keys.flags.writeable = False
         stack.flags.writeable = False
         m = keys.size
 
         leaf_norm_sq = np.zeros(nb * nb, dtype=np.float64)
-        leaf_norm_sq[keys] = _leaf_norm_sq(stack)
+        leaf_norm_sq[keys] = norms
         leaf_nonzero = np.zeros(nb * nb, dtype=bool)
         leaf_nonzero[keys] = True
         # An absent block maps past the end of the stack, so gathering one
@@ -233,7 +241,10 @@ def from_dense(dense, leaf_size=4, dtype=None):
     mask = _nonzero_blocks(arr, leaf_size)
     keys = np.flatnonzero(mask)
     grid = arr.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
-    stack = grid[keys // nb, keys % nb]
+    if keys.size == nb * nb:  # a plain copy is about twice as fast as the gather
+        stack = grid.copy().reshape(keys.size, leaf_size, leaf_size)
+    else:
+        stack = grid[keys // nb, keys % nb]
     # Bitwise symmetry (-0.0 is not +0.0) of the pattern and the kept blocks.
     symmetric = np.array_equal(mask, mask.T)
     if symmetric:
@@ -337,10 +348,10 @@ def filter_drop(m, tau):
 
     Returns a new tree without the dropped leaves and with interior norms
     re-aggregated; every surviving leaf is bit-identical to its source.
-    Idempotent for a fixed tau.  tau < 0 is rejected.
+    Idempotent for a fixed tau.  A negative or non-finite tau is rejected.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     drop = np.sqrt(m._norm_sq[m.depth].reshape(-1)[m._keys]) < tau
     if not drop.any():
         return m

@@ -24,7 +24,8 @@ from spamm.multiply import (
 from spamm.purification import DroppingMode, SpammMode, purify
 from spamm.quadtree import DimensionMismatchError, from_dense
 
-from conftest import (is_bitwise_symmetric, norm_submultiplicativity_check,
+from conftest import (is_bitwise_symmetric, mirrored_child_sum,
+                      mirrored_sum_of_squares, norm_submultiplicativity_check,
                       oracle_matmul, padded_dense)
 
 
@@ -121,18 +122,12 @@ def _flat_reference(pa, pb, leaf, tau):
     def tiers(padded):
         nb = n // leaf
         blocks = padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
-        acc = np.zeros((nb, nb))
-        for r in range(leaf):
-            for c in range(leaf):
-                e = blocks[:, :, r, c]
-                acc += e * e
         occ = (blocks != 0).any(axis=(2, 3))
         nsq = [None] * (depth + 1)
         occs = [None] * (depth + 1)
-        nsq[depth], occs[depth] = acc, occ
+        nsq[depth], occs[depth] = mirrored_sum_of_squares(blocks), occ
         for k in range(depth - 1, -1, -1):
-            f = nsq[k + 1]
-            nsq[k] = ((f[0::2, 0::2] + f[0::2, 1::2]) + f[1::2, 0::2]) + f[1::2, 1::2]
+            nsq[k] = mirrored_child_sum(nsq[k + 1])
             o = occs[k + 1]
             occs[k] = o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2]
         return nsq, occs
@@ -241,6 +236,7 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
 
     ad, bd = operand(True), operand(False)
     a, b = from_dense(ad), from_dense(bd)
+    cubes = _spy_subcubes(monkeypatch)
     full = None
     for tau in (0.0, 1e-2):
         leaves, _, _ = _flat_reference(ad, bd, leaf, tau)
@@ -258,6 +254,121 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
             assert stats.leaf_matmuls == len(leaves)
             assert c._keys.tolist() == keys
             assert c._stack.tobytes() == blocks.tobytes()
+    assert cubes == []  # no operand tile has all its leaves stored
+
+
+_SUBCUBE_SUMS = multiply._subcube_sums
+
+
+def _spy_subcubes(monkeypatch):
+    """Record the (i, j, k) of every subcube that ``spamm`` multiplies
+    whole, in a list this returns."""
+    cubes = []
+
+    def spy(a, b, ci, cj, ck, depth):
+        cubes.extend(zip(ci.tolist(), cj.tolist(), ck.tolist()))
+        return _SUBCUBE_SUMS(a, b, ci, cj, ck, depth)
+
+    monkeypatch.setattr(multiply, "_subcube_sums", spy)
+    return cubes
+
+
+def _tile_lows(x, y, symmetric):
+    """For each triple (i, j, k) of tiles of 8 x 8 leaf blocks, the product
+    of the square roots of the smallest leaf squared norms of tile (i, k)
+    of ``x`` and tile (k, j) of ``y``; only i < j for a symmetric square."""
+    def low(m):
+        f = m._norm_sq[m.depth]
+        g = f.shape[0] // 8
+        return f.reshape(g, 8, g, 8).min(axis=(1, 3))
+
+    lx, ly = low(x), low(y)
+    g = lx.shape[0]
+    return {(i, j, k): float(np.sqrt(lx[i, k]) * np.sqrt(ly[k, j]))
+            for i, j, k in itertools.product(range(g), repeat=3)
+            if i < j or not symmetric}
+
+
+def _decaying(n, seed, band, dtype):
+    """Random operand decaying as exp(-|i - j| / 10), zero beyond ``band``
+    of the diagonal when one is given."""
+    rng = np.random.default_rng(seed)
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    d = rng.standard_normal((n, n)) * np.exp(-dist / 10)
+    if band is not None:
+        d[dist > band] = 0.0
+    return d.astype(dtype)
+
+
+@pytest.mark.parametrize("n, leaf, band, dtype", [
+    (64, 4, None, np.float64),
+    (64, 8, None, np.float64),    # the root is the only tile triple
+    (100, 4, None, np.float64),   # padded: tiles holding padding stay below
+    (100, 8, None, np.float32),
+    (128, 4, 60, np.float64),     # banded: tiles off the diagonal lack leaves
+    (128, 8, None, np.float32),
+    (100, 4, 60, np.float32),
+])
+def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, dtype):
+    """A triple whose 8 x 8 x 8 leaf triples all survive, by the smallest
+    leaf norms of its two tiles, is multiplied as a whole subcube; the
+    product bytes are the pure-Python pairwise sum over k of the flat
+    recursion's leaf products, and every stat is that of the leaf path
+    alone.  For A B, whose dense float64 leaf products hold -0.0 at (0, 0),
+    and for the symmetric square; at tau 0, at a pruning tau and at a tau
+    tied with one subcube's smallest norm product; in one chunk and in
+    chunks smaller than one subcube."""
+    ad, bd = _decaying(n, 1, band, dtype), _decaying(n, 2, band, dtype)
+    # tiny rows of A and columns of B: each float64 leaf product's (0, 0)
+    # underflows to -0.0 (the float32 GEMM gives +0.0, and a zero outside a
+    # band adds a +0.0 term)
+    negative_zeros = dtype == np.float64 and band is None
+    if negative_zeros:
+        ad[0::leaf] = np.where(ad[0::leaf] != 0, -1e-200, 0.0)
+        bd[:, 0::leaf] = np.where(bd[:, 0::leaf] != 0, 1e-200, 0.0)
+    sd = ad.astype(np.float64) + ad.T
+    pairs = [(from_dense(ad, leaf, dtype), from_dense(bd, leaf, dtype))]
+    inside = n // (8 * leaf)  # tiles that hold no padding, per side
+    if inside >= 2:  # else every subcube of a symmetric square is diagonal
+        x = from_dense(sd, leaf, dtype)
+        assert x.symmetric
+        pairs.append((x, x))
+    for a, b in pairs:
+        symmetric = a is b
+        lows = _tile_lows(a, b, symmetric)
+        tie = max(lows.values())
+        for tau in (0.0, 1e-2, tie):
+            leaves, boxes, budget = _flat_reference(
+                padded_dense(a), padded_dense(b), leaf, tau)
+            keys, blocks, _, _ = _pairwise_reference(
+                padded_dense(a), padded_dense(b), leaf, leaves)
+            if negative_zeros and not symmetric:
+                assert np.signbit(blocks[:, 0, 0]).all()
+            expect = {cube for cube, low in lows.items() if low >= tau and low > 0}
+            monkeypatch.setattr(multiply, "_CUBE_LEVELS", 64)  # no subcube tier
+            leaf_path = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))[1]
+            monkeypatch.undo()
+            cubes = _spy_subcubes(monkeypatch)
+            for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
+                monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+                cubes.clear()
+                c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
+                assert set(cubes) == expect and len(cubes) == len(expect)
+                assert all(max(cube) < inside for cube in cubes)
+                assert c._keys.tolist() == keys
+                assert c._stack.tobytes() == blocks.tobytes()
+                assert stats == leaf_path
+                assert stats.leaf_matmuls == len(leaves)
+                assert {(bx.tier, bx.i_lo, bx.j_lo, bx.k_lo, bx.edge)
+                        for bx in stats.boxes} == boxes
+                assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
+                assert stats.covered_volume(leaf) == a.padded_dim ** 3
+            if tau == 0.0:
+                assert cubes
+            elif tau == tie:
+                assert max(lows, key=lows.get) in cubes  # computed at the tie
+            else:
+                assert stats.pruned_volume > 0
 
 
 # ------------------------------------------------------- symmetric squares

@@ -161,6 +161,13 @@ def test_filter_matches_flat_scan():
     assert int(filtered._occupied[filtered.depth].sum()) == int(keep.sum())
 
 
+def test_filter_rejects_bad_tau():
+    m = from_dense(np.ones((8, 8)))
+    for tau in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            filter_drop(m, tau)
+
+
 def test_filter_idempotent():
     rng = np.random.default_rng(5)
     m = from_dense(rng.standard_normal((32, 32)) * 1e-3)
@@ -261,6 +268,26 @@ def test_from_dense_matches_full_rebuild():
     m = from_dense(d)
     assert m._keys.tolist() == [0, 2, 3]
     _assert_matches_full_rebuild(m)
+    # a block of 1e-200 has a squared norm of 0, yet it is stored
+    d[:4, 4:] = 1e-200
+    m = from_dense(d)
+    assert m._keys.tolist() == [0, 1, 2, 3]
+    assert m._norm_sq[m.depth][0, 1] == 0.0
+    _assert_matches_full_rebuild(m)
+
+
+def test_from_dense_copies_a_fully_stored_input():
+    """An input whose every block is stored is copied, never aliased: with
+    one block, with leaf size 1, padded or not."""
+    for n, leaf in ((4, 4), (3, 4), (8, 1), (64, 4)):
+        d = np.random.default_rng(n).standard_normal((n, n))
+        m = from_dense(d, leaf_size=leaf)
+        assert m._keys.size == m.block_grid ** 2
+        _assert_matches_full_rebuild(m)
+        before = m.to_dense()
+        d[...] = 0.0
+        assert d.flags.writeable
+        assert m.to_dense().tobytes() == before.tobytes()
 
 
 def test_from_dense_strips_keep_every_block(monkeypatch):
