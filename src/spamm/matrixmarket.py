@@ -93,6 +93,9 @@ def read_matrix_market(path):
         for line in data_lines:
             i_s, j_s, v_s = line.split()
             i, j = int(i_s) - 1, int(j_s) - 1
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i_s}, {j_s}) lies outside the "
+                                 f"{rows} x {cols} matrix")
             v = float(v_s)
             out[i, j] += v
             if symmetry == "symmetric" and i != j:

@@ -22,16 +22,18 @@ absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
-as a whole subcube, or at the leaf tier.  At tier depth - 3 a triple whose
-two operand tiles of 8 x 8 leaf blocks are fully stored, and whose smallest
-leaf norms have a product ``>= tau``, is a whole subcube: a node's norm is
-never below any of its leaves' (float sums and square roots are monotone),
-so no call below it would be skipped or pruned.  Its 512 leaf products come
-from one broadcast ``np.matmul``, which runs each leaf product's GEMM as the
-batched one does, and three slab adds sum them over k; on a complete
-aligned window of 8 that is the pairwise tree itself.  The sums enter the
-leaf stage's merge as level-3 nodes beside the leaf products' nodes, so
-each C block still has one summation tree and one order.
+as a whole subcube, or at the leaf tier.  At each tier depth - L for L = 3,
+2, 1, a triple whose two operand tiles of 2**L x 2**L leaf blocks are fully
+stored, and whose smallest leaf norms have a product ``>= tau``, is a whole
+subcube: a node's norm is never below any of its leaves' (float sums and
+square roots are monotone), so no call below it would be skipped or
+pruned.  A triple that is not whole at one tier is tried again as 8
+children at the next.  A subcube's leaf products come from one broadcast or
+stacked ``np.matmul``, which runs each leaf product's GEMM as the batched
+one does, and L slab adds sum them over k; on a complete aligned window of
+2**L that is the pairwise tree itself.  The sums enter the leaf stage's
+merge as level-L nodes beside the leaf products' nodes, so each C block
+still has one summation tree and one order.
 
 The leaf stage plans the merge on the sorted integer keys
 ``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
@@ -45,8 +47,9 @@ order.  No level copies the product stack.
 
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
-all strict-upper; only those become whole subcubes) and writes C_ji as a
-transposed copy of C_ij.  Triple (j, i, k) multiplies the transposes of the
+all strict-upper) and writes C_ji as a transposed copy of C_ij.  A
+diagonal triple (i == j) that is whole makes only its leaf blocks with
+i <= j, for every k.  Triple (j, i, k) multiplies the transposes of the
 blocks of (i, j, k) in swapped order; each C element is summed over the
 inner index in order, as the leaf GEMMs do, so its leaf product is that
 product's transpose, merged in the same order.  Cached norms are
@@ -71,11 +74,9 @@ _DK = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.intp)
 # Leaf products are batched; cap the scratch size per batch (in elements).
 _CHUNK_ELEMENTS = 1 << 23
 
-# A whole subcube spans 2**_CUBE_LEVELS leaf blocks along each axis and
-# leaves the traversal at tier depth - _CUBE_LEVELS.
-_CUBE_LEVELS = 3
-_CUBE_EDGE = 1 << _CUBE_LEVELS
-_CUBE_OFFSETS = np.arange(_CUBE_EDGE, dtype=np.intp)
+# A triple at tier depth - L, for each L here, may leave the traversal as a
+# whole subcube of 2**L leaf blocks along each axis.
+_CUBE_LEVELS = (3, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,8 @@ def spamm(a, b, config=None):
 
     keys = np.zeros(0, dtype=np.intp)
     blocks = np.zeros((0, a.leaf_size, a.leaf_size), dtype=a.dtype)
-    cubes = (keys, keys, keys)  # (i, j, k) of the whole subcubes
+    cubes = []  # (level, diagonal, i, j, k) of the whole subcubes, per tier
+    lows = None  # smallest leaf squared norms under each tile, per level
 
     ia = ja = ka = np.zeros(1, dtype=np.intp)
 
@@ -208,27 +210,31 @@ def spamm(a, b, config=None):
 
         if tier == depth:
             stats.leaf_matmuls += int(weight[active].sum())
-            if active.any() or cubes[0].size:
+            if active.any() or cubes:
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
                     np.take(a._index, fa[active]), np.take(b._index, fb[active]),
                     cubes, depth)
             break
 
-        if tier == depth - _CUBE_LEVELS and active.any():
+        level = depth - tier
+        if level in _CUBE_LEVELS and active.any():
             # Every leaf triple below a triple whose operand tiles have all
             # leaves stored, with smallest norms whose product is >= tau,
             # is computed: a node's norm is never below one of its leaves'.
-            # The diagonal triples of a symmetric square stay below, where
-            # the traversal keeps only their upper children.
-            low_a = _tile_min_norm_sq(a, tier)
-            low_b = low_a if b is a else _tile_min_norm_sq(b, tier)
-            low = np.sqrt(np.take(low_a, fa)) * np.sqrt(np.take(low_b, fb))
+            # A diagonal triple of a symmetric square stands for its leaf
+            # triples with i <= j alone, weight 1 for the whole cube.
+            if lows is None:
+                low_a = _tile_min_norm_sq(a)
+                lows = (low_a, low_a if b is a else _tile_min_norm_sq(b))
+            low = (np.sqrt(np.take(lows[0][level], fa))
+                   * np.sqrt(np.take(lows[1][level], fb)))
             whole = active & (low >= tau) & (low > 0)
-            if symmetric:
-                whole &= mirrored
-            stats.leaf_matmuls += _CUBE_EDGE ** 3 * int(weight[whole].sum())
-            cubes = (ia[whole], ja[whole], ka[whole])
+            stats.leaf_matmuls += (1 << 3 * level) * int(weight[whole].sum())
+            diagonal = whole & (ia == ja) if symmetric else np.zeros_like(whole)
+            for on_diagonal, part in ((False, whole & ~diagonal), (True, diagonal)):
+                if part.any():
+                    cubes.append((level, on_diagonal, ia[part], ja[part], ka[part]))
             active &= ~whole
 
         ia = (ia[active, None] * 2 + _DI).ravel()
@@ -244,14 +250,17 @@ def spamm(a, b, config=None):
     return c, stats
 
 
-def _tile_min_norm_sq(m, tier):
-    """Smallest leaf squared norm under each node of ``tier``: an unstored
-    leaf counts as 0."""
+def _tile_min_norm_sq(m):
+    """Smallest leaf squared norm under each node of tier depth - L, for
+    each L of ``_CUBE_LEVELS`` up to the depth, keyed by L: an unstored
+    leaf counts as 0.  One pass up from the leaves."""
     f = m._norm_sq[m.depth]
-    for _ in range(m.depth - tier):
+    grids = {}
+    for level in range(1, min(max(_CUBE_LEVELS), m.depth) + 1):
         f = np.minimum(np.minimum(f[0::2, 0::2], f[0::2, 1::2]),
                        np.minimum(f[1::2, 0::2], f[1::2, 1::2]))
-    return f
+        grids[level] = f
+    return grids
 
 
 def _mirror(keys, blocks, nb):
@@ -271,9 +280,10 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     them per C block, in chunks of about ``_CHUNK_ELEMENTS`` product
     elements.  ``keys`` are the leaf triples' keys ``(i*nb + j)*nb + k``,
     ``rows_a`` and ``rows_b`` the stack rows of their operand blocks;
-    ``cubes`` holds the (i, j, k) of the whole subcubes at tier depth -
-    _CUBE_LEVELS.  Returns the C block keys ``i * nb + j`` in increasing
-    order and the (m, b, b) stack of merged blocks in that order."""
+    ``cubes`` lists the whole subcubes as ``(level, diagonal, i, j, k)``,
+    see ``_subcube_sums``.  Returns the C block keys ``i * nb + j`` in
+    increasing order and the (m, b, b) stack of merged blocks in that
+    order."""
     leaf = a.leaf_size
     # The (i, j, k) triples are unique, so any sort of their row-major keys
     # gives the same permutation; nb**3 fits in intp for any nb whose
@@ -281,11 +291,13 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     order = np.argsort(keys)
     keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
     groups = keys >> depth
-    if cubes[0].size:
-        node_keys, sums = _subcube_sums(a, b, *cubes, depth)
+    if cubes:
+        node_keys, sums = (np.concatenate(part) for part in zip(
+            *(_subcube_sums(a, b, *cube, depth) for cube in cubes)))
         groups = np.sort(np.concatenate((groups, node_keys >> depth)))
     else:
-        node_keys, sums = cubes[0], np.zeros((0, leaf, leaf), dtype=a.dtype)
+        node_keys = np.zeros(0, dtype=np.intp)
+        sums = np.zeros((0, leaf, leaf), dtype=a.dtype)
     node_rows = np.argsort(node_keys)
     node_keys = node_keys[node_rows]
     # A chunk holds the groups that start within one span of chunk_triples
@@ -305,35 +317,45 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _subcube_sums(a, b, ci, cj, ck, depth):
-    """Multiply whole subcubes: those at (ci, cj, ck) in tier depth -
-    _CUBE_LEVELS.  Each one's leaf products come from one broadcast
-    ``np.matmul`` of its two operand tiles, which runs the GEMM of each leaf
-    product as a stack of them does.  The sum over k then follows the
-    merge's pairwise tree, which on a complete aligned window has no lone
-    nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
-    level-``_CUBE_LEVELS`` merge nodes made, and their (m, b, b) stack in
-    that order."""
-    e, leaf, nb = _CUBE_EDGE, a.leaf_size, a.block_grid
-    rows = (ci[:, None] * e + _CUBE_OFFSETS)[None, :, :]     # [1, cube, i]
-    cols = (cj[:, None] * e + _CUBE_OFFSETS)[None, :, :]     # [1, cube, j]
-    inner = (ck[:, None] * e + _CUBE_OFFSETS).T[:, :, None]  # [k, cube, 1]
-    flat_a = np.take(a._index, rows * nb + inner)            # [k, cube, i]
-    flat_b = np.take(b._index, inner * nb + cols)            # [k, cube, j]
-    sums = np.empty((ci.size, e, e, leaf, leaf), dtype=a.dtype)
-    batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
+def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth):
+    """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
+    each of edge e = 2**level leaf blocks.  A ``diagonal`` subcube of a
+    symmetric square (ci == cj) makes only its e (e + 1) / 2 leaf blocks
+    with i <= j, as one stacked ``np.matmul`` of their gathered operands;
+    any other makes all e * e, as one broadcast ``np.matmul`` of its two
+    operand tiles.  Either runs the GEMM of each leaf product as a stack of
+    them does.  The sum over k then follows the merge's pairwise tree,
+    which on a complete aligned window has no lone nodes.  Returns the keys
+    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made, and
+    their (m, b, b) stack in that order."""
+    e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
+    if diagonal:  # leaf pairs i <= j; operand blocks gathered per pair
+        pi, pj = np.triu_indices(e)
+        lhs, rhs = pi, pj
+    else:  # all e * e leaf pairs; each operand tile gathered once
+        pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
+        lhs = rhs = np.arange(e, dtype=np.intp)
+    inner = (ck[:, None] * e + np.arange(e)).T[:, :, None]            # [k, cube, 1]
+    flat_a = np.take(a._index, (ci[:, None] * e + lhs) * nb + inner)  # [k, cube, lhs]
+    flat_b = np.take(b._index, inner * nb + (cj[:, None] * e + rhs))  # [k, cube, rhs]
+    sums = np.empty((ci.size, pi.size, leaf, leaf), dtype=a.dtype)
+    batch = max(1, _CHUNK_ELEMENTS // (e * pi.size * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)
         tile_b = np.take(b._stack, flat_b[:, lo:lo + batch], axis=0)
-        prod = np.matmul(tile_a[:, :, :, None], tile_b[:, :, None])  # [k, cube, i, j]
+        if diagonal:
+            prod = np.matmul(tile_a, tile_b)  # [k, cube, pair]
+        else:
+            prod = np.matmul(tile_a[:, :, :, None], tile_b[:, :, None])
+            prod = prod.reshape(e, -1, e * e, leaf, leaf)  # [k, cube, i*e + j]
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
         step = 1
         while step < e // 2:
             np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
             step *= 2
         np.add(prod[0], prod[step], out=sums[lo:lo + batch])
-    keys = (((rows[0, :, :, None] * nb + cols[0, :, None, :]) << depth)
-            + ck[:, None, None] * e)
+    keys = ((((ci[:, None] * e + pi) * nb + cj[:, None] * e + pj) << depth)
+            + ck[:, None] * e)
     return keys.reshape(-1), sums.reshape(-1, leaf, leaf)
 
 
@@ -341,8 +363,8 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, nodes, depth):
     """Multiply and merge one chunk of whole groups: the leaf triples at
     ``keys``, sorted, and the subcube sums ``nodes`` at sorted
     ``node_keys``.  At merge level l, nodes whose keys agree above bit l are
-    siblings, and the first (lower k) absorbs the second; a subcube sum is
-    a node from level _CUBE_LEVELS on."""
+    siblings, and the first (lower k) absorbs the second; the sum of a
+    subcube of edge 2**L is a node from level L on."""
     m = keys.size
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)

@@ -279,3 +279,10 @@ def test_exit_codes(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--sizes", "16", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+    # a 0 index used to wrap round to the last row, giving diag(1, 0, 5)
+    zero_index = tmp_path / "zero.mtx"
+    zero_index.write_text("%%MatrixMarket matrix coordinate real general\n"
+                          "3 3 2\n1 1 1.0\n0 0 5.0\n")
+    assert main(["purify", "--f", str(zero_index), "--n-occ", "1"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -117,3 +117,15 @@ def test_read_rejects_malformed(tmp_path):
         write_matrix_market(np.eye(2), tmp_path / "x.mtx", fmt="harwell")
     with pytest.raises(ValueError):
         write_matrix_market(np.zeros(3), tmp_path / "x.mtx")
+
+
+@pytest.mark.parametrize("entry", ["0 1 5.0", "1 0 5.0", "4 1 5.0", "1 4 5.0",
+                                   "-1 2 5.0"])
+def test_read_rejects_out_of_range_coordinates(tmp_path, entry):
+    """Indices are 1-based and bounded by the size line: a 0 or negative
+    index must not wrap round to the last row or column."""
+    path = tmp_path / "out.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"3 3 2\n2 2 1.0\n{entry}\n")
+    with pytest.raises(ValueError, match="outside the 3 x 3 matrix"):
+        read_matrix_market(path)

@@ -107,6 +107,26 @@ def test_permutation_times_transpose_is_identity():
 
 # ---------------------------------------------- independent flat recursion
 
+def _flat_tiers(padded, leaf):
+    """The depth, and the squared norms and occupancies of every tier of a
+    padded dense operand, summed in the library's order."""
+    n = padded.shape[0]
+    depth = 0
+    while leaf << depth < n:
+        depth += 1
+    nb = n // leaf
+    blocks = padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
+    nsq = [None] * (depth + 1)
+    occs = [None] * (depth + 1)
+    nsq[depth] = mirrored_sum_of_squares(blocks)
+    occs[depth] = (blocks != 0).any(axis=(2, 3))
+    for k in range(depth - 1, -1, -1):
+        nsq[k] = mirrored_child_sum(nsq[k + 1])
+        o = occs[k + 1]
+        occs[k] = o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2]
+    return depth, nsq, occs
+
+
 def _flat_reference(pa, pb, leaf, tau):
     """Straight-line re-implementation of the pruned product recursion.
 
@@ -115,25 +135,8 @@ def _flat_reference(pa, pb, leaf, tau):
     are bit-for-bit comparable, but shares no traversal code with it.
     """
     n = pa.shape[0]
-    depth = 0
-    while leaf << depth < n:
-        depth += 1
-
-    def tiers(padded):
-        nb = n // leaf
-        blocks = padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
-        occ = (blocks != 0).any(axis=(2, 3))
-        nsq = [None] * (depth + 1)
-        occs = [None] * (depth + 1)
-        nsq[depth], occs[depth] = mirrored_sum_of_squares(blocks), occ
-        for k in range(depth - 1, -1, -1):
-            nsq[k] = mirrored_child_sum(nsq[k + 1])
-            o = occs[k + 1]
-            occs[k] = o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2]
-        return nsq, occs
-
-    nsq_a, occ_a = tiers(pa)
-    nsq_b, occ_b = tiers(pb)
+    depth, nsq_a, occ_a = _flat_tiers(pa, leaf)
+    _, nsq_b, occ_b = _flat_tiers(pb, leaf)
     leaves = []
     budget = 0.0
     boxes = set()
@@ -217,7 +220,9 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
     """Product bytes equal the pure-Python pairwise sum over k, with lone
     contributions at every merge level and leaf products holding -0.0 (a
     lone -0.0 must pass through, not become +0.0), at tau 0 and at a
-    pruning tau, in one chunk and with every group alone in its chunk."""
+    pruning tau, in one chunk and with every group alone in its chunk; on
+    the leaf path alone, and with the few 2 x 2 x 2-block subcubes whose
+    tiles are fully stored taken whole."""
     n, leaf = 64, 4
     nb = n // leaf
     rng = np.random.default_rng(12)
@@ -236,7 +241,7 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
 
     ad, bd = operand(True), operand(False)
     a, b = from_dense(ad), from_dense(bd)
-    cubes = _spy_subcubes(monkeypatch)
+    lows = _tile_lows(ad, bd, leaf)
     full = None
     for tau in (0.0, 1e-2):
         leaves, _, _ = _flat_reference(ad, bd, leaf, tau)
@@ -248,45 +253,109 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
         assert min(lone) > 0, lone
         assert np.signbit(prods[:, 0, 0]).all()
         assert np.signbit(blocks[:, 0, 0]).all()
-        for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
-            monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
-            c, stats = spamm(a, b, SpammConfig(tau=tau))
-            assert stats.leaf_matmuls == len(leaves)
-            assert c._keys.tolist() == keys
-            assert c._stack.tobytes() == blocks.tobytes()
-    assert cubes == []  # no operand tile has all its leaves stored
+        expect = _cube_walk(ad, bd, leaf, tau, False, lows)
+        assert {edge for edge, *_ in expect} <= {2}
+        assert expect or tau
+        for levels in ((), multiply._CUBE_LEVELS):
+            cubes = _spy_subcubes(monkeypatch)
+            monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
+            for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
+                monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+                cubes.clear()
+                c, stats = spamm(a, b, SpammConfig(tau=tau))
+                assert stats.leaf_matmuls == len(leaves)
+                assert c._keys.tolist() == keys
+                assert c._stack.tobytes() == blocks.tobytes()
+                want = sorted(expect) if levels else []
+                assert sorted(cube[:4] for cube in cubes) == want
+            monkeypatch.undo()
 
 
 _SUBCUBE_SUMS = multiply._subcube_sums
 
 
 def _spy_subcubes(monkeypatch):
-    """Record the (i, j, k) of every subcube that ``spamm`` multiplies
-    whole, in a list this returns."""
+    """Record every subcube that ``spamm`` multiplies whole, as ``(edge, i,
+    j, k, diagonal)`` with (i, j, k) in tiles of edge x edge leaf blocks,
+    in a list this returns."""
     cubes = []
 
-    def spy(a, b, ci, cj, ck, depth):
-        cubes.extend(zip(ci.tolist(), cj.tolist(), ck.tolist()))
-        return _SUBCUBE_SUMS(a, b, ci, cj, ck, depth)
+    def spy(a, b, level, diagonal, ci, cj, ck, depth):
+        cubes.extend((1 << level, i, j, k, diagonal)
+                     for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
+        return _SUBCUBE_SUMS(a, b, level, diagonal, ci, cj, ck, depth)
 
     monkeypatch.setattr(multiply, "_subcube_sums", spy)
     return cubes
 
 
-def _tile_lows(x, y, symmetric):
-    """For each triple (i, j, k) of tiles of 8 x 8 leaf blocks, the product
-    of the square roots of the smallest leaf squared norms of tile (i, k)
-    of ``x`` and tile (k, j) of ``y``; only i < j for a symmetric square."""
-    def low(m):
-        f = m._norm_sq[m.depth]
-        g = f.shape[0] // 8
-        return f.reshape(g, 8, g, 8).min(axis=(1, 3))
+_CUBE_EDGES = (8, 4, 2)
 
-    lx, ly = low(x), low(y)
-    g = lx.shape[0]
-    return {(i, j, k): float(np.sqrt(lx[i, k]) * np.sqrt(ly[k, j]))
-            for i, j, k in itertools.product(range(g), repeat=3)
-            if i < j or not symmetric}
+
+def _tile_lows(pa, pb, leaf):
+    """For each cube edge e no wider than the block grid, and each triple
+    (i, j, k) of tiles of e x e leaf blocks, the product of the square roots
+    of the smallest leaf squared norms of tile (i, k) of A and tile (k, j)
+    of B (0 where a leaf is unstored).  Returns ``{e: array[i, j, k]}``."""
+    leaf_a, leaf_b = (_flat_tiers(p, leaf)[1][-1] for p in (pa, pb))
+
+    def low(f, edge):
+        g = f.shape[0] // edge
+        return np.sqrt(f.reshape(g, edge, g, edge).min(axis=(1, 3)))
+
+    return {edge: low(leaf_a, edge)[:, None, :] * low(leaf_b, edge).T[None, :, :]
+            for edge in _CUBE_EDGES if edge <= leaf_a.shape[0]}
+
+
+def _cube_walk(pa, pb, leaf, tau, symmetric, lows):
+    """The whole subcubes of the pruned recursion, by a depth-first walk
+    sharing no code with the library: a triple at a tier whose tiles are
+    8, 4 or 2 leaf blocks wide is whole when it is alive, is not pruned and
+    its two tiles' smallest leaf norms have a product >= tau and > 0; only
+    a triple that is alive, not pruned and not whole is split.  For a
+    symmetric square the walk keeps the triples with i <= j, as the
+    traversal does, so the diagonal ones (i == j) can be whole too.
+    ``lows`` is ``_tile_lows(pa, pb, leaf)``.  Returns the set of ``(edge,
+    i, j, k)``."""
+    depth, nsq_a, occ_a = _flat_tiers(pa, leaf)
+    _, nsq_b, occ_b = _flat_tiers(pb, leaf)
+    cubes = set()
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        tier, i, j, k = stack.pop()
+        if symmetric and i > j:
+            continue
+        if not (occ_a[tier][i, k] and occ_b[tier][k, j]):
+            continue
+        if math.sqrt(nsq_a[tier][i, k]) * math.sqrt(nsq_b[tier][k, j]) < tau:
+            continue
+        edge = 1 << (depth - tier)
+        if edge in lows and lows[edge][i, j, k] >= tau and lows[edge][i, j, k] > 0:
+            cubes.add((edge, i, j, k))
+            continue
+        if tier < depth:
+            stack.extend((tier + 1, 2 * i + di, 2 * j + dj, 2 * k + dk)
+                         for di, dj, dk in itertools.product((0, 1), repeat=3))
+    return cubes
+
+
+def _tied_taus(lows, symmetric):
+    """For each cube edge, the largest tau equal to the smallest-norm
+    product of a tile triple that the walk reaches at that tau: every
+    enclosing tile triple of a larger edge has a smaller product, so none
+    of them is whole.  Returns ``{edge: (tau, (i, j, k))}``."""
+    ties = {}
+    for edge, low in lows.items():
+        for (i, j, k), tau in sorted(np.ndenumerate(low), key=lambda t: -t[1]):
+            if tau == 0:
+                break
+            if symmetric and i > j:
+                continue
+            if all(up_low[i * edge // up, j * edge // up, k * edge // up] < tau
+                   for up, up_low in lows.items() if up > edge):
+                ties[edge] = (float(tau), (i, j, k))
+                break
+    return ties
 
 
 def _decaying(n, seed, band, dtype):
@@ -302,7 +371,7 @@ def _decaying(n, seed, band, dtype):
 
 @pytest.mark.parametrize("n, leaf, band, dtype", [
     (64, 4, None, np.float64),
-    (64, 8, None, np.float64),    # the root is the only tile triple
+    (64, 8, None, np.float64),    # the root is the only 8-wide tile triple
     (100, 4, None, np.float64),   # padded: tiles holding padding stay below
     (100, 8, None, np.float32),
     (128, 4, 60, np.float64),     # banded: tiles off the diagonal lack leaves
@@ -310,14 +379,16 @@ def _decaying(n, seed, band, dtype):
     (100, 4, 60, np.float32),
 ])
 def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, dtype):
-    """A triple whose 8 x 8 x 8 leaf triples all survive, by the smallest
-    leaf norms of its two tiles, is multiplied as a whole subcube; the
+    """A triple whose leaf triples all survive, by the smallest leaf norms
+    of its two tiles, is multiplied as a whole subcube at the tiers whose
+    tiles are 8, 4 and 2 leaf blocks wide, diagonal ones of a symmetric
+    square included; the cubes run are those of a pure-Python walk, the
     product bytes are the pure-Python pairwise sum over k of the flat
     recursion's leaf products, and every stat is that of the leaf path
     alone.  For A B, whose dense float64 leaf products hold -0.0 at (0, 0),
     and for the symmetric square; at tau 0, at a pruning tau and at a tau
-    tied with one subcube's smallest norm product; in one chunk and in
-    chunks smaller than one subcube."""
+    tied with one cube's smallest norm product at each edge; in one chunk
+    and in chunks smaller than one cube of any edge."""
     ad, bd = _decaying(n, 1, band, dtype), _decaying(n, 2, band, dtype)
     # tiny rows of A and columns of B: each float64 leaf product's (0, 0)
     # underflows to -0.0 (the float32 GEMM gives +0.0, and a zero outside a
@@ -326,35 +397,37 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
     if negative_zeros:
         ad[0::leaf] = np.where(ad[0::leaf] != 0, -1e-200, 0.0)
         bd[:, 0::leaf] = np.where(bd[:, 0::leaf] != 0, 1e-200, 0.0)
-    sd = ad.astype(np.float64) + ad.T
-    pairs = [(from_dense(ad, leaf, dtype), from_dense(bd, leaf, dtype))]
-    inside = n // (8 * leaf)  # tiles that hold no padding, per side
-    if inside >= 2:  # else every subcube of a symmetric square is diagonal
-        x = from_dense(sd, leaf, dtype)
-        assert x.symmetric
-        pairs.append((x, x))
-    for a, b in pairs:
+    x = from_dense(ad.astype(np.float64) + ad.T, leaf, dtype)
+    assert x.symmetric
+    for a, b in ((from_dense(ad, leaf, dtype), from_dense(bd, leaf, dtype)), (x, x)):
         symmetric = a is b
-        lows = _tile_lows(a, b, symmetric)
-        tie = max(lows.values())
-        for tau in (0.0, 1e-2, tie):
-            leaves, boxes, budget = _flat_reference(
-                padded_dense(a), padded_dense(b), leaf, tau)
-            keys, blocks, _, _ = _pairwise_reference(
-                padded_dense(a), padded_dense(b), leaf, leaves)
+        pa, pb = padded_dense(a), padded_dense(b)
+        lows = _tile_lows(pa, pb, leaf)
+        ties = _tied_taus(lows, symmetric)
+        assert set(ties) == set(_CUBE_EDGES)
+        cases = [(0.0, None), (1e-2, None),
+                 *((tau, (edge, *cube)) for edge, (tau, cube) in ties.items())]
+        for tau, tied in cases:
+            leaves, boxes, budget = _flat_reference(pa, pb, leaf, tau)
+            keys, blocks, _, _ = _pairwise_reference(pa, pb, leaf, leaves)
             if negative_zeros and not symmetric:
                 assert np.signbit(blocks[:, 0, 0]).all()
-            expect = {cube for cube, low in lows.items() if low >= tau and low > 0}
-            monkeypatch.setattr(multiply, "_CUBE_LEVELS", 64)  # no subcube tier
+            expect = _cube_walk(pa, pb, leaf, tau, symmetric, lows)
+            cubes = _spy_subcubes(monkeypatch)
+            monkeypatch.setattr(multiply, "_CUBE_LEVELS", ())  # no cube tier
             leaf_path = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))[1]
+            assert cubes == []
             monkeypatch.undo()
             cubes = _spy_subcubes(monkeypatch)
             for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
-                assert set(cubes) == expect and len(cubes) == len(expect)
-                assert all(max(cube) < inside for cube in cubes)
+                assert sorted(cube[:4] for cube in cubes) == sorted(expect)
+                assert all(diagonal == (symmetric and i == j)
+                           for _, i, j, _, diagonal in cubes)
+                assert all((max(i, j, k) + 1) * edge * leaf <= n
+                           for edge, i, j, k, _ in cubes)  # no padding
                 assert c._keys.tolist() == keys
                 assert c._stack.tobytes() == blocks.tobytes()
                 assert stats == leaf_path
@@ -363,10 +436,12 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                         for bx in stats.boxes} == boxes
                 assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
                 assert stats.covered_volume(leaf) == a.padded_dim ** 3
+            monkeypatch.undo()
             if tau == 0.0:
                 assert cubes
-            elif tau == tie:
-                assert max(lows, key=lows.get) in cubes  # computed at the tie
+                assert any(diagonal for *_, diagonal in cubes) == symmetric
+            elif tied:
+                assert tied in expect  # computed at the tie
             else:
                 assert stats.pruned_volume > 0
 
