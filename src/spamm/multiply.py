@@ -22,18 +22,24 @@ absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
-as a whole subcube, or at the leaf tier.  At each tier depth - L for L = 3,
-2, 1, a triple whose two operand tiles of 2**L x 2**L leaf blocks are fully
-stored, and whose smallest leaf norms have a product ``>= tau``, is a whole
-subcube: a node's norm is never below any of its leaves' (float sums and
-square roots are monotone), so no call below it would be skipped or
-pruned.  A triple that is not whole at one tier is tried again as 8
-children at the next.  A subcube's leaf products come from one broadcast or
-stacked ``np.matmul``, which runs each leaf product's GEMM as the batched
-one does, and L slab adds sum them over k; on a complete aligned window of
+as a whole subcube, or at the leaf tier.  At each tier depth - L for L = 4,
+3, 2, 1 whose cubes' (2**L)**3 leaf products fit the scratch cap, a triple
+whose two operand tiles of 2**L x 2**L leaf blocks are fully stored, and
+whose smallest leaf norms have a product ``>= tau``, is a whole subcube: a
+node's norm is never below any of its leaves' (float sums and square roots
+are monotone), so no call below it would be skipped or pruned.  A triple
+that is not whole at one tier is tried again as 8 children at the next.
+For each inner block k, one GEMM of A's block column (the cube's 2**L
+blocks at column k stacked, K = leaf) by B's block row makes all of the
+cube's leaf products at that k: block (i, j) of it is A_ik B_kj, summed
+over the same K terms as that leaf product's own GEMM.  Where the BLAS
+could round the two apart (float32 at leaf 8 and up, and GEMMs beyond a
+size cap) the cube runs one broadcast GEMM per leaf product instead.
+L slab adds then sum the products over k; on a complete aligned window of
 2**L that is the pairwise tree itself.  The sums enter the leaf stage's
 merge as level-L nodes beside the leaf products' nodes, so each C block
-still has one summation tree and one order.
+still has one summation tree and one order; the one copy of each sum into
+the merge also gathers its block's rows out of the GEMM's layout.
 
 The leaf stage plans the merge on the sorted integer keys
 ``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
@@ -48,13 +54,14 @@ order.  No level copies the product stack.
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
 all strict-upper) and writes C_ji as a transposed copy of C_ij.  A
-diagonal triple (i == j) that is whole makes only its leaf blocks with
-i <= j, for every k.  Triple (j, i, k) multiplies the transposes of the
-blocks of (i, j, k) in swapped order; each C element is summed over the
-inner index in order, as the leaf GEMMs do, so its leaf product is that
-product's transpose, merged in the same order.  Cached norms are
-transpose-invariant, so the pruning test of (i, j, k) is that of (j, i, k):
-the product is the full one by construction.
+diagonal triple (i == j) that is whole runs the same full GEMMs and
+merges only its leaf blocks with i <= j, for every k.  Triple (j, i, k)
+multiplies the transposes of the blocks of (i, j, k) in swapped order;
+each C element is summed over the inner index in order, as the leaf GEMMs
+do, so its leaf product is that product's transpose, merged in the same
+order.  Cached norms are transpose-invariant, so the pruning test of
+(i, j, k) is that of (j, i, k): the product is the full one by
+construction.
 """
 
 from __future__ import annotations
@@ -76,7 +83,11 @@ _CHUNK_ELEMENTS = 1 << 23
 
 # A triple at tier depth - L, for each L here, may leave the traversal as a
 # whole subcube of 2**L leaf blocks along each axis.
-_CUBE_LEVELS = (3, 2, 1)
+_CUBE_LEVELS = (4, 3, 2, 1)
+
+# Largest M*N*K of a GEMM that multiplies a cube's block column by its block
+# row; see _column_gemm.
+_COLUMN_GEMM_MAX = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,10 @@ def spamm(a, b, config=None):
             break
 
         level = depth - tier
-        if level in _CUBE_LEVELS and active.any():
+        # A tier is tried only if the products of one of its cubes, e**3
+        # leaf blocks, fit the scratch cap.
+        if (level in _CUBE_LEVELS and active.any()
+                and a.leaf_size ** 2 << 3 * level <= _CHUNK_ELEMENTS):
             # Every leaf triple below a triple whose operand tiles have all
             # leaves stored, with smallest norms whose product is >= tau,
             # is computed: a node's norm is never below one of its leaves'.
@@ -291,15 +305,19 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     order = np.argsort(keys)
     keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
     groups = keys >> depth
+    # Each cube group writes its sums into its part of one buffer, in a
+    # layout of its own: a node's block is ``leaf`` rows of it.
+    sizes = [cube[2].size << 2 * cube[0] for cube in cubes]
+    sums = np.empty((sum(sizes), leaf, leaf), dtype=a.dtype)
+    node_keys = np.zeros(0, dtype=np.intp)
+    node_rows = np.zeros((0, leaf), dtype=np.intp)
     if cubes:
-        node_keys, sums = (np.concatenate(part) for part in zip(
-            *(_subcube_sums(a, b, *cube, depth) for cube in cubes)))
+        made = [_subcube_sums(a, b, *cube, depth, sums, offset)
+                for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
+        node_keys, node_rows = (np.concatenate(part) for part in zip(*made))
         groups = np.sort(np.concatenate((groups, node_keys >> depth)))
-    else:
-        node_keys = np.zeros(0, dtype=np.intp)
-        sums = np.zeros((0, leaf, leaf), dtype=a.dtype)
-    node_rows = np.argsort(node_keys)
-    node_keys = node_keys[node_rows]
+    order = np.argsort(node_keys)
+    node_keys, node_rows = node_keys[order], node_rows[order]
     # A chunk holds the groups that start within one span of chunk_triples
     # products, so it never splits a group (the pairwise merge needs the
     # whole contribution set) and ends within one group of the span.
@@ -310,61 +328,91 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     cuts = np.append(np.searchsorted(keys, first_keys), keys.size)
     node_cuts = np.append(np.searchsorted(node_keys, first_keys), node_keys.size)
     parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e],
-                          node_keys[t:u], np.take(sums, node_rows[t:u], axis=0), depth)
+                          node_keys[t:u], sums.reshape(-1, leaf), node_rows[t:u], depth)
              for s, e, t, u in zip(cuts, cuts[1:], node_cuts, node_cuts[1:])]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth):
+def _column_gemm(dtype, leaf, e):
+    """Whether one K = ``leaf`` GEMM of a block column of e leaf blocks by a
+    block row of e gives every block (i, j) the bits of the leaf GEMM of
+    A_ik by B_kj.  Each element is then one dot product over the same K
+    terms, but a BLAS may pick its kernel by M, N and K.  OpenBLAS's
+    SkylakeX kernels switch from their small-matrix path, whose sums of
+    -0.0 terms give -0.0, to the blocked one, which starts them from +0.0,
+    above M*N*K = 10**6; the Haswell sgemm rounds K >= 8 products
+    differently as M and N grow.  Both stay clear of the limits below."""
+    return ((e * leaf) ** 2 * leaf <= _COLUMN_GEMM_MAX
+            and (dtype == np.float64 or leaf <= 4))
+
+
+def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth, sums, start):
     """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
-    each of edge e = 2**level leaf blocks.  A ``diagonal`` subcube of a
-    symmetric square (ci == cj) makes only its e (e + 1) / 2 leaf blocks
-    with i <= j, as one stacked ``np.matmul`` of their gathered operands;
-    any other makes all e * e, as one broadcast ``np.matmul`` of its two
-    operand tiles.  Either runs the GEMM of each leaf product as a stack of
-    them does.  The sum over k then follows the merge's pairwise tree,
-    which on a complete aligned window has no lone nodes.  Returns the keys
-    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made, and
-    their (m, b, b) stack in that order."""
+    each of edge e = 2**level leaf blocks, and write the sums over k of
+    their e * e leaf blocks to the e * e * ci.size blocks of ``sums`` from
+    block ``start`` on, in the layout the GEMM leaves them.  Each inner
+    block k takes one GEMM of A's block column by B's block row where
+    ``_column_gemm`` allows, else one broadcast GEMM per leaf product, as
+    a stack of them runs.  The sum over k then follows the merge's
+    pairwise tree, which on a complete aligned window has no lone nodes.
+    Returns the keys ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge
+    nodes made, and the rows of each one's block in ``sums`` seen as rows
+    of b elements, (m, b).  A ``diagonal`` subcube of a symmetric square
+    (ci == cj) makes nodes of its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
-    if diagonal:  # leaf pairs i <= j; operand blocks gathered per pair
-        pi, pj = np.triu_indices(e)
-        lhs, rhs = pi, pj
-    else:  # all e * e leaf pairs; each operand tile gathered once
-        pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
-        lhs = rhs = np.arange(e, dtype=np.intp)
-    inner = (ck[:, None] * e + np.arange(e)).T[:, :, None]            # [k, cube, 1]
-    flat_a = np.take(a._index, (ci[:, None] * e + lhs) * nb + inner)  # [k, cube, lhs]
-    flat_b = np.take(b._index, inner * nb + (cj[:, None] * e + rhs))  # [k, cube, rhs]
-    sums = np.empty((ci.size, pi.size, leaf, leaf), dtype=a.dtype)
-    batch = max(1, _CHUNK_ELEMENTS // (e * pi.size * leaf * leaf))
+    columns = _column_gemm(a.dtype, leaf, e)
+    span = np.arange(e, dtype=np.intp)
+    inner = (ck[:, None] * e + span).T[:, :, None]                     # [k, cube, 1]
+    flat_a = np.take(a._index, (ci[:, None] * e + span) * nb + inner)  # [k, cube, i]
+    flat_b = np.take(b._index, inner * nb + (cj[:, None] * e + span))  # [k, cube, j]
+    stack_b = b._stack
+    out = sums[start:start + ci.size * e * e]
+    if columns:  # B's block row gathered one leaf row t at a time
+        flat_b = flat_b[:, :, None, :] * leaf + np.arange(leaf)[:, None]  # [k, cube, t, j]
+        stack_b = stack_b.reshape(-1, leaf)
+        out = out.reshape(-1, e * leaf, e * leaf)   # [cube, (i, r), (j, c)]
+    else:
+        out = out.reshape(-1, e, e, leaf, leaf)     # [cube, i, j, r, c]
+    batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
-        tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)
-        tile_b = np.take(b._stack, flat_b[:, lo:lo + batch], axis=0)
-        if diagonal:
-            prod = np.matmul(tile_a, tile_b)  # [k, cube, pair]
+        tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
+        tile_b = np.take(stack_b, flat_b[:, lo:lo + batch], axis=0)
+        if columns:
+            prod = np.matmul(tile_a.reshape(e, -1, e * leaf, leaf),
+                             tile_b.reshape(e, -1, leaf, e * leaf))
         else:
             prod = np.matmul(tile_a[:, :, :, None], tile_b[:, :, None])
-            prod = prod.reshape(e, -1, e * e, leaf, leaf)  # [k, cube, i*e + j]
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
         step = 1
         while step < e // 2:
             np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
             step *= 2
-        np.add(prod[0], prod[step], out=sums[lo:lo + batch])
-    keys = ((((ci[:, None] * e + pi) * nb + cj[:, None] * e + pj) << depth)
-            + ck[:, None] * e)
-    return keys.reshape(-1), sums.reshape(-1, leaf, leaf)
+        np.add(prod[0], prod[step], out=out[lo:lo + batch])
+    if diagonal:
+        pi, pj = np.triu_indices(e)
+    else:
+        pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
+    keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
+            + ((pi * nb + pj) << depth))
+    # Row (cube, i, r, j) of the column layout, (cube, i, j, r) of the other.
+    r = np.arange(leaf, dtype=np.intp)
+    if columns:
+        within = (pi[:, None] * leaf + r) * e + pj[:, None]
+    else:
+        within = (pi * e + pj)[:, None] * leaf + r
+    rows = (start + np.arange(ci.size, dtype=np.intp) * (e * e))[:, None, None] * leaf + within
+    return keys.reshape(-1), rows.reshape(-1, leaf)
 
 
-def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, nodes, depth):
+def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sum_rows, node_at, depth):
     """Multiply and merge one chunk of whole groups: the leaf triples at
-    ``keys``, sorted, and the subcube sums ``nodes`` at sorted
-    ``node_keys``.  At merge level l, nodes whose keys agree above bit l are
-    siblings, and the first (lower k) absorbs the second; the sum of a
-    subcube of edge 2**L is a node from level L on."""
+    ``keys``, sorted, and the subcube sums at sorted ``node_keys``, whose
+    blocks are the rows ``node_at`` (m, b) of ``sum_rows``.  At merge
+    level l, nodes whose keys agree above bit l are siblings, and the
+    first (lower k) absorbs the second; the sum of a subcube of edge 2**L
+    is a node from level L on."""
     m = keys.size
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)
@@ -378,7 +426,11 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, nodes, depth):
     prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
     np.matmul(np.take(a._stack, rows_a[perm], axis=0),
               np.take(b._stack, rows_b[perm], axis=0), out=prod[:m])
-    prod[m:] = nodes
+    # The cube sums' one copy, which also gathers each block's rows; "clip"
+    # (the rows are in range) writes straight to prod, where "raise" would
+    # buffer the whole output first.
+    np.take(sum_rows, node_at.reshape(-1), axis=0,
+            out=prod[m:].reshape(-1, a.leaf_size), mode="clip")
     np.add(prod[:p], prod[p:2 * p], out=prod[:p])
 
     # Each node lives in the product row of its lowest-k member.

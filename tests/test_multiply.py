@@ -8,6 +8,10 @@ n = 512 exponential-decay pair.
 
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -218,11 +222,12 @@ def _pairwise_reference(pa, pb, leaf, leaves):
 
 def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
     """Product bytes equal the pure-Python pairwise sum over k, with lone
-    contributions at every merge level and leaf products holding -0.0 (a
-    lone -0.0 must pass through, not become +0.0), at tau 0 and at a
-    pruning tau, in one chunk and with every group alone in its chunk; on
+    contributions at every merge level and, where the BLAS gives them,
+    leaf products holding -0.0 (a lone -0.0 must pass through, not become
+    +0.0), at tau 0 and at a pruning tau, in one chunk, in chunks of one
+    2 x 2 x 2-block subcube and with every group alone in its chunk; on
     the leaf path alone, and with the few 2 x 2 x 2-block subcubes whose
-    tiles are fully stored taken whole."""
+    tiles are fully stored taken whole (at the smallest chunk none fits)."""
     n, leaf = 64, 4
     nb = n // leaf
     rng = np.random.default_rng(12)
@@ -248,27 +253,44 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
         keys, blocks, lone, prods = _pairwise_reference(ad, bd, leaf, leaves)
         if full is None:
             full = len(leaves)
+            negative_zero = _leaf_gemm_gives_negative_zero(ad, bd, leaf, leaves[0])
         else:
             assert 0 < len(leaves) < full  # the second tau prunes
         assert min(lone) > 0, lone
-        assert np.signbit(prods[:, 0, 0]).all()
-        assert np.signbit(blocks[:, 0, 0]).all()
-        expect = _cube_walk(ad, bd, leaf, tau, False, lows)
-        assert {edge for edge, *_ in expect} <= {2}
-        assert expect or tau
+        if negative_zero:
+            assert np.signbit(prods[:, 0, 0]).all()
+            assert np.signbit(blocks[:, 0, 0]).all()
+        chunks = (multiply._CHUNK_ELEMENTS, 8 * leaf * leaf, leaf * leaf)
+        expect = {chunk: _cube_walk(ad, bd, leaf, tau, False, _fitting(lows, leaf, chunk))
+                  for chunk in chunks}
+        assert {edge for edge, *_ in expect[chunks[0]]} <= {2}
+        assert expect[chunks[0]] == expect[chunks[1]]
+        assert not expect[chunks[2]]
+        assert expect[chunks[0]] or tau
         for levels in ((), multiply._CUBE_LEVELS):
             cubes = _spy_subcubes(monkeypatch)
             monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
-            for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
+            for chunk in chunks:
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau))
                 assert stats.leaf_matmuls == len(leaves)
                 assert c._keys.tolist() == keys
                 assert c._stack.tobytes() == blocks.tobytes()
-                want = sorted(expect) if levels else []
+                want = sorted(expect[chunk]) if levels else []
                 assert sorted(cube[:4] for cube in cubes) == want
             monkeypatch.undo()
+
+
+def _leaf_gemm_gives_negative_zero(pa, pb, leaf, triple):
+    """Whether the leaf GEMM of ``triple`` (i, j, k), run as a stack of
+    one, gives -0.0 at (0, 0).  A sum of -0.0 terms is -0.0, but some
+    BLAS kernels (OpenBLAS's Haswell ones) start every sum from +0.0, so
+    their leaf products never hold -0.0."""
+    i, j, k = triple
+    lhs = pa[None, i * leaf:(i + 1) * leaf, k * leaf:(k + 1) * leaf]
+    rhs = pb[None, k * leaf:(k + 1) * leaf, j * leaf:(j + 1) * leaf]
+    return bool(np.signbit(np.matmul(lhs, rhs)[0, 0, 0]))
 
 
 _SUBCUBE_SUMS = multiply._subcube_sums
@@ -280,16 +302,16 @@ def _spy_subcubes(monkeypatch):
     in a list this returns."""
     cubes = []
 
-    def spy(a, b, level, diagonal, ci, cj, ck, depth):
+    def spy(a, b, level, diagonal, ci, cj, ck, *rest):
         cubes.extend((1 << level, i, j, k, diagonal)
                      for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
-        return _SUBCUBE_SUMS(a, b, level, diagonal, ci, cj, ck, depth)
+        return _SUBCUBE_SUMS(a, b, level, diagonal, ci, cj, ck, *rest)
 
     monkeypatch.setattr(multiply, "_subcube_sums", spy)
     return cubes
 
 
-_CUBE_EDGES = (8, 4, 2)
+_CUBE_EDGES = (16, 8, 4, 2)
 
 
 def _tile_lows(pa, pb, leaf):
@@ -307,16 +329,23 @@ def _tile_lows(pa, pb, leaf):
             for edge in _CUBE_EDGES if edge <= leaf_a.shape[0]}
 
 
+def _fitting(lows, leaf, chunk):
+    """The edges of ``lows`` whose cubes, edge**3 leaf products, fit a
+    scratch cap of ``chunk`` elements: the tiers the kernel tries."""
+    return {edge: low for edge, low in lows.items() if edge ** 3 * leaf * leaf <= chunk}
+
+
 def _cube_walk(pa, pb, leaf, tau, symmetric, lows):
     """The whole subcubes of the pruned recursion, by a depth-first walk
     sharing no code with the library: a triple at a tier whose tiles are
-    8, 4 or 2 leaf blocks wide is whole when it is alive, is not pruned and
-    its two tiles' smallest leaf norms have a product >= tau and > 0; only
-    a triple that is alive, not pruned and not whole is split.  For a
+    e leaf blocks wide, for each edge e of ``lows``, is whole when it is
+    alive, is not pruned and its two tiles' smallest leaf norms have a
+    product >= tau and > 0; only a triple that is alive, not pruned and not
+    whole is split.  For a
     symmetric square the walk keeps the triples with i <= j, as the
     traversal does, so the diagonal ones (i == j) can be whole too.
-    ``lows`` is ``_tile_lows(pa, pb, leaf)``.  Returns the set of ``(edge,
-    i, j, k)``."""
+    ``lows`` is ``_tile_lows(pa, pb, leaf)``, or the part of it that
+    ``_fitting`` keeps.  Returns the set of ``(edge, i, j, k)``."""
     depth, nsq_a, occ_a = _flat_tiers(pa, leaf)
     _, nsq_b, occ_b = _flat_tiers(pb, leaf)
     cubes = set()
@@ -370,25 +399,30 @@ def _decaying(n, seed, band, dtype):
 
 
 @pytest.mark.parametrize("n, leaf, band, dtype", [
-    (64, 4, None, np.float64),
+    (64, 4, None, np.float64),    # the root is the only 16-wide tile triple
     (64, 8, None, np.float64),    # the root is the only 8-wide tile triple
     (100, 4, None, np.float64),   # padded: tiles holding padding stay below
     (100, 8, None, np.float32),
+    (128, 4, None, np.float64),   # 2 x 2 x 2 tile triples 16 leaf blocks wide
     (128, 4, 60, np.float64),     # banded: tiles off the diagonal lack leaves
-    (128, 8, None, np.float32),
+    (128, 8, None, np.float32),   # float32 at leaf 8: one GEMM per leaf product
     (100, 4, 60, np.float32),
 ])
 def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, dtype):
     """A triple whose leaf triples all survive, by the smallest leaf norms
     of its two tiles, is multiplied as a whole subcube at the tiers whose
-    tiles are 8, 4 and 2 leaf blocks wide, diagonal ones of a symmetric
-    square included; the cubes run are those of a pure-Python walk, the
-    product bytes are the pure-Python pairwise sum over k of the flat
-    recursion's leaf products, and every stat is that of the leaf path
-    alone.  For A B, whose dense float64 leaf products hold -0.0 at (0, 0),
-    and for the symmetric square; at tau 0, at a pruning tau and at a tau
-    tied with one cube's smallest norm product at each edge; in one chunk
-    and in chunks smaller than one cube of any edge."""
+    tiles are 16, 8, 4 and 2 leaf blocks wide, diagonal ones of a
+    symmetric square included, where one cube's products fit the scratch
+    cap; the cubes run are those of a pure-Python walk, the product bytes
+    are the pure-Python pairwise sum over k of the flat recursion's leaf
+    products, and every stat is that of the leaf path alone.  For A B,
+    whose dense float64 leaf products hold -0.0 at (0, 0) where the BLAS
+    gives it, and for the symmetric square; at tau 0, at a pruning tau
+    and at a tau tied with one cube's smallest norm product at each edge
+    with a fully stored tile; in one chunk, in chunks of one cube of the
+    widest edge (batches of one cube, many merge chunks), in chunks too
+    small for it (its tier is skipped) and in chunks too small for any
+    cube."""
     ad, bd = _decaying(n, 1, band, dtype), _decaying(n, 2, band, dtype)
     # tiny rows of A and columns of B: each float64 leaf product's (0, 0)
     # underflows to -0.0 (the float32 GEMM gives +0.0, and a zero outside a
@@ -404,22 +438,26 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
         pa, pb = padded_dense(a), padded_dense(b)
         lows = _tile_lows(pa, pb, leaf)
         ties = _tied_taus(lows, symmetric)
-        assert set(ties) == set(_CUBE_EDGES)
+        stored = {edge for edge, low in lows.items() if low.any()}
+        assert set(ties) == stored and 8 in stored
+        widest = max(stored) ** 3 * leaf * leaf
+        chunks = (widest, widest // 8 - 1, leaf * leaf, multiply._CHUNK_ELEMENTS)
         cases = [(0.0, None), (1e-2, None),
                  *((tau, (edge, *cube)) for edge, (tau, cube) in ties.items())]
         for tau, tied in cases:
             leaves, boxes, budget = _flat_reference(pa, pb, leaf, tau)
             keys, blocks, _, _ = _pairwise_reference(pa, pb, leaf, leaves)
-            if negative_zeros and not symmetric:
+            if negative_zeros and not symmetric and _leaf_gemm_gives_negative_zero(
+                    pa, pb, leaf, leaves[0]):
                 assert np.signbit(blocks[:, 0, 0]).all()
-            expect = _cube_walk(pa, pb, leaf, tau, symmetric, lows)
             cubes = _spy_subcubes(monkeypatch)
             monkeypatch.setattr(multiply, "_CUBE_LEVELS", ())  # no cube tier
             leaf_path = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))[1]
             assert cubes == []
             monkeypatch.undo()
             cubes = _spy_subcubes(monkeypatch)
-            for chunk in (multiply._CHUNK_ELEMENTS, leaf * leaf):
+            for chunk in chunks:
+                expect = _cube_walk(pa, pb, leaf, tau, symmetric, _fitting(lows, leaf, chunk))
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
@@ -428,6 +466,10 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                            for _, i, j, _, diagonal in cubes)
                 assert all((max(i, j, k) + 1) * edge * leaf <= n
                            for edge, i, j, k, _ in cubes)  # no padding
+                if chunk < widest:
+                    assert max(stored) not in {edge for edge, *_ in cubes}
+                if chunk == leaf * leaf:
+                    assert cubes == []
                 assert c._keys.tolist() == keys
                 assert c._stack.tobytes() == blocks.tobytes()
                 assert stats == leaf_path
@@ -437,6 +479,7 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
                 assert stats.covered_volume(leaf) == a.padded_dim ** 3
             monkeypatch.undo()
+            # cubes and expect are those of the default chunk, which fits all
             if tau == 0.0:
                 assert cubes
                 assert any(diagonal for *_, diagonal in cubes) == symmetric
@@ -444,6 +487,136 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert tied in expect  # computed at the tie
             else:
                 assert stats.pruned_volume > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_block_column_gemm_matches_leaf_gemms(dtype):
+    """The GEMM a whole subcube runs per inner block k, A's block column of
+    e leaf blocks (e b x b) times B's block row (b x e b), gives each block
+    (i, j) the bytes of the leaf GEMM A_ik B_kj run in a stack, as the leaf
+    path runs it: for float64 at every leaf size and for float32 at leaf
+    <= 4, at each edge the kernel takes it for; on random blocks, on blocks
+    with exact zeros of both signs, and on blocks whose products underflow
+    (to -0.0 where the BLAS gives it)."""
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(dtype).tiny ** 0.5 / 4
+    tried = set()
+    for leaf in (1, 2, 3, 4, 5, 8, 12, 16, 24, 32):
+        for e in (2, 4, 8, 16):
+            if not multiply._column_gemm(np.dtype(dtype), leaf, e):
+                continue
+            tried.add(leaf)
+            col = rng.standard_normal((3, e, leaf, leaf)).astype(dtype)
+            row = rng.standard_normal((3, e, leaf, leaf)).astype(dtype)
+            col[1][rng.random(col[1].shape) < 0.6] = 0.0
+            row[1][rng.random(row[1].shape) < 0.6] = -0.0
+            col[2, :, 0, :] = -tiny
+            row[2, :, :, 0] = tiny
+            got = np.matmul(col.reshape(3, e * leaf, leaf),
+                            row.transpose(0, 2, 1, 3).reshape(3, leaf, e * leaf))
+            got = got.reshape(3, e, leaf, e, leaf).swapaxes(2, 3)
+            want = np.matmul(np.repeat(col, e, axis=1).reshape(-1, leaf, leaf),
+                             np.tile(row, (1, e, 1, 1)).reshape(-1, leaf, leaf))
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (leaf, e)
+    assert tried == ({1, 2, 3, 4, 5, 8, 12, 16, 24, 32} if dtype == np.float64
+                     else {1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("leaf", [16, 32])
+def test_cubes_past_the_column_gemm_cap_keep_leaf_bits(monkeypatch, leaf):
+    """Where a cube's block-column GEMM would pass 2**19 multiply-adds
+    (edge 16 at leaf 16, edge 8 at leaf 32) it keeps one GEMM per leaf
+    product: with rows of A and columns of B whose products underflow,
+    each leaf product's (0, 0) is -0.0 where the BLAS gives it, and a
+    larger GEMM may sum from +0.0; the product bytes and stats are the
+    leaf path's, for A B and for the symmetric square."""
+    n = 256
+    ad, bd = _decaying(n, 5, None, np.float64), _decaying(n, 6, None, np.float64)
+    ad[0::leaf] = -1e-200
+    bd[:, 0::leaf] = 1e-200
+    x = from_dense(ad + ad.T, leaf)
+    cubes = _spy_subcubes(monkeypatch)
+    for a, b in ((from_dense(ad, leaf), from_dense(bd, leaf)), (x, x)):
+        cubes.clear()
+        c, stats = spamm(a, b)
+        assert {edge for edge, *_ in cubes} == {n // leaf}  # the root
+        assert not multiply._column_gemm(c.dtype, leaf, n // leaf)
+        with monkeypatch.context() as patch:
+            patch.setattr(multiply, "_CUBE_LEVELS", ())
+            ref, ref_stats = spamm(a, b)
+        assert c._stack.tobytes() == ref._stack.tobytes()
+        assert stats == ref_stats
+
+
+# Run in a fresh process, whose OpenBLAS reads OPENBLAS_CORETYPE when it
+# loads: float32 leaf-8 cubes, for A B and for a symmetric square, against
+# the leaf path alone.  Prints the cubes run.
+_CUBES_AGAINST_LEAF_PATH = """
+import numpy as np
+from spamm import multiply
+from spamm.multiply import SpammConfig, spamm
+from spamm.quadtree import from_dense
+
+rng = np.random.default_rng(3)
+n = 128
+dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+ad, bd = (rng.standard_normal((n, n)) * np.exp(-dist / 10) for _ in range(2))
+a, b = (from_dense(d, 8, np.float32) for d in (ad, bd))
+x = from_dense(ad + ad.T, 8, np.float32)
+ran = 0
+subcube_sums, cube_levels = multiply._subcube_sums, multiply._CUBE_LEVELS
+
+def spy(*args):
+    global ran
+    ran += args[4].size
+    return subcube_sums(*args)
+
+def product(lhs, rhs, tau, levels):
+    multiply._CUBE_LEVELS = levels
+    return spamm(lhs, rhs, SpammConfig(tau=tau))
+
+multiply._subcube_sums = spy
+for lhs, rhs in ((a, b), (x, x)):
+    for tau in (0.0, 1e-2):
+        c, stats = product(lhs, rhs, tau, cube_levels)
+        ref, ref_stats = product(lhs, rhs, tau, ())
+        assert c._keys.tobytes() == ref._keys.tobytes()
+        assert c._stack.tobytes() == ref._stack.tobytes(), (lhs is rhs, tau)
+        assert stats == ref_stats
+print(ran)
+"""
+
+
+def _openblas_picks_kernels():
+    """Whether numpy's BLAS is an x86-64 OpenBLAS built for several CPU
+    kernels, one of which OPENBLAS_CORETYPE can force."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
+@pytest.mark.skipif(not _openblas_picks_kernels(),
+                    reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+@pytest.mark.parametrize("core", ["Haswell", "SandyBridge"])
+def test_float32_leaf8_cubes_match_leaf_path_on_forced_kernels(core):
+    """On OpenBLAS's Haswell kernel a float32 GEMM of K >= 8 rounds
+    differently as M and N grow, so float32 cubes at leaf 8 keep one GEMM
+    per leaf product; with the Haswell and the Sandy Bridge kernel forced,
+    their products and stats are those of the leaf path alone."""
+    src = os.path.dirname(os.path.dirname(multiply.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
+               OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _CUBES_AGAINST_LEAF_PATH], env=env,
+                         capture_output=True, text=True, timeout=300)
+    if f"core: {core.lower()}" not in run.stderr.lower():
+        pytest.skip(f"OpenBLAS did not take the {core} kernel: {run.stderr.strip()}")
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) > 0  # cubes ran
 
 
 # ------------------------------------------------------- symmetric squares
