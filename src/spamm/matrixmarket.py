@@ -38,7 +38,8 @@ def write_matrix_market(mat, path, fmt="array"):
 
 def read_matrix_market(path):
     """Read a real MatrixMarket file (array or coordinate; general or
-    symmetric) into a dense float64 array."""
+    symmetric) into a dense float64 array.  A non-finite entry (nan or
+    inf) is rejected."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith(_HEADER_PREFIX):
@@ -81,26 +82,30 @@ def read_matrix_market(path):
                         out[i, j] = values[pos]
                         out[j, i] = values[pos]
                         pos += 1
-                return out
-            if len(values) != rows * cols:
+            elif len(values) != rows * cols:
                 raise ValueError(
                     f"expected {rows * cols} values, found {len(values)}")
-            return np.array(values).reshape(cols, rows).T
-
-        rows, cols, nnz = (int(t) for t in size_line.split())
-        out = np.zeros((rows, cols))
-        seen = 0
-        for line in data_lines:
-            i_s, j_s, v_s = line.split()
-            i, j = int(i_s) - 1, int(j_s) - 1
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i_s}, {j_s}) lies outside the "
-                                 f"{rows} x {cols} matrix")
-            v = float(v_s)
-            out[i, j] += v
-            if symmetry == "symmetric" and i != j:
-                out[j, i] += v
-            seen += 1
-        if seen != nnz:
-            raise ValueError(f"expected {nnz} entries, found {seen}")
-        return out
+            else:
+                out = np.array(values).reshape(cols, rows).T
+        else:
+            rows, cols, nnz = (int(t) for t in size_line.split())
+            out = np.zeros((rows, cols))
+            seen = 0
+            for line in data_lines:
+                i_s, j_s, v_s = line.split()
+                i, j = int(i_s) - 1, int(j_s) - 1
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValueError(f"entry ({i_s}, {j_s}) lies outside the "
+                                     f"{rows} x {cols} matrix")
+                v = float(v_s)
+                out[i, j] += v
+                if symmetry == "symmetric" and i != j:
+                    out[j, i] += v
+                seen += 1
+            if seen != nnz:
+                raise ValueError(f"expected {nnz} entries, found {seen}")
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"entry ({i + 1}, {j + 1}) of {path} is not finite: {out[i, j]}")
+    return out

@@ -22,19 +22,18 @@ absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
-as a whole subcube, or at the leaf tier.  At each tier depth - L for L = 4,
-3, 2, 1 whose cubes' (2**L)**3 leaf products fit the scratch cap, a triple
-whose two operand tiles of 2**L x 2**L leaf blocks are fully stored, and
-whose smallest leaf norms have a product ``>= tau``, is a whole subcube: a
+as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
+2, 1, is tried when one cube's (2**L)**3 leaf products fit the scratch cap
+and its block-column GEMM (below) fits a size cap.  There a triple whose
+two operand tiles of 2**L x 2**L leaf blocks are fully stored, and whose
+smallest leaf norms have a product ``>= tau``, is a whole subcube: a
 node's norm is never below any of its leaves' (float sums and square roots
 are monotone), so no call below it would be skipped or pruned.  A triple
-that is not whole at one tier is tried again as 8 children at the next.
-For each inner block k, one GEMM of A's block column (the cube's 2**L
-blocks at column k stacked, K = leaf) by B's block row makes all of the
-cube's leaf products at that k: block (i, j) of it is A_ik B_kj, summed
-over the same K terms as that leaf product's own GEMM.  Where the BLAS
-could round the two apart (float32 at leaf 8 and up, and GEMMs beyond a
-size cap) the cube runs one broadcast GEMM per leaf product instead.
+that is not whole at one tier, or whose tier is not tried, is tried again
+as 8 children at the next.  For each inner block k, one GEMM of A's block
+column (the cube's 2**L blocks at column k stacked, K = leaf) by B's block
+row makes all of the cube's leaf products at that k: block (i, j) of it is
+A_ik B_kj, summed over the same K terms as that leaf product's own GEMM.
 L slab adds then sum the products over k; on a complete aligned window of
 2**L that is the pairwise tree itself.  The sums enter the leaf stage's
 merge as level-L nodes beside the leaf products' nodes, so each C block
@@ -85,8 +84,12 @@ _CHUNK_ELEMENTS = 1 << 23
 # whole subcube of 2**L leaf blocks along each axis.
 _CUBE_LEVELS = (4, 3, 2, 1)
 
-# Largest M*N*K of a GEMM that multiplies a cube's block column by its block
-# row; see _column_gemm.
+# Largest M*N*K of the GEMM that multiplies a cube's block column by its
+# block row.  Each element of it is one dot product over the K = leaf terms
+# of its leaf GEMM, but a BLAS may pick its kernel by M, N and K: OpenBLAS's
+# SkylakeX kernels switch from their small-matrix path, whose sums of -0.0
+# terms give -0.0, to the blocked one, which starts them from +0.0, above
+# M*N*K = 10**6.  A tier whose GEMM would pass the cap is not tried.
 _COLUMN_GEMM_MAX = 1 << 19
 
 
@@ -163,7 +166,7 @@ def spamm(a, b, config=None):
     Parameters
     ----------
     a, b : QuadTreeMatrix
-        Conformable operands (same logical_dim, leaf_size and dtype).
+        Conformable operands (same logical_dim and leaf_size).
     config : SpammConfig, optional
         Defaults to an exact multiply (tau = 0).
 
@@ -182,7 +185,7 @@ def spamm(a, b, config=None):
     stats = ProductStats(boxes=[] if config.collect_boxes else None)
 
     keys = np.zeros(0, dtype=np.intp)
-    blocks = np.zeros((0, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    blocks = np.zeros((0, a.leaf_size, a.leaf_size))
     cubes = []  # (level, diagonal, i, j, k) of the whole subcubes, per tier
     lows = None  # smallest leaf squared norms under each tile, per level
 
@@ -230,9 +233,11 @@ def spamm(a, b, config=None):
 
         level = depth - tier
         # A tier is tried only if the products of one of its cubes, e**3
-        # leaf blocks, fit the scratch cap.
+        # leaf blocks, fit the scratch cap, and its block-column GEMM fits
+        # its cap.
         if (level in _CUBE_LEVELS and active.any()
-                and a.leaf_size ** 2 << 3 * level <= _CHUNK_ELEMENTS):
+                and a.leaf_size ** 2 << 3 * level <= _CHUNK_ELEMENTS
+                and (a.leaf_size << level) ** 2 * a.leaf_size <= _COLUMN_GEMM_MAX):
             # Every leaf triple below a triple whose operand tiles have all
             # leaves stored, with smallest norms whose product is >= tau,
             # is computed: a node's norm is never below one of its leaves'.
@@ -291,13 +296,14 @@ def _mirror(keys, blocks, nb):
 
 def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     """Compute the surviving leaf products and the whole subcubes and merge
-    them per C block, in chunks of about ``_CHUNK_ELEMENTS`` product
-    elements.  ``keys`` are the leaf triples' keys ``(i*nb + j)*nb + k``,
-    ``rows_a`` and ``rows_b`` the stack rows of their operand blocks;
-    ``cubes`` lists the whole subcubes as ``(level, diagonal, i, j, k)``,
-    see ``_subcube_sums``.  Returns the C block keys ``i * nb + j`` in
-    increasing order and the (m, b, b) stack of merged blocks in that
-    order."""
+    them per C block.  The leaf products are made in chunks of about
+    ``_CHUNK_ELEMENTS`` product elements, but the cube sums share one
+    buffer for the whole multiply, which no cap bounds.  ``keys`` are the
+    leaf triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the
+    stack rows of their operand blocks; ``cubes`` lists the whole subcubes
+    as ``(level, diagonal, i, j, k)``, see ``_subcube_sums``.  Returns the
+    C block keys ``i * nb + j`` in increasing order and the (m, b, b) stack
+    of merged blocks in that order."""
     leaf = a.leaf_size
     # The (i, j, k) triples are unique, so any sort of their row-major keys
     # gives the same permutation; nb**3 fits in intp for any nb whose
@@ -305,10 +311,10 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     order = np.argsort(keys)
     keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
     groups = keys >> depth
-    # Each cube group writes its sums into its part of one buffer, in a
-    # layout of its own: a node's block is ``leaf`` rows of it.
+    # Each cube group writes its sums into its part of one buffer, in its
+    # GEMM's layout: a node's block is ``leaf`` rows of it.
     sizes = [cube[2].size << 2 * cube[0] for cube in cubes]
-    sums = np.empty((sum(sizes), leaf, leaf), dtype=a.dtype)
+    sums = np.empty((sum(sizes), leaf, leaf))
     node_keys = np.zeros(0, dtype=np.intp)
     node_rows = np.zeros((0, leaf), dtype=np.intp)
     if cubes:
@@ -335,55 +341,35 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _column_gemm(dtype, leaf, e):
-    """Whether one K = ``leaf`` GEMM of a block column of e leaf blocks by a
-    block row of e gives every block (i, j) the bits of the leaf GEMM of
-    A_ik by B_kj.  Each element is then one dot product over the same K
-    terms, but a BLAS may pick its kernel by M, N and K.  OpenBLAS's
-    SkylakeX kernels switch from their small-matrix path, whose sums of
-    -0.0 terms give -0.0, to the blocked one, which starts them from +0.0,
-    above M*N*K = 10**6; the Haswell sgemm rounds K >= 8 products
-    differently as M and N grow.  Both stay clear of the limits below."""
-    return ((e * leaf) ** 2 * leaf <= _COLUMN_GEMM_MAX
-            and (dtype == np.float64 or leaf <= 4))
-
-
 def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth, sums, start):
     """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
     each of edge e = 2**level leaf blocks, and write the sums over k of
     their e * e leaf blocks to the e * e * ci.size blocks of ``sums`` from
-    block ``start`` on, in the layout the GEMM leaves them.  Each inner
-    block k takes one GEMM of A's block column by B's block row where
-    ``_column_gemm`` allows, else one broadcast GEMM per leaf product, as
-    a stack of them runs.  The sum over k then follows the merge's
-    pairwise tree, which on a complete aligned window has no lone nodes.
-    Returns the keys ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge
-    nodes made, and the rows of each one's block in ``sums`` seen as rows
-    of b elements, (m, b).  A ``diagonal`` subcube of a symmetric square
-    (ci == cj) makes nodes of its blocks with i <= j alone."""
+    block ``start`` on, in the layout the GEMM leaves them: cube, then
+    rows (i, r), then columns (j, c).  Each inner block k takes one GEMM
+    of A's block column by B's block row.  The sum over k then follows the
+    merge's pairwise tree, which on a complete aligned window has no lone
+    nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
+    level-``level`` merge nodes made, and the rows of each one's block in
+    ``sums`` seen as rows of b elements, (m, b).  A ``diagonal`` subcube
+    of a symmetric square (ci == cj) makes nodes of its blocks with
+    i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
-    columns = _column_gemm(a.dtype, leaf, e)
     span = np.arange(e, dtype=np.intp)
+    r = np.arange(leaf, dtype=np.intp)
     inner = (ck[:, None] * e + span).T[:, :, None]                     # [k, cube, 1]
     flat_a = np.take(a._index, (ci[:, None] * e + span) * nb + inner)  # [k, cube, i]
     flat_b = np.take(b._index, inner * nb + (cj[:, None] * e + span))  # [k, cube, j]
-    stack_b = b._stack
-    out = sums[start:start + ci.size * e * e]
-    if columns:  # B's block row gathered one leaf row t at a time
-        flat_b = flat_b[:, :, None, :] * leaf + np.arange(leaf)[:, None]  # [k, cube, t, j]
-        stack_b = stack_b.reshape(-1, leaf)
-        out = out.reshape(-1, e * leaf, e * leaf)   # [cube, (i, r), (j, c)]
-    else:
-        out = out.reshape(-1, e, e, leaf, leaf)     # [cube, i, j, r, c]
+    # B's block row gathered one leaf row t at a time
+    flat_b = flat_b[:, :, None, :] * leaf + r[:, None]                 # [k, cube, t, j]
+    rows_b = b._stack.reshape(-1, leaf)
+    out = sums[start:start + ci.size * e * e].reshape(-1, e * leaf, e * leaf)
     batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
-        tile_b = np.take(stack_b, flat_b[:, lo:lo + batch], axis=0)
-        if columns:
-            prod = np.matmul(tile_a.reshape(e, -1, e * leaf, leaf),
-                             tile_b.reshape(e, -1, leaf, e * leaf))
-        else:
-            prod = np.matmul(tile_a[:, :, :, None], tile_b[:, :, None])
+        tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]
+        prod = np.matmul(tile_a.reshape(e, -1, e * leaf, leaf),
+                         tile_b.reshape(e, -1, leaf, e * leaf))
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
         step = 1
         while step < e // 2:
@@ -396,12 +382,8 @@ def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth, sums, start):
         pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
     keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
             + ((pi * nb + pj) << depth))
-    # Row (cube, i, r, j) of the column layout, (cube, i, j, r) of the other.
-    r = np.arange(leaf, dtype=np.intp)
-    if columns:
-        within = (pi[:, None] * leaf + r) * e + pj[:, None]
-    else:
-        within = (pi * e + pj)[:, None] * leaf + r
+    # Block (i, j) of a cube is rows (i, r, j) of its part of ``sums``.
+    within = (pi[:, None] * leaf + r) * e + pj[:, None]
     rows = (start + np.arange(ci.size, dtype=np.intp) * (e * e))[:, None, None] * leaf + within
     return keys.reshape(-1), rows.reshape(-1, leaf)
 
@@ -423,7 +405,7 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sum_rows, node_at, depth
     rest = keep.copy()
     rest[:-1] &= ~same
     perm = np.concatenate((first, first + 1, np.flatnonzero(rest)))
-    prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size))
     np.matmul(np.take(a._stack, rows_a[perm], axis=0),
               np.take(b._stack, rows_b[perm], axis=0), out=prod[:m])
     # The cube sums' one copy, which also gathers each block's rows; "clip"

@@ -107,5 +107,4 @@ def apply_ordering(m, permutation, block_size):
     rows = (old_of_new[:, None] * block_size
             + np.arange(block_size)[None, :]).ravel()
     dense = m.to_dense()
-    return from_dense(dense[np.ix_(rows, rows)], leaf_size=m.leaf_size,
-                      dtype=m.dtype)
+    return from_dense(dense[np.ix_(rows, rows)], leaf_size=m.leaf_size)

@@ -92,7 +92,7 @@ def tc2_initial_guess(f):
     X0 = (eps_max I - F) / (eps_max - eps_min) with Gershgorin bounds.
     A matrix whose Gershgorin interval collapses to a point maps to I/2.
     """
-    fd = f.to_dense().astype(np.float64, copy=False)
+    fd = f.to_dense()
     centers = np.diag(fd)
     radii = np.abs(fd).sum(axis=1) - np.abs(centers)
     eps_min = float((centers - radii).min())
@@ -101,7 +101,7 @@ def tc2_initial_guess(f):
         x0 = 0.5 * np.eye(f.logical_dim)
     else:
         x0 = (eps_max * np.eye(f.logical_dim) - fd) / (eps_max - eps_min)
-    return from_dense(x0, leaf_size=f.leaf_size, dtype=f.dtype)
+    return from_dense(x0, leaf_size=f.leaf_size)
 
 
 # Fixed-point floor of a sweep's displacement, in units of (machine epsilon
@@ -149,7 +149,7 @@ def _projector_energy(x, f_dense):
 
     Returns (energy, |X**2 - X|), the second being the gap of ``x`` itself
     that the first step measures."""
-    p = x.to_dense().astype(np.float64, copy=False)
+    p = x.to_dense()
     best, best_gap = p, math.inf
     x_gap = None
     while best_gap > 0:
@@ -185,7 +185,8 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     ``idempotency_gap`` is |X**2 - X|_F, so a run held far from idempotency
     shows as one.  ``delta_e_rel`` is |energy - reference| / |reference|
     against a tau = 0 run of this same driver (supply ``reference_energy``
-    to reuse one across a sweep).  Rejects out-of-range ``n_occ``, and an
+    to reuse one across a sweep); it is 0 for a tau = 0 run with a finite
+    energy and NaN for one without.  Rejects out-of-range ``n_occ``, and an
     ``f`` whose ``symmetric`` flag is unset, even when it is symmetric in
     value (-0.0 facing +0.0, or a product ``spamm(a, b)``).
     """
@@ -245,11 +246,11 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
         trace_history += ([trace_history[frozen - 1]]
                           * (max_iter + 1 - len(trace_history)))
 
-    fd = f.to_dense().astype(np.float64, copy=False)
+    fd = f.to_dense()
     energy, idempotency_gap = _projector_energy(x, fd)
     if mode.tau == 0:
         reference = energy
-        delta = 0.0
+        delta = 0.0 if math.isfinite(energy) else math.nan
     else:
         if reference_energy is None:
             reference = purify(f, n_occ, SpammMode(0.0), max_iter=max_iter).energy

@@ -41,8 +41,6 @@ import math
 
 import numpy as np
 
-_SUPPORTED_DTYPES = (np.float64, np.float32)
-
 # Elements of a dense input tested per strip by ``from_dense``.
 _STRIP_ELEMENTS = 1 << 20
 
@@ -53,12 +51,12 @@ class DimensionMismatchError(ValueError):
 
 
 def _leaf_norm_sq(blocks):
-    """Squared Frobenius norm, as float64, of each block of an (m, b, b) stack:
+    """Squared Frobenius norm of each block of an (m, b, b) stack:
     its diagonal squares in order, then each mirrored pair ``sq[r, c] +
     sq[c, r]`` (r < c, row-major), so a block and its transpose give the same
     bits.  A block's sum depends on that block alone, not on its stack."""
     b = blocks.shape[-1]
-    sq = np.square(blocks, dtype=np.float64).reshape(-1, b * b)
+    sq = np.square(blocks).reshape(-1, b * b)
     acc = sq[:, 0].copy()
     for d in range(1, b):
         acc += sq[:, d * (b + 1)]
@@ -95,7 +93,7 @@ class QuadTreeMatrix:
     padded_dim : int
         ``leaf_size * 2**depth``, the smallest such value >= logical_dim.
     dtype : numpy dtype
-        Element storage precision (float64 by default).
+        Element storage precision, always float64.
     """
 
     __slots__ = ("logical_dim", "leaf_size", "depth", "padded_dim", "dtype",
@@ -169,7 +167,7 @@ class QuadTreeMatrix:
     def to_dense(self):
         """Dense logical_dim x logical_dim array (padding stripped)."""
         n, pad, b, nb = self.logical_dim, self.padded_dim, self.leaf_size, self.block_grid
-        out = np.zeros((pad, pad), dtype=self.dtype)
+        out = np.zeros((pad, pad))
         out.reshape(nb, b, nb, b).swapaxes(1, 2)[
             self._keys // nb, self._keys % nb] = self._stack
         return out if n == pad else out[:n, :n].copy()
@@ -185,7 +183,6 @@ class QuadTreeMatrix:
             return False
         return (self.logical_dim == other.logical_dim
                 and self.leaf_size == other.leaf_size
-                and self.dtype == other.dtype
                 and np.array_equal(self._keys, other._keys)
                 and self._stack.tobytes() == other._stack.tobytes())
 
@@ -199,11 +196,9 @@ def _require_conformable(a, b):
         raise DimensionMismatchError(
             f"trees not conformable: ({a.logical_dim}, leaf {a.leaf_size}) vs "
             f"({b.logical_dim}, leaf {b.leaf_size})")
-    if a.dtype != b.dtype:
-        raise DimensionMismatchError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
 
 
-def from_dense(dense, leaf_size=4, dtype=None):
+def from_dense(dense, leaf_size=4):
     """Build a quadtree matrix from a dense square array.
 
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
@@ -214,18 +209,13 @@ def from_dense(dense, leaf_size=4, dtype=None):
     Parameters
     ----------
     dense : (n, n) array_like
-        Square matrix, n >= 1.
+        Square matrix, n >= 1, stored as float64.
     leaf_size : int
         Dense block side, a power of two >= 1 (default 4).
-    dtype : numpy dtype, optional
-        float64 (default) or float32 leaf storage.
     """
     if leaf_size < 1 or (leaf_size & (leaf_size - 1)) != 0:
         raise ValueError(f"leaf_size must be a power of two >= 1, got {leaf_size}")
-    target = np.float64 if dtype is None else np.dtype(dtype)
-    if target not in _SUPPORTED_DTYPES:
-        raise ValueError(f"unsupported element dtype {target}")
-    arr = np.asarray(dense, dtype=target)
+    arr = np.asarray(dense, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(
             f"expected a square 2-D array, got shape {arr.shape}")
@@ -234,7 +224,7 @@ def from_dense(dense, leaf_size=4, dtype=None):
         raise ValueError("matrix dimension must be >= 1")
     padded_dim = leaf_size << _depth_for(n, leaf_size)
     if n < padded_dim:
-        padded = np.zeros((padded_dim, padded_dim), dtype=target)
+        padded = np.zeros((padded_dim, padded_dim))
         padded[:n, :n] = arr
         arr = padded
     nb = padded_dim // leaf_size
@@ -251,7 +241,7 @@ def from_dense(dense, leaf_size=4, dtype=None):
         i, j = np.divmod(keys, nb)
         rows = np.flatnonzero(i <= j)
         mirror = (np.cumsum(mask) - 1).reshape(nb, nb)[j[rows], i[rows]]
-        bits = stack.view(f"u{stack.itemsize}")
+        bits = stack.view(np.uint64)
         symmetric = np.array_equal(np.take(bits, mirror, axis=0),
                                    np.take(bits, rows, axis=0).swapaxes(1, 2))
     return _from_blocks(keys, stack, n, leaf_size, symmetric)
@@ -290,7 +280,7 @@ def trace(m):
     The diagonal of the padded matrix is filled from the stored diagonal
     blocks and reduced over its logical part in one fixed order."""
     nb, b = m.block_grid, m.leaf_size
-    diag = np.zeros((nb, b), dtype=m.dtype)
+    diag = np.zeros((nb, b))
     rows = m._index.diagonal()
     present = rows < m._keys.size
     diag[present] = m._stack[rows[present]].diagonal(axis1=1, axis2=2)
@@ -311,7 +301,7 @@ def distance(a, b):
     bit-identical results, and distance(a, b) == distance(b, a)."""
     _require_conformable(a, b)
     keys, pa, pb = _union(a, b)
-    d = np.zeros((keys.size, a.leaf_size, a.leaf_size), dtype=np.float64)
+    d = np.zeros((keys.size, a.leaf_size, a.leaf_size))
     d[pa] = a._stack
     d[pb] -= b._stack
     return float(np.sqrt(np.add.reduce((d * d).reshape(-1))))
@@ -326,7 +316,7 @@ def add(a, b):
     """
     _require_conformable(a, b)
     keys, pa, pb = _union(a, b)
-    out = np.empty((keys.size, a.leaf_size, a.leaf_size), dtype=a.dtype)
+    out = np.empty((keys.size, a.leaf_size, a.leaf_size))
     shared = a._occupied[a.depth].reshape(-1)[b._keys]
     out[pa] = a._stack
     out[pb[~shared]] = b._stack[~shared]
@@ -339,7 +329,7 @@ def scale(m, s):
     """Tree scaled by a scalar; scaling by 0 yields the empty tree.
 
     Only the stored blocks are scaled; unstored blocks stay exact +0.0."""
-    return _from_blocks(m._keys, m._stack * m.dtype.type(s), m.logical_dim,
+    return _from_blocks(m._keys, m._stack * float(s), m.logical_dim,
                         m.leaf_size, m.symmetric)
 
 

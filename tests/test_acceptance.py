@@ -105,9 +105,10 @@ def test_near_linear_scaling_gapped_density():
     the work per size doubling approaches linear (last ratio <= 2.5), while
     tau=0 grows exactly 8x per doubling, i.e. (n/4)^3 leaf multiplies.
 
-    The tau=0 count is asserted at n <= 1024; the full-enumeration run at
-    n=2048 needs ~134M recursion triples, beyond this machine's 6 GiB, and
-    its count is fixed by the same closed form the smaller sizes verify.
+    The tau=0 count is asserted at n <= 1024.  The full-enumeration run at
+    n=2048 completes (about 14 s and a 2.2 GiB peak on a 2-core x86-64 VM),
+    but it would add that time and memory to the tier-1 suite, and its count
+    is fixed by the same closed form the smaller sizes verify.
     """
     t0 = time.perf_counter()
     sizes = (256, 512, 1024, 2048)
@@ -132,8 +133,8 @@ def test_near_linear_scaling_gapped_density():
     print(f"PASS near-linear scaling: tau=1e-8 counts "
           f"{[mm_pruned[n] for n in sizes]}, doubling ratios "
           f"{[f'{r:.3f}' for r in ratios]} (tau=0 ratios exactly 8.0 up to "
-          f"n=1024; the n=2048 full enumeration exceeds this machine's "
-          f"memory and follows the verified (n/4)^3 form), {elapsed:.1f}s")
+          f"n=1024; the n=2048 full enumeration is left out for suite time "
+          f"and memory and follows the verified (n/4)^3 form), {elapsed:.1f}s")
 
 
 def test_matched_error_work_comparison(gapped256, gapless256):

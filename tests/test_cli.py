@@ -286,3 +286,20 @@ def test_exit_codes(tmp_path, capsys):
                           "3 3 2\n1 1 1.0\n0 0 5.0\n")
     assert main(["purify", "--f", str(zero_index), "--n-occ", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_purify_rejects_non_finite_input(tmp_path, capsys, value):
+    """A gapped n=16 file with one nan or inf on the diagonal is a rejected
+    input: exit status 1, an error line naming the entry, and no energy
+    printed."""
+    f = tmp_path / "f.mtx"
+    assert main(["generate", "--kind", "gapped", "--n", "16", "--out", str(f)]) == 0
+    d = read_matrix_market(f)
+    d[3, 3] = float(value)
+    write_matrix_market(d, f)
+    capsys.readouterr()
+    assert main(["purify", "--f", str(f), "--n-occ", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert "energy=" not in out
+    assert err.startswith("error:") and "(4, 4)" in err

@@ -129,3 +129,25 @@ def test_read_rejects_out_of_range_coordinates(tmp_path, entry):
                     f"3 3 2\n2 2 1.0\n{entry}\n")
     with pytest.raises(ValueError, match="outside the 3 x 3 matrix"):
         read_matrix_market(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("fmt, symmetry", [("array", "general"), ("array", "symmetric"),
+                                           ("coordinate", "general"),
+                                           ("coordinate", "symmetric")])
+def test_read_rejects_non_finite_values(tmp_path, fmt, symmetry, value):
+    """A nan or inf value is rejected, naming its entry (row, column),
+    in every format the reader takes."""
+    path = tmp_path / "bad.mtx"
+    if fmt == "array":
+        # column-major; a symmetric payload is the lower triangle
+        values = (["1.0", "0.5", value, "2.0"] if symmetry == "general"
+                  else ["1.0", "0.5", value])
+        body = "2 2\n" + "\n".join(values)
+    else:
+        body = f"2 2 2\n1 1 1.0\n2 2 {value}"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real {symmetry}\n{body}\n")
+    with pytest.raises(ValueError, match=r"entry \(\d, \d\) .* is not finite") as exc:
+        read_matrix_market(path)
+    want = "(1, 2)" if fmt == "array" and symmetry == "general" else "(2, 2)"
+    assert want in str(exc.value)

@@ -331,8 +331,11 @@ def _tile_lows(pa, pb, leaf):
 
 def _fitting(lows, leaf, chunk):
     """The edges of ``lows`` whose cubes, edge**3 leaf products, fit a
-    scratch cap of ``chunk`` elements: the tiers the kernel tries."""
-    return {edge: low for edge, low in lows.items() if edge ** 3 * leaf * leaf <= chunk}
+    scratch cap of ``chunk`` elements, and whose block-column GEMMs fit
+    ``_COLUMN_GEMM_MAX``: the tiers the kernel tries."""
+    return {edge: low for edge, low in lows.items()
+            if edge ** 3 * leaf * leaf <= chunk
+            and (edge * leaf) ** 2 * leaf <= multiply._COLUMN_GEMM_MAX}
 
 
 def _cube_walk(pa, pb, leaf, tau, symmetric, lows):
@@ -387,7 +390,7 @@ def _tied_taus(lows, symmetric):
     return ties
 
 
-def _decaying(n, seed, band, dtype):
+def _decaying(n, seed, band=None):
     """Random operand decaying as exp(-|i - j| / 10), zero beyond ``band``
     of the diagonal when one is given."""
     rng = np.random.default_rng(seed)
@@ -395,18 +398,18 @@ def _decaying(n, seed, band, dtype):
     d = rng.standard_normal((n, n)) * np.exp(-dist / 10)
     if band is not None:
         d[dist > band] = 0.0
-    return d.astype(dtype)
+    return d
 
 
 @pytest.mark.parametrize("n, leaf, band, dtype", [
     (64, 4, None, np.float64),    # the root is the only 16-wide tile triple
     (64, 8, None, np.float64),    # the root is the only 8-wide tile triple
     (100, 4, None, np.float64),   # padded: tiles holding padding stay below
-    (100, 8, None, np.float32),
+    (100, 8, None, np.float64),
     (128, 4, None, np.float64),   # 2 x 2 x 2 tile triples 16 leaf blocks wide
     (128, 4, 60, np.float64),     # banded: tiles off the diagonal lack leaves
-    (128, 8, None, np.float32),   # float32 at leaf 8: one GEMM per leaf product
-    (100, 4, 60, np.float32),
+    (128, 8, None, np.float64),   # the root is the only 16-wide tile triple
+    (100, 4, 60, np.float64),     # padded and banded
 ])
 def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, dtype):
     """A triple whose leaf triples all survive, by the smallest leaf norms
@@ -423,17 +426,16 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
     widest edge (batches of one cube, many merge chunks), in chunks too
     small for it (its tier is skipped) and in chunks too small for any
     cube."""
-    ad, bd = _decaying(n, 1, band, dtype), _decaying(n, 2, band, dtype)
-    # tiny rows of A and columns of B: each float64 leaf product's (0, 0)
-    # underflows to -0.0 (the float32 GEMM gives +0.0, and a zero outside a
-    # band adds a +0.0 term)
-    negative_zeros = dtype == np.float64 and band is None
+    ad, bd = _decaying(n, 1, band), _decaying(n, 2, band)
+    # tiny rows of A and columns of B: each leaf product's (0, 0) underflows
+    # to -0.0 (a zero outside a band adds a +0.0 term)
+    negative_zeros = band is None
     if negative_zeros:
         ad[0::leaf] = np.where(ad[0::leaf] != 0, -1e-200, 0.0)
         bd[:, 0::leaf] = np.where(bd[:, 0::leaf] != 0, 1e-200, 0.0)
-    x = from_dense(ad.astype(np.float64) + ad.T, leaf, dtype)
-    assert x.symmetric
-    for a, b in ((from_dense(ad, leaf, dtype), from_dense(bd, leaf, dtype)), (x, x)):
+    x = from_dense(ad + ad.T, leaf)
+    assert x.symmetric and x.dtype == dtype
+    for a, b in ((from_dense(ad, leaf), from_dense(bd, leaf)), (x, x)):
         symmetric = a is b
         pa, pb = padded_dense(a), padded_dense(b)
         lows = _tile_lows(pa, pb, leaf)
@@ -489,25 +491,24 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert stats.pruned_volume > 0
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_block_column_gemm_matches_leaf_gemms(dtype):
+def test_block_column_gemm_matches_leaf_gemms():
     """The GEMM a whole subcube runs per inner block k, A's block column of
     e leaf blocks (e b x b) times B's block row (b x e b), gives each block
     (i, j) the bytes of the leaf GEMM A_ik B_kj run in a stack, as the leaf
-    path runs it: for float64 at every leaf size and for float32 at leaf
-    <= 4, at each edge the kernel takes it for; on random blocks, on blocks
-    with exact zeros of both signs, and on blocks whose products underflow
-    (to -0.0 where the BLAS gives it)."""
+    path runs it, at every leaf size and edge whose GEMM fits
+    ``_COLUMN_GEMM_MAX``; on random blocks, on blocks with exact zeros of
+    both signs, and on blocks whose products underflow (to -0.0 where the
+    BLAS gives it)."""
     rng = np.random.default_rng(7)
-    tiny = np.finfo(dtype).tiny ** 0.5 / 4
+    tiny = np.finfo(np.float64).tiny ** 0.5 / 4
     tried = set()
     for leaf in (1, 2, 3, 4, 5, 8, 12, 16, 24, 32):
         for e in (2, 4, 8, 16):
-            if not multiply._column_gemm(np.dtype(dtype), leaf, e):
+            if (e * leaf) ** 2 * leaf > multiply._COLUMN_GEMM_MAX:
                 continue
             tried.add(leaf)
-            col = rng.standard_normal((3, e, leaf, leaf)).astype(dtype)
-            row = rng.standard_normal((3, e, leaf, leaf)).astype(dtype)
+            col = rng.standard_normal((3, e, leaf, leaf))
+            row = rng.standard_normal((3, e, leaf, leaf))
             col[1][rng.random(col[1].shape) < 0.6] = 0.0
             row[1][rng.random(row[1].shape) < 0.6] = -0.0
             col[2, :, 0, :] = -tiny
@@ -518,29 +519,31 @@ def test_block_column_gemm_matches_leaf_gemms(dtype):
             want = np.matmul(np.repeat(col, e, axis=1).reshape(-1, leaf, leaf),
                              np.tile(row, (1, e, 1, 1)).reshape(-1, leaf, leaf))
             assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (leaf, e)
-    assert tried == ({1, 2, 3, 4, 5, 8, 12, 16, 24, 32} if dtype == np.float64
-                     else {1, 2, 3, 4})
+    assert tried == {1, 2, 3, 4, 5, 8, 12, 16, 24, 32}
 
 
 @pytest.mark.parametrize("leaf", [16, 32])
 def test_cubes_past_the_column_gemm_cap_keep_leaf_bits(monkeypatch, leaf):
-    """Where a cube's block-column GEMM would pass 2**19 multiply-adds
-    (edge 16 at leaf 16, edge 8 at leaf 32) it keeps one GEMM per leaf
-    product: with rows of A and columns of B whose products underflow,
-    each leaf product's (0, 0) is -0.0 where the BLAS gives it, and a
-    larger GEMM may sum from +0.0; the product bytes and stats are the
-    leaf path's, for A B and for the symmetric square."""
+    """A tier whose cubes' block-column GEMM would pass 2**19 multiply-adds
+    (edge 16 at leaf 16, edge 8 at leaf 32) is not tried: its triples split
+    to the next tier, whose cubes are taken, each GEMM within the cap.  With
+    rows of A and columns of B whose products underflow, each leaf
+    product's (0, 0) is -0.0 where the BLAS gives it, and a larger GEMM may
+    sum from +0.0; the product bytes and stats are the leaf path's, for
+    A B and for the symmetric square."""
     n = 256
-    ad, bd = _decaying(n, 5, None, np.float64), _decaying(n, 6, None, np.float64)
+    ad, bd = _decaying(n, 5), _decaying(n, 6)
     ad[0::leaf] = -1e-200
     bd[:, 0::leaf] = 1e-200
     x = from_dense(ad + ad.T, leaf)
     cubes = _spy_subcubes(monkeypatch)
+    root = n // leaf
+    assert root ** 2 * leaf ** 3 > multiply._COLUMN_GEMM_MAX
+    assert (root // 2) ** 2 * leaf ** 3 <= multiply._COLUMN_GEMM_MAX
     for a, b in ((from_dense(ad, leaf), from_dense(bd, leaf)), (x, x)):
         cubes.clear()
         c, stats = spamm(a, b)
-        assert {edge for edge, *_ in cubes} == {n // leaf}  # the root
-        assert not multiply._column_gemm(c.dtype, leaf, n // leaf)
+        assert {edge for edge, *_ in cubes} == {root // 2}  # the root's children
         with monkeypatch.context() as patch:
             patch.setattr(multiply, "_CUBE_LEVELS", ())
             ref, ref_stats = spamm(a, b)
@@ -549,8 +552,11 @@ def test_cubes_past_the_column_gemm_cap_keep_leaf_bits(monkeypatch, leaf):
 
 
 # Run in a fresh process, whose OpenBLAS reads OPENBLAS_CORETYPE when it
-# loads: float32 leaf-8 cubes, for A B and for a symmetric square, against
-# the leaf path alone.  Prints the cubes run.
+# loads: the largest cubes the cap admits at leaf 8 (edge 16, a 2**17
+# multiply-add GEMM per inner block) and at leaf 16 (edge 8, 2**18), for
+# A B and for a symmetric square, against the leaf path alone.  Rows of A
+# and columns of B whose products underflow give each leaf product's
+# (0, 0) -0.0 where the kernel gives it.  Prints the root cubes run.
 _CUBES_AGAINST_LEAF_PATH = """
 import numpy as np
 from spamm import multiply
@@ -560,15 +566,13 @@ from spamm.quadtree import from_dense
 rng = np.random.default_rng(3)
 n = 128
 dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-ad, bd = (rng.standard_normal((n, n)) * np.exp(-dist / 10) for _ in range(2))
-a, b = (from_dense(d, 8, np.float32) for d in (ad, bd))
-x = from_dense(ad + ad.T, 8, np.float32)
 ran = 0
 subcube_sums, cube_levels = multiply._subcube_sums, multiply._CUBE_LEVELS
 
 def spy(*args):
     global ran
-    ran += args[4].size
+    if args[0].leaf_size << args[2] == n:  # the root: edge 16 or 8
+        ran += args[4].size
     return subcube_sums(*args)
 
 def product(lhs, rhs, tau, levels):
@@ -576,13 +580,18 @@ def product(lhs, rhs, tau, levels):
     return spamm(lhs, rhs, SpammConfig(tau=tau))
 
 multiply._subcube_sums = spy
-for lhs, rhs in ((a, b), (x, x)):
-    for tau in (0.0, 1e-2):
-        c, stats = product(lhs, rhs, tau, cube_levels)
-        ref, ref_stats = product(lhs, rhs, tau, ())
-        assert c._keys.tobytes() == ref._keys.tobytes()
-        assert c._stack.tobytes() == ref._stack.tobytes(), (lhs is rhs, tau)
-        assert stats == ref_stats
+for leaf in (8, 16):
+    ad, bd = (rng.standard_normal((n, n)) * np.exp(-dist / 10) for _ in range(2))
+    ad[0::leaf] = -1e-200
+    bd[:, 0::leaf] = 1e-200
+    x = from_dense(ad + ad.T, leaf)
+    for lhs, rhs in ((from_dense(ad, leaf), from_dense(bd, leaf)), (x, x)):
+        for tau in (0.0, 1e-2):
+            c, stats = product(lhs, rhs, tau, cube_levels)
+            ref, ref_stats = product(lhs, rhs, tau, ())
+            assert c._keys.tobytes() == ref._keys.tobytes()
+            assert c._stack.tobytes() == ref._stack.tobytes(), (leaf, lhs is rhs, tau)
+            assert stats == ref_stats
 print(ran)
 """
 
@@ -602,11 +611,12 @@ def _openblas_picks_kernels():
 @pytest.mark.skipif(not _openblas_picks_kernels(),
                     reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
 @pytest.mark.parametrize("core", ["Haswell", "SandyBridge"])
-def test_float32_leaf8_cubes_match_leaf_path_on_forced_kernels(core):
-    """On OpenBLAS's Haswell kernel a float32 GEMM of K >= 8 rounds
-    differently as M and N grow, so float32 cubes at leaf 8 keep one GEMM
-    per leaf product; with the Haswell and the Sandy Bridge kernel forced,
-    their products and stats are those of the leaf path alone."""
+def test_cubes_near_the_cap_match_leaf_path_on_forced_kernels(core):
+    """A BLAS may pick its kernel by a GEMM's size, so cubes keep the leaf
+    path's bits only while their block-column GEMMs stay under the cap:
+    with the Haswell and the Sandy Bridge kernel forced, the largest cubes
+    the cap admits at leaf 8 and 16 give the products and stats of the
+    leaf path alone."""
     src = os.path.dirname(os.path.dirname(multiply.__file__))
     env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2",
                OPENBLAS_NUM_THREADS="1",
@@ -616,7 +626,7 @@ def test_float32_leaf8_cubes_match_leaf_path_on_forced_kernels(core):
     if f"core: {core.lower()}" not in run.stderr.lower():
         pytest.skip(f"OpenBLAS did not take the {core} kernel: {run.stderr.strip()}")
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) > 0  # cubes ran
+    assert int(run.stdout) == 4  # at tau 0, for each leaf size and product
 
 
 # ------------------------------------------------------- symmetric squares
@@ -636,7 +646,7 @@ def _symmetric_decay(n, seed, band=None):
 _MIRROR = multiply._mirror
 
 
-def _square_with_twin(monkeypatch, d, leaf, dtype, tau):
+def _square_with_twin(monkeypatch, d, leaf, tau):
     """Square ``from_dense(d)`` as ``spamm(x, x)`` and as ``spamm(x, twin)``
     with ``twin`` rebuilt from the same array: a different object, so the
     second product takes the full traversal.  Returns both (tree, stats)
@@ -648,8 +658,8 @@ def _square_with_twin(monkeypatch, d, leaf, dtype, tau):
         return _MIRROR(*args)
 
     monkeypatch.setattr(multiply, "_mirror", spy)
-    x = from_dense(d, leaf_size=leaf, dtype=dtype)
-    twin = from_dense(d, leaf_size=leaf, dtype=dtype)
+    x = from_dense(d, leaf_size=leaf)
+    twin = from_dense(d, leaf_size=leaf)
     cfg = SpammConfig(tau=tau, collect_boxes=True)
     return spamm(x, x, cfg), spamm(x, twin, cfg), len(calls)
 
@@ -673,7 +683,7 @@ def _assert_same_product(got, want):
     (100, 1, 9, np.float64),
     (64, 8, None, np.float64),
     (100, 8, 20, np.float64),
-    (100, 4, None, np.float32),
+    (100, 4, None, np.float64),  # padded, no empty blocks
 ])
 def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
     """Squaring a symmetric tree from its upper block triangle gives the
@@ -683,10 +693,11 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
     for tau in (0.0, 1e-2):
         for chunk in (multiply._CHUNK_ELEMENTS, 5 * leaf * leaf):
             monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
-            sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, dtype, tau)
+            sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, tau)
             assert mirrored == 1
             _assert_same_product(sym, full)
             c, stats = sym
+            assert c.dtype == dtype
             assert np.array_equal(c.to_dense(), c.to_dense().T)
             if tau:
                 assert len({bx.tier for bx in stats.boxes}) >= 2
@@ -706,7 +717,7 @@ def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
         x = from_dense(case)
         assert not x.symmetric and not is_bitwise_symmetric(x)
         for tau in (0.0, 1e-2):
-            sym, full, mirrored = _square_with_twin(monkeypatch, case, 4, np.float64, tau)
+            sym, full, mirrored = _square_with_twin(monkeypatch, case, 4, tau)
             assert mirrored == 0
             _assert_same_product(sym, full)
     c, _ = spamm(from_dense(off_by_ulp), from_dense(off_by_ulp))
@@ -727,7 +738,7 @@ def test_symmetric_square_at_a_tied_tau(monkeypatch):
         norms = x._norm_sq[tier]
         tau = float(np.sqrt(norms[i, k]) * np.sqrt(norms[k, j]))
         assert tau == float(np.sqrt(norms[j, k]) * np.sqrt(norms[k, i]))
-        sym, full, mirrored = _square_with_twin(monkeypatch, d, 4, np.float64, tau)
+        sym, full, mirrored = _square_with_twin(monkeypatch, d, 4, tau)
         assert mirrored == 1
         _assert_same_product(sym, full)
         assert sym[1].pruned_calls > 0

@@ -289,31 +289,38 @@ def test_purify_tau0_reference_is_self():
     assert res.reference_energy == res.energy
 
 
-def test_purify_float32_gapped64(monkeypatch):
-    """A float32 run lands within a few float32 ulps of the float64 energy
-    (both projected in float64), and every square it takes from the upper
-    block triangle has the bytes of the full traversal."""
+def test_purify_tau0_delta_is_nan_for_nan_energy():
+    """At tau 0 the run is its own reference, and its delta_e_rel is 0 only
+    when its energy is finite: a NaN-filled F, flagged symmetric (its NaNs
+    have their mirrors' bits), gives a NaN energy and a NaN delta_e_rel."""
+    f = from_dense(np.full((16, 16), np.nan))
+    assert f.symmetric
+    res = purify(f, 8, SpammMode(0.0))
+    assert np.isnan(res.energy)
+    assert not np.isfinite(res.delta_e_rel)
+
+
+def test_purify_squares_match_full_traversal_gapped64(monkeypatch):
+    """Every square a purify run takes from the upper block triangle has
+    the bytes of the full traversal, at a tau that prunes."""
     n, mode = 64, SpammMode(1e-6)
-    f = _gapped(n)
-    want = purify(f, n // 2, mode, reference_energy=-1.0).energy
     squares = []
 
     def checked_spamm(a, b, config):
         c, stats = spamm(a, b, config)
-        twin = from_dense(a.to_dense(), leaf_size=a.leaf_size, dtype=a.dtype)
+        twin = from_dense(a.to_dense(), leaf_size=a.leaf_size)
         assert a is b and a.symmetric and is_bitwise_symmetric(a)
         assert c.structurally_equal(spamm(a, twin, config)[0])
-        squares.append(c.dtype)
+        squares.append(stats.pruned_calls)
         return c, stats
 
     monkeypatch.setattr(purification, "spamm", checked_spamm)
-    f32 = from_dense(f.to_dense(), dtype=np.float32)
-    got = purify(f32, n // 2, mode, reference_energy=-1.0).energy
-    # One square per distinct iterate: the run reaches the fixed-point floor
-    # at sweep 15 (the fixed_at of every_sweep_tc2 on this run).
-    assert squares == [np.float32] * 15
-    assert np.isfinite(got)
-    assert abs(got - want) <= 10 * np.finfo(np.float32).eps * abs(want)
+    res = purify(_gapped(n), n // 2, mode, reference_energy=-1.0)
+    # The run neither freezes nor holds, so it squares all 50 iterates.
+    assert res.held_at is None
+    assert len(squares) == 50
+    assert max(squares) > 0
+    assert np.isfinite(res.energy)
 
 
 def _non_finite_first(step):

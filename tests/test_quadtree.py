@@ -126,6 +126,15 @@ def test_bad_leaf_size_rejected():
         from_dense(np.eye(4), leaf_size=0)
 
 
+def test_from_dense_stores_float64():
+    """Integer and float32 input is stored as float64, value for value."""
+    d = np.arange(36).reshape(6, 6) - 17
+    for arr in (d, d.astype(np.float32) / 8):
+        m = from_dense(arr)
+        assert m.dtype == np.float64 and m._stack.dtype == np.float64
+        assert np.array_equal(m.to_dense(), arr)
+
+
 # ---------------------------------------------------------------- filtering
 
 def test_filter_tau0_is_identity():
@@ -294,23 +303,22 @@ def test_from_dense_strips_keep_every_block(monkeypatch):
     """The nonzero-block scan of from_dense runs in strips of block rows;
     with several strips (the last one partial) every nonzero block is
     stored with its exact bytes, -0.0 elements included, for leaf sizes
-    1..8, padded and unpadded sides, and float32 storage."""
-    for n, leaf, dtype in ((45, 4, None), (64, 4, None), (33, 1, None),
-                           (24, 8, None), (20, 2, np.float32)):
+    1..8, padded and unpadded sides."""
+    for n, leaf in ((45, 4), (64, 4), (33, 1), (24, 8), (20, 2)):
         rng = np.random.default_rng(n)
         i, j = np.indices((n, n))
         d = rng.standard_normal((n, n))
         d[np.abs(i - j) > 3] = 0.0
         d[0, 1] = -0.0 if leaf > 1 else 0.0  # a -0.0 beside nonzeros
         d[n - 1, 0] = 1.5  # a lone nonzero block in the last block row
-        m = from_dense(d, leaf_size=leaf, dtype=dtype)
+        m = from_dense(d, leaf_size=leaf)
         # three block rows per strip, so the last strip is partial
         monkeypatch.setattr(quadtree, "_STRIP_ELEMENTS",
                             3 * leaf * m.padded_dim)
-        m = from_dense(d, leaf_size=leaf, dtype=dtype)
+        m = from_dense(d, leaf_size=leaf)
         assert m.block_grid % 3 != 0
         _assert_matches_full_rebuild(m)
-        pad = np.zeros((m.padded_dim, m.padded_dim), dtype=m.dtype)
+        pad = np.zeros((m.padded_dim, m.padded_dim))
         pad[:n, :n] = d
         assert _stored_padded(m).tobytes() == pad.tobytes()
         assert np.signbit(m.to_dense()[0, 1]) == (leaf > 1)
@@ -384,13 +392,12 @@ def test_filter_drop_output_matches_full_rebuild():
 
 def test_trace_bits_match_dense_diagonal():
     rng = np.random.default_rng(28)
-    for dtype in (np.float64, np.float32):
-        for n in (1, 13, 37, 61):
-            d = rng.standard_normal((n, n))
-            d[4:8, 4:8] = 0.0  # a diagonal block that is not stored
-            m = from_dense(d, dtype=dtype)
-            ref = float(np.add.reduce(np.diagonal(m.to_dense())))
-            assert trace(m) == ref, (dtype, n)
+    for n in (1, 13, 37, 61):
+        d = rng.standard_normal((n, n))
+        d[4:8, 4:8] = 0.0  # a diagonal block that is not stored
+        m = from_dense(d)
+        ref = float(np.add.reduce(np.diagonal(m.to_dense())))
+        assert trace(m) == ref, n
 
 
 def test_distance_matches_dense_norm():
@@ -402,11 +409,6 @@ def test_distance_matches_dense_norm():
         assert abs(got - ref) <= 1e-13 * ref
         assert distance(y, x) == got
     assert distance(a, a) == 0.0
-    a32 = from_dense(a.to_dense(), dtype=np.float32)
-    b32 = from_dense(b.to_dense(), dtype=np.float32)
-    ref = float(np.linalg.norm(a32.to_dense().astype(np.float64)
-                               - b32.to_dense().astype(np.float64)))
-    assert abs(distance(a32, b32) - ref) <= 1e-13 * ref
 
 
 def _banded_dense(n, seed):
@@ -458,13 +460,14 @@ def _symmetric_dense(n, seed):
     return d + d.T
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("leaf", [1, 4, 8])
 @pytest.mark.parametrize("n", [100, 128])
 def test_mirrored_norms_are_bit_equal(n, leaf, dtype):
     """On a bitwise-symmetric tree, and on its symmetric square, every
     cached norm has the bits of its mirror's, at every tier."""
-    x = from_dense(_symmetric_dense(n, n + leaf), leaf_size=leaf, dtype=dtype)
+    x = from_dense(_symmetric_dense(n, n + leaf), leaf_size=leaf)
+    assert x.dtype == dtype
     c, stats = spamm(x, x, SpammConfig(tau=1e-2))
     assert stats.pruned_calls > 0
     for m in (x, c):
@@ -479,22 +482,20 @@ def test_from_dense_symmetric_flag_is_exact():
     """from_dense flags a tree symmetric exactly when it equals its
     transpose bit for bit: a value 1 ulp off its mirror, a -0.0 facing a
     +0.0 inside a stored block, or an unmirrored block clears the flag;
-    padding, float32 storage and the empty tree keep it (a 1 x 1 leaf of
-    -0.0 is all zero, so it is not stored)."""
-    base = _symmetric_dense(45, 9)
-    base[np.abs(np.subtract.outer(np.arange(45), np.arange(45))) > 12] = 0.0
-    for dtype in (np.float64, np.float32):
-        d = base.astype(dtype)
-        off_by_ulp = d.copy()
-        off_by_ulp[3, 5] = np.nextafter(d[3, 5], dtype(np.inf))
-        signed_zero = d.copy()
-        signed_zero[2, 6] = -0.0
-        signed_zero[6, 2] = 0.0
-        pattern = d.copy()
-        pattern[0, 40] = 1.0
-        for leaf in (1, 4, 8):
-            cases = [(d, True), (off_by_ulp, False), (signed_zero, leaf == 1),
-                     (pattern, False), (np.zeros((45, 45), dtype), True)]
-            for arr, want in cases:
-                m = from_dense(arr, leaf_size=leaf, dtype=dtype)
-                assert m.symmetric == is_bitwise_symmetric(m) == want, (leaf, dtype)
+    padding and the empty tree keep it (a 1 x 1 leaf of -0.0 is all zero,
+    so it is not stored)."""
+    d = _symmetric_dense(45, 9)
+    d[np.abs(np.subtract.outer(np.arange(45), np.arange(45))) > 12] = 0.0
+    off_by_ulp = d.copy()
+    off_by_ulp[3, 5] = np.nextafter(d[3, 5], np.inf)
+    signed_zero = d.copy()
+    signed_zero[2, 6] = -0.0
+    signed_zero[6, 2] = 0.0
+    pattern = d.copy()
+    pattern[0, 40] = 1.0
+    for leaf in (1, 4, 8):
+        cases = [(d, True), (off_by_ulp, False), (signed_zero, leaf == 1),
+                 (pattern, False), (np.zeros((45, 45)), True)]
+        for arr, want in cases:
+            m = from_dense(arr, leaf_size=leaf)
+            assert m.symmetric == is_bitwise_symmetric(m) == want, leaf
