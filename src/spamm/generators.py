@@ -112,7 +112,7 @@ def decay_profile(m, positions, block_size):
             f"{count} atoms x block {block_size} != matrix dim {m.logical_dim}")
     dense = m.to_dense()
     blocks = dense.reshape(count, block_size, count, block_size).swapaxes(1, 2)
-    norms = np.sqrt((blocks.astype(np.float64) ** 2).sum(axis=(2, 3)))
+    norms = np.sqrt((blocks ** 2).sum(axis=(2, 3)))
     dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     return np.column_stack([dists.ravel(), norms.ravel()])
 

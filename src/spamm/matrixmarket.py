@@ -39,7 +39,7 @@ def write_matrix_market(mat, path, fmt="array"):
 def read_matrix_market(path):
     """Read a real MatrixMarket file (array or coordinate; general or
     symmetric) into a dense float64 array.  A non-finite entry (nan or
-    inf) is rejected."""
+    inf), and a symmetric file whose size is not square, are rejected."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith(_HEADER_PREFIX):
@@ -63,8 +63,14 @@ def read_matrix_market(path):
         if size_line is None:
             raise ValueError(f"missing size line in {path}")
 
+        size = [int(t) for t in size_line.split()]
+        if len(size) != (2 if fmt == "array" else 3):
+            raise ValueError(f"malformed {fmt} size line: {size_line.strip()!r}")
+        rows, cols = size[:2]
+        if symmetry == "symmetric" and rows != cols:
+            raise ValueError(f"a symmetric matrix must be square, got size {rows} x {cols}")
+
         if fmt == "array":
-            rows, cols = (int(t) for t in size_line.split())
             values = []
             for line in data_lines:
                 values.extend(float(t) for t in line.split())
@@ -88,7 +94,7 @@ def read_matrix_market(path):
             else:
                 out = np.array(values).reshape(cols, rows).T
         else:
-            rows, cols, nnz = (int(t) for t in size_line.split())
+            nnz = size[2]
             out = np.zeros((rows, cols))
             seen = 0
             for line in data_lines:

@@ -35,10 +35,10 @@ column (the cube's 2**L blocks at column k stacked, K = leaf) by B's block
 row makes all of the cube's leaf products at that k: block (i, j) of it is
 A_ik B_kj, summed over the same K terms as that leaf product's own GEMM.
 L slab adds then sum the products over k; on a complete aligned window of
-2**L that is the pairwise tree itself.  The sums enter the leaf stage's
-merge as level-L nodes beside the leaf products' nodes, so each C block
-still has one summation tree and one order; the one copy of each sum into
-the merge also gathers its block's rows out of the GEMM's layout.
+2**L that is the pairwise tree itself, and the last add stores each sum
+as one whole block.  The sums enter the leaf stage's merge as level-L
+nodes beside the leaf products' nodes, each node one block index, so each
+C block still has one summation tree and one order.
 
 The leaf stage plans the merge on the sorted integer keys
 ``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
@@ -186,7 +186,7 @@ def spamm(a, b, config=None):
 
     keys = np.zeros(0, dtype=np.intp)
     blocks = np.zeros((0, a.leaf_size, a.leaf_size))
-    cubes = []  # (level, diagonal, i, j, k) of the whole subcubes, per tier
+    cubes = []  # (level, i, j, k) of the whole subcubes, per tier
     lows = None  # smallest leaf squared norms under each tile, per level
 
     ia = ja = ka = np.zeros(1, dtype=np.intp)
@@ -228,7 +228,7 @@ def spamm(a, b, config=None):
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
                     np.take(a._index, fa[active]), np.take(b._index, fb[active]),
-                    cubes, depth)
+                    cubes, depth, symmetric)
             break
 
         level = depth - tier
@@ -250,10 +250,8 @@ def spamm(a, b, config=None):
                    * np.sqrt(np.take(lows[1][level], fb)))
             whole = active & (low >= tau) & (low > 0)
             stats.leaf_matmuls += (1 << 3 * level) * int(weight[whole].sum())
-            diagonal = whole & (ia == ja) if symmetric else np.zeros_like(whole)
-            for on_diagonal, part in ((False, whole & ~diagonal), (True, diagonal)):
-                if part.any():
-                    cubes.append((level, on_diagonal, ia[part], ja[part], ka[part]))
+            if whole.any():
+                cubes.append((level, ia[whole], ja[whole], ka[whole]))
             active &= ~whole
 
         ia = (ia[active, None] * 2 + _DI).ravel()
@@ -294,16 +292,16 @@ def _mirror(keys, blocks, nb):
     return full[order], np.take(stack, order, axis=0)
 
 
-def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
+def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
     """Compute the surviving leaf products and the whole subcubes and merge
     them per C block.  The leaf products are made in chunks of about
     ``_CHUNK_ELEMENTS`` product elements, but the cube sums share one
     buffer for the whole multiply, which no cap bounds.  ``keys`` are the
     leaf triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the
     stack rows of their operand blocks; ``cubes`` lists the whole subcubes
-    as ``(level, diagonal, i, j, k)``, see ``_subcube_sums``.  Returns the
-    C block keys ``i * nb + j`` in increasing order and the (m, b, b) stack
-    of merged blocks in that order."""
+    of each tier as ``(level, i, j, k)``, see ``_subcube_sums``.  Returns
+    the C block keys ``i * nb + j`` in increasing order and the (m, b, b)
+    stack of merged blocks in that order."""
     leaf = a.leaf_size
     # The (i, j, k) triples are unique, so any sort of their row-major keys
     # gives the same permutation; nb**3 fits in intp for any nb whose
@@ -311,19 +309,17 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     order = np.argsort(keys)
     keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
     groups = keys >> depth
-    # Each cube group writes its sums into its part of one buffer, in its
-    # GEMM's layout: a node's block is ``leaf`` rows of it.
-    sizes = [cube[2].size << 2 * cube[0] for cube in cubes]
+    # Each tier's cube sums are its part of one buffer, one block each.
+    sizes = [cube[1].size << 2 * cube[0] for cube in cubes]
     sums = np.empty((sum(sizes), leaf, leaf))
-    node_keys = np.zeros(0, dtype=np.intp)
-    node_rows = np.zeros((0, leaf), dtype=np.intp)
+    node_keys = node_at = np.zeros(0, dtype=np.intp)
     if cubes:
-        made = [_subcube_sums(a, b, *cube, depth, sums, offset)
+        made = [_subcube_sums(a, b, *cube, depth, symmetric, sums, offset)
                 for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
-        node_keys, node_rows = (np.concatenate(part) for part in zip(*made))
+        node_keys, node_at = (np.concatenate(part) for part in zip(*made))
         groups = np.sort(np.concatenate((groups, node_keys >> depth)))
     order = np.argsort(node_keys)
-    node_keys, node_rows = node_keys[order], node_rows[order]
+    node_keys, node_at = node_keys[order], node_at[order]
     # A chunk holds the groups that start within one span of chunk_triples
     # products, so it never splits a group (the pairwise merge needs the
     # whole contribution set) and ends within one group of the span.
@@ -334,26 +330,24 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth):
     cuts = np.append(np.searchsorted(keys, first_keys), keys.size)
     node_cuts = np.append(np.searchsorted(node_keys, first_keys), node_keys.size)
     parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e],
-                          node_keys[t:u], sums.reshape(-1, leaf), node_rows[t:u], depth)
+                          node_keys[t:u], sums, node_at[t:u], depth)
              for s, e, t, u in zip(cuts, cuts[1:], node_cuts, node_cuts[1:])]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth, sums, start):
+def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
     each of edge e = 2**level leaf blocks, and write the sums over k of
-    their e * e leaf blocks to the e * e * ci.size blocks of ``sums`` from
-    block ``start`` on, in the layout the GEMM leaves them: cube, then
-    rows (i, r), then columns (j, c).  Each inner block k takes one GEMM
-    of A's block column by B's block row.  The sum over k then follows the
-    merge's pairwise tree, which on a complete aligned window has no lone
-    nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
-    level-``level`` merge nodes made, and the rows of each one's block in
-    ``sums`` seen as rows of b elements, (m, b).  A ``diagonal`` subcube
-    of a symmetric square (ci == cj) makes nodes of its blocks with
-    i <= j alone."""
+    their leaf blocks to ``sums`` from block ``start`` on: cube c's block
+    (i, j) is block ``start + c*e*e + i*e + j``.  Each inner block k takes
+    one GEMM of A's block column by B's block row.  The sum over k then
+    follows the merge's pairwise tree, which on a complete aligned window
+    has no lone nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
+    level-``level`` merge nodes made and each one's block in ``sums``.  On
+    a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes of
+    its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     r = np.arange(leaf, dtype=np.intp)
@@ -363,38 +357,36 @@ def _subcube_sums(a, b, level, diagonal, ci, cj, ck, depth, sums, start):
     # B's block row gathered one leaf row t at a time
     flat_b = flat_b[:, :, None, :] * leaf + r[:, None]                 # [k, cube, t, j]
     rows_b = b._stack.reshape(-1, leaf)
-    out = sums[start:start + ci.size * e * e].reshape(-1, e * leaf, e * leaf)
+    # The GEMM leaves each cube as (i, r, j, c); the last add writes it as
+    # (i, j, r, c), one block per (i, j).
+    out = sums[start:start + ci.size * e * e].reshape(-1, e, e, leaf, leaf)
+    out = out.swapaxes(2, 3)
     batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
         tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]
         prod = np.matmul(tile_a.reshape(e, -1, e * leaf, leaf),
                          tile_b.reshape(e, -1, leaf, e * leaf))
+        prod = prod.reshape(e, -1, e, leaf, e, leaf)
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
         step = 1
         while step < e // 2:
             np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
             step *= 2
         np.add(prod[0], prod[step], out=out[lo:lo + batch])
-    if diagonal:
-        pi, pj = np.triu_indices(e)
-    else:
-        pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
+    pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
     keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
             + ((pi * nb + pj) << depth))
-    # Block (i, j) of a cube is rows (i, r, j) of its part of ``sums``.
-    within = (pi[:, None] * leaf + r) * e + pj[:, None]
-    rows = (start + np.arange(ci.size, dtype=np.intp) * (e * e))[:, None, None] * leaf + within
-    return keys.reshape(-1), rows.reshape(-1, leaf)
+    node = np.flatnonzero((ci != cj)[:, None] | (pi <= pj) | (not symmetric))
+    return keys.reshape(-1)[node], start + node
 
 
-def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sum_rows, node_at, depth):
+def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sums, node_at, depth):
     """Multiply and merge one chunk of whole groups: the leaf triples at
     ``keys``, sorted, and the subcube sums at sorted ``node_keys``, whose
-    blocks are the rows ``node_at`` (m, b) of ``sum_rows``.  At merge
-    level l, nodes whose keys agree above bit l are siblings, and the
-    first (lower k) absorbs the second; the sum of a subcube of edge 2**L
-    is a node from level L on."""
+    blocks are ``sums[node_at]``.  At merge level l, nodes whose keys agree
+    above bit l are siblings, and the first (lower k) absorbs the second;
+    the sum of a subcube of edge 2**L is a node from level L on."""
     m = keys.size
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)
@@ -408,24 +400,18 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sum_rows, node_at, depth
     prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size))
     np.matmul(np.take(a._stack, rows_a[perm], axis=0),
               np.take(b._stack, rows_b[perm], axis=0), out=prod[:m])
-    # The cube sums' one copy, which also gathers each block's rows; "clip"
-    # (the rows are in range) writes straight to prod, where "raise" would
-    # buffer the whole output first.
-    np.take(sum_rows, node_at.reshape(-1), axis=0,
-            out=prod[m:].reshape(-1, a.leaf_size), mode="clip")
+    # The cube sums' one copy; "clip" (the indices are in range) writes
+    # straight to prod, where "raise" would buffer the whole output first.
+    np.take(sums, node_at, axis=0, out=prod[m:], mode="clip")
     np.add(prod[:p], prod[p:2 * p], out=prod[:p])
 
     # Each node lives in the product row of its lowest-k member.
     row = np.empty(m, dtype=np.intp)
     row[perm] = np.arange(m, dtype=np.intp)
-    node_rows = row[keep]
-    if node_keys.size:
-        node_keys = np.concatenate((keys[keep], node_keys))
-        node_rows = np.concatenate((node_rows, np.arange(m, len(prod), dtype=np.intp)))
-        order = np.argsort(node_keys, kind="stable")
-        node_keys, node_rows = node_keys[order], node_rows[order]
-    else:
-        node_keys = keys[keep]
+    node_keys = np.concatenate((keys[keep], node_keys))
+    node_rows = np.concatenate((row[keep], np.arange(m, len(prod), dtype=np.intp)))
+    order = np.argsort(node_keys, kind="stable")
+    node_keys, node_rows = node_keys[order], node_rows[order]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     for level in range(1, depth):
         if node_keys.size == n_groups:

@@ -291,7 +291,8 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     Bisection on log tau over [_TAU_LO, _TAU_HI] = [1e-14, 1e-1], accepting
     any tau whose delta_e_rel falls in [target/2, target*2], for the
     truncation family of ``mode`` (its own tau is ignored); at most
-    ``max_steps`` bisection steps.  Boundary outcomes:
+    ``max_steps`` bisection steps.  A target that is not finite and > 0
+    raises ValueError before any purification runs.  Boundary outcomes:
 
     * error at _TAU_HI still below the target band: returns _TAU_HI with
       ``hit_boundary`` set (the target is too coarse to reach);
@@ -307,8 +308,8 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     purification makes otherwise, when the caller already has one (e.g.
     shared across a sweep).
     """
-    if target_delta_e <= 0:
-        raise ValueError(f"target_delta_e must be > 0, got {target_delta_e}")
+    if not math.isfinite(target_delta_e) or target_delta_e <= 0:
+        raise ValueError(f"target_delta_e must be finite and > 0, got {target_delta_e}")
     eps = np.finfo(np.float64).eps
     if target_delta_e * _BAND_FACTOR < eps:
         raise ThresholdMatchError(

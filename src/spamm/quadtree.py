@@ -209,12 +209,15 @@ def from_dense(dense, leaf_size=4):
     Parameters
     ----------
     dense : (n, n) array_like
-        Square matrix, n >= 1, stored as float64.
+        Real square matrix, n >= 1, stored as float64; complex input is
+        rejected.
     leaf_size : int
         Dense block side, a power of two >= 1 (default 4).
     """
     if leaf_size < 1 or (leaf_size & (leaf_size - 1)) != 0:
         raise ValueError(f"leaf_size must be a power of two >= 1, got {leaf_size}")
+    if np.iscomplexobj(dense):
+        raise ValueError("expected a real array, got a complex one")
     arr = np.asarray(dense, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(

@@ -13,6 +13,7 @@ from spamm.matrixmarket import read_matrix_market, write_matrix_market
 from spamm.multiply import spamm
 
 from conftest import padded_dense
+from test_matrixmarket import NON_SQUARE_SYMMETRIC
 from test_multiply import _flat_reference
 
 
@@ -286,6 +287,16 @@ def test_exit_codes(tmp_path, capsys):
                           "3 3 2\n1 1 1.0\n0 0 5.0\n")
     assert main(["purify", "--f", str(zero_index), "--n-occ", "1"]) == 1
     assert "error:" in capsys.readouterr().err
+
+    for fmt, text in NON_SQUARE_SYMMETRIC.items():
+        rect = tmp_path / f"rect-{fmt}.mtx"
+        rect.write_text(text)
+        assert main(["purify", "--f", str(rect), "--n-occ", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    assert main(["sweep", "--sizes", "16", "--modes", "spamm", "--match-targets", "nan",
+                 "--out", str(out)]) == 1
+    assert "finite and > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

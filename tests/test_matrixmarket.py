@@ -151,3 +151,31 @@ def test_read_rejects_non_finite_values(tmp_path, fmt, symmetry, value):
         read_matrix_market(path)
     want = "(1, 2)" if fmt == "array" and symmetry == "general" else "(2, 2)"
     assert want in str(exc.value)
+
+
+# A symmetric header on a size that is not square: the array file holds the
+# 6 values of a 3-row lower triangle, the coordinate file an entry (1, 3).
+NON_SQUARE_SYMMETRIC = {
+    "array": "%%MatrixMarket matrix array real symmetric\n3 2\n" + "1.0\n" * 6,
+    "coordinate": "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_read_rejects_non_square_symmetric(tmp_path, fmt):
+    """A symmetric file must be square; its size is named in the error."""
+    path = tmp_path / "rect.mtx"
+    path.write_text(NON_SQUARE_SYMMETRIC[fmt])
+    size = "3 x 2" if fmt == "array" else "2 x 3"
+    with pytest.raises(ValueError, match=f"must be square, got size {size}"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("fmt, line", [("array", "3"), ("array", "3 3 9"),
+                                       ("coordinate", "3 3"), ("coordinate", "3 3 3 3")])
+def test_read_rejects_malformed_size_line(tmp_path, fmt, line):
+    """An array size line has two numbers and a coordinate one three."""
+    path = tmp_path / "size.mtx"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real general\n{line}\n")
+    with pytest.raises(ValueError, match="malformed"):
+        read_matrix_market(path)

@@ -302,10 +302,10 @@ def _spy_subcubes(monkeypatch):
     in a list this returns."""
     cubes = []
 
-    def spy(a, b, level, diagonal, ci, cj, ck, *rest):
-        cubes.extend((1 << level, i, j, k, diagonal)
+    def spy(a, b, level, ci, cj, ck, depth, symmetric, *rest):
+        cubes.extend((1 << level, i, j, k, symmetric and i == j)
                      for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
-        return _SUBCUBE_SUMS(a, b, level, diagonal, ci, cj, ck, *rest)
+        return _SUBCUBE_SUMS(a, b, level, ci, cj, ck, depth, symmetric, *rest)
 
     monkeypatch.setattr(multiply, "_subcube_sums", spy)
     return cubes
@@ -572,7 +572,7 @@ subcube_sums, cube_levels = multiply._subcube_sums, multiply._CUBE_LEVELS
 def spy(*args):
     global ran
     if args[0].leaf_size << args[2] == n:  # the root: edge 16 or 8
-        ran += args[4].size
+        ran += args[3].size
     return subcube_sums(*args)
 
 def product(lhs, rhs, tau, levels):

@@ -405,6 +405,17 @@ def test_match_raises_on_non_finite_error():
                               reference_energy=0.0)
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -1e-6])
+def test_match_rejects_target_before_purifying(monkeypatch, target):
+    """A target that is not finite and > 0 raises ValueError before any
+    purification runs."""
+    runs = []
+    monkeypatch.setattr(purification, "purify", lambda *args, **kw: runs.append(args))
+    with pytest.raises(ValueError, match="finite and > 0"):
+        match_error_threshold(_gapped(8), 4, target, SpammMode(0.0))
+    assert runs == []
+
+
 def test_match_verifies_on_rerun_gapped128():
     h = _gapped(128)
     ref = purify(h, 64, SpammMode(0.0)).energy

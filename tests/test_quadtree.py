@@ -135,6 +135,14 @@ def test_from_dense_stores_float64():
         assert np.array_equal(m.to_dense(), arr)
 
 
+def test_from_dense_rejects_complex_input():
+    """Complex input is rejected, not cut to its real part, even when its
+    imaginary part is zero."""
+    for arr in (np.eye(4) * (1 + 2j), np.eye(4, dtype=np.complex128)):
+        with pytest.raises(ValueError, match="complex"):
+            from_dense(arr)
+
+
 # ---------------------------------------------------------------- filtering
 
 def test_filter_tau0_is_identity():
