@@ -26,8 +26,9 @@ from .generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
                          gen_model_hamiltonian)
 from .matrixmarket import read_matrix_market, write_matrix_market
 from .multiply import SpammConfig, spamm, write_box_log
-from .purification import (DroppingMode, SpammMode, _held_token,
-                           match_error_threshold, purify, write_purify_report)
+from .purification import (DroppingMode, SpammMode, _check_target, _check_tau,
+                           _held_token, match_error_threshold, purify,
+                           write_purify_report)
 from .quadtree import from_dense
 
 
@@ -117,6 +118,13 @@ def cmd_sweep(args):
             if args.taus else [])
     targets = ([float(t) for t in args.match_targets.split(",") if t]
                if args.match_targets else [])
+    # Every input is checked before the first purification runs.
+    for mode_name in modes:
+        _parse_mode(mode_name, 0.0)
+    for tau in taus:
+        _check_tau(tau)
+    for target in targets:
+        _check_target(target)
 
     lines = ["n,mode,tau,target,iterations,avg_leaf_matmuls,"
              "total_leaf_matmuls,delta_e_rel"]

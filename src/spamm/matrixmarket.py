@@ -18,6 +18,8 @@ def write_matrix_market(mat, path, fmt="array"):
     dense = mat.to_dense() if hasattr(mat, "to_dense") else np.asarray(mat)
     if dense.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {dense.shape}")
+    if fmt not in ("array", "coordinate"):
+        raise ValueError(f"fmt must be 'array' or 'coordinate', got {fmt!r}")
     rows, cols = dense.shape
     with open(path, "w") as fh:
         if fmt == "array":
@@ -26,14 +28,12 @@ def write_matrix_market(mat, path, fmt="array"):
             for j in range(cols):
                 for i in range(rows):
                     fh.write(f"{dense[i, j]:.17g}\n")
-        elif fmt == "coordinate":
+        else:
             fh.write(f"{_HEADER_PREFIX} matrix coordinate real general\n")
             nz_i, nz_j = np.nonzero(dense.T)
             fh.write(f"{rows} {cols} {nz_i.size}\n")
             for j, i in zip(nz_i, nz_j):
                 fh.write(f"{i + 1} {j + 1} {dense[i, j]:.17g}\n")
-        else:
-            raise ValueError(f"fmt must be 'array' or 'coordinate', got {fmt!r}")
 
 
 def read_matrix_market(path):

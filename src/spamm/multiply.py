@@ -36,9 +36,14 @@ row makes all of the cube's leaf products at that k: block (i, j) of it is
 A_ik B_kj, summed over the same K terms as that leaf product's own GEMM.
 L slab adds then sum the products over k; on a complete aligned window of
 2**L that is the pairwise tree itself, and the last add stores each sum
-as one whole block.  The sums enter the leaf stage's merge as level-L
-nodes beside the leaf products' nodes, each node one block index, so each
-C block still has one summation tree and one order.
+as one whole block.  Cubes run in batches of about ``_CUBE_BATCH_ELEMENTS``
+leaf products (a larger cube runs alone), so one batch's GEMM scratch is
+at most max(_CUBE_BATCH_ELEMENTS, 2**(3L) leaf**2) product elements plus
+two gathered operand stacks 1/2**L that size, whatever the multiply's
+size.  The sums themselves share one buffer for the whole multiply.  They
+enter the leaf stage's merge as level-L nodes beside the leaf products'
+nodes, each node one block index, so each C block still has one summation
+tree and one order.
 
 The leaf stage plans the merge on the sorted integer keys
 ``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
@@ -79,6 +84,13 @@ _DK = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.intp)
 
 # Leaf products are batched; cap the scratch size per batch (in elements).
 _CHUNK_ELEMENTS = 1 << 23
+
+# Whole subcubes are multiplied in batches whose leaf products, written out
+# before the sum over k, hold about this many elements (512 KiB): a batch
+# stays in a core's L2 cache instead of setting the process's peak memory.
+# A cube larger than the cap runs alone.  The leaf products keep
+# _CHUNK_ELEMENTS, whose large merge chunks they need.
+_CUBE_BATCH_ELEMENTS = 1 << 16
 
 # A triple at tier depth - L, for each L here, may leave the traversal as a
 # whole subcube of 2**L leaf blocks along each axis.
@@ -295,8 +307,9 @@ def _mirror(keys, blocks, nb):
 def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
     """Compute the surviving leaf products and the whole subcubes and merge
     them per C block.  The leaf products are made in chunks of about
-    ``_CHUNK_ELEMENTS`` product elements, but the cube sums share one
-    buffer for the whole multiply, which no cap bounds.  ``keys`` are the
+    ``_CHUNK_ELEMENTS`` product elements, and the cubes' in batches of
+    about ``_CUBE_BATCH_ELEMENTS``, but the cube sums share one buffer for
+    the whole multiply, which no cap bounds.  ``keys`` are the
     leaf triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the
     stack rows of their operand blocks; ``cubes`` lists the whole subcubes
     of each tier as ``(level, i, j, k)``, see ``_subcube_sums``.  Returns
@@ -344,10 +357,13 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     (i, j) is block ``start + c*e*e + i*e + j``.  Each inner block k takes
     one GEMM of A's block column by B's block row.  The sum over k then
     follows the merge's pairwise tree, which on a complete aligned window
-    has no lone nodes.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
-    level-``level`` merge nodes made and each one's block in ``sums``.  On
-    a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes of
-    its blocks with i <= j alone."""
+    has no lone nodes.  Cubes run in batches whose e**3 leaf products per
+    cube total at most ``_CUBE_BATCH_ELEMENTS`` elements, or one cube if
+    that is larger: a batch's scratch is those products plus A's and B's
+    gathered blocks, 1/e of them each.  Returns the keys
+    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made and
+    each one's block in ``sums``.  On a ``symmetric`` square, a diagonal
+    subcube (ci == cj) makes nodes of its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     r = np.arange(leaf, dtype=np.intp)
@@ -361,7 +377,7 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     # (i, j, r, c), one block per (i, j).
     out = sums[start:start + ci.size * e * e].reshape(-1, e, e, leaf, leaf)
     out = out.swapaxes(2, 3)
-    batch = max(1, _CHUNK_ELEMENTS // (e ** 3 * leaf * leaf))
+    batch = max(1, _CUBE_BATCH_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
         tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]

@@ -167,6 +167,12 @@ def _projector_energy(x, f_dense):
     return float(np.einsum("ij,ji->", best, f_dense)), x_gap
 
 
+def _check_tau(tau):
+    """Reject a truncation threshold that is negative or not finite."""
+    if tau < 0 or not math.isfinite(tau):
+        raise ValueError(f"mode.tau must be finite and >= 0, got {tau}")
+
+
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """Run a fixed number of TC2 sweeps under the given truncation mode.
 
@@ -192,8 +198,7 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if mode.tau < 0 or not math.isfinite(mode.tau):
-        raise ValueError(f"mode.tau must be finite and >= 0, got {mode.tau}")
+    _check_tau(mode.tau)
     if not f.symmetric:
         raise ValueError("purification requires f flagged symmetric: equal "
                          "to its transpose bit for bit, -0.0 unequal to +0.0")
@@ -284,6 +289,20 @@ _TAU_HI = 1e-1
 _BAND_FACTOR = 2.0
 
 
+def _check_target(target_delta_e):
+    """Reject a ``match_error_threshold`` target that is not finite and
+    > 0 (ValueError), or whose band lies below float64 resolution
+    (ThresholdMatchError)."""
+    if not math.isfinite(target_delta_e) or target_delta_e <= 0:
+        raise ValueError(f"target_delta_e must be finite and > 0, got {target_delta_e}")
+    eps = np.finfo(np.float64).eps
+    if target_delta_e * _BAND_FACTOR < eps:
+        raise ThresholdMatchError(
+            f"target band [{target_delta_e / _BAND_FACTOR:.3e}, "
+            f"{target_delta_e * _BAND_FACTOR:.3e}] lies below float64 "
+            f"resolution {eps:.3e}")
+
+
 def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
                           max_steps=40, reference_energy=None):
     """Find tau such that delta_e_rel lands within a band around the target.
@@ -308,14 +327,7 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     purification makes otherwise, when the caller already has one (e.g.
     shared across a sweep).
     """
-    if not math.isfinite(target_delta_e) or target_delta_e <= 0:
-        raise ValueError(f"target_delta_e must be finite and > 0, got {target_delta_e}")
-    eps = np.finfo(np.float64).eps
-    if target_delta_e * _BAND_FACTOR < eps:
-        raise ThresholdMatchError(
-            f"target band [{target_delta_e / _BAND_FACTOR:.3e}, "
-            f"{target_delta_e * _BAND_FACTOR:.3e}] lies below float64 "
-            f"resolution {eps:.3e}")
+    _check_target(target_delta_e)
     mode_type = type(mode)
     reference = reference_energy
     lo_band = target_delta_e / _BAND_FACTOR

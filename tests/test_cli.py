@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spamm import multiply
+from spamm import cli, multiply, purification
 from spamm.cli import main
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
@@ -297,6 +297,30 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--sizes", "16", "--modes", "spamm", "--match-targets", "nan",
                  "--out", str(out)]) == 1
     assert "finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--taus", "1e-6", "--match-targets", "nan"], "finite and > 0"),
+    (["--taus", "1e-6", "--match-targets", "1e-17"], "below float64 resolution"),
+    (["--modes", "spamm,bogus", "--taus", "1e-6"], "unknown mode 'bogus'"),
+    (["--taus", "-1"], "finite and >= 0"),
+    (["--taus", "1e-6,inf"], "finite and >= 0"),
+])
+def test_sweep_rejects_bad_input_before_any_purification(tmp_path, capsys,
+                                                         monkeypatch, flags, message):
+    """A bad mode name, tau or match target is rejected before the tau=0
+    reference run and every --taus row: exit status 1, an error line, and
+    no purification."""
+    def no_purify(*args, **kwargs):
+        raise AssertionError("purify ran before the sweep's inputs were checked")
+
+    monkeypatch.setattr(cli, "purify", no_purify)
+    monkeypatch.setattr(purification, "purify", no_purify)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--sizes", "16", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

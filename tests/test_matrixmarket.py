@@ -119,6 +119,22 @@ def test_read_rejects_malformed(tmp_path):
         write_matrix_market(np.zeros(3), tmp_path / "x.mtx")
 
 
+def test_write_rejects_bad_fmt_before_opening(tmp_path):
+    """A bad ``fmt`` is rejected before the path is opened, so an existing
+    file keeps its bytes."""
+    path = tmp_path / "keep.mtx"
+    write_matrix_market(np.arange(4.0).reshape(2, 2), path)
+    before = path.read_bytes()
+    for fmt in ("csv", "Array", None):
+        with pytest.raises(ValueError, match="fmt must be"):
+            write_matrix_market(np.eye(2), path, fmt=fmt)
+        assert path.read_bytes() == before
+    missing = tmp_path / "missing.mtx"
+    with pytest.raises(ValueError):
+        write_matrix_market(np.eye(2), missing, fmt="csv")
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("entry", ["0 1 5.0", "1 0 5.0", "4 1 5.0", "1 4 5.0",
                                    "-1 2 5.0"])
 def test_read_rejects_out_of_range_coordinates(tmp_path, entry):

@@ -12,6 +12,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -313,6 +314,9 @@ def _spy_subcubes(monkeypatch):
 
 _CUBE_EDGES = (16, 8, 4, 2)
 
+# Whole-subcube batch caps: one cube per batch, and the default.
+_CUBE_BATCHES = (1, multiply._CUBE_BATCH_ELEMENTS)
+
 
 def _tile_lows(pa, pb, leaf):
     """For each cube edge e no wider than the block grid, and each triple
@@ -423,9 +427,9 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
     gives it, and for the symmetric square; at tau 0, at a pruning tau
     and at a tau tied with one cube's smallest norm product at each edge
     with a fully stored tile; in one chunk, in chunks of one cube of the
-    widest edge (batches of one cube, many merge chunks), in chunks too
-    small for it (its tier is skipped) and in chunks too small for any
-    cube."""
+    widest edge (many merge chunks), in chunks too small for it (its tier
+    is skipped) and in chunks too small for any cube; each with whole
+    subcubes multiplied one cube per batch and in the default batches."""
     ad, bd = _decaying(n, 1, band), _decaying(n, 2, band)
     # tiny rows of A and columns of B: each leaf product's (0, 0) underflows
     # to -0.0 (a zero outside a band adds a +0.0 term)
@@ -458,9 +462,10 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
             assert cubes == []
             monkeypatch.undo()
             cubes = _spy_subcubes(monkeypatch)
-            for chunk in chunks:
+            for chunk, cube_batch in itertools.product(chunks, _CUBE_BATCHES):
                 expect = _cube_walk(pa, pb, leaf, tau, symmetric, _fitting(lows, leaf, chunk))
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+                monkeypatch.setattr(multiply, "_CUBE_BATCH_ELEMENTS", cube_batch)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
                 assert sorted(cube[:4] for cube in cubes) == sorted(expect)
@@ -489,6 +494,33 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert tied in expect  # computed at the tie
             else:
                 assert stats.pruned_volume > 0
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_cube_scratch_is_bounded(monkeypatch, square):
+    """The traced allocation peak of an exact n=256 leaf-4 product that
+    whole subcubes of edge 16 cover, as the symmetric square and as the
+    product of two trees, stays within a bound stated from its buffers:
+    4x the cube sums (the sums, the merge's one copy of them and its level
+    temporaries), 2x the output stack (the merged blocks and their final
+    gather) and 2x one batch's cap of max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2)
+    products (those products and two gathered operand stacks 1/e that
+    size).  One batch of every cube of the multiply (24 and 39 MiB here)
+    exceeds it several times over."""
+    x = gen_exponential(256, 0.05)
+    other = x if square else gen_exponential(256, 0.05)
+    cubes = _spy_subcubes(monkeypatch)
+    tracemalloc.start()
+    try:
+        c, _ = spamm(x, other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf, item, out = x.leaf_size, c._stack.itemsize, c._stack.nbytes
+    assert {edge for edge, *_ in cubes} == {16}
+    sums = sum(edge * edge for edge, *_ in cubes) * leaf * leaf * item
+    batch = max(multiply._CUBE_BATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
+    assert peak <= 4 * sums + 2 * out + 2 * batch
 
 
 def test_block_column_gemm_matches_leaf_gemms():
@@ -688,11 +720,14 @@ def _assert_same_product(got, want):
 def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
     """Squaring a symmetric tree from its upper block triangle gives the
     bytes and the whole-cube stats of the full traversal, at tau 0 and at a
-    tau that prunes at several tiers, in one chunk and in many."""
+    tau that prunes at several tiers, in one chunk and in many, with whole
+    subcubes multiplied one cube per batch and in the default batches."""
     d = _symmetric_decay(n, n + leaf, band)
+    chunks = (multiply._CHUNK_ELEMENTS, 5 * leaf * leaf)
     for tau in (0.0, 1e-2):
-        for chunk in (multiply._CHUNK_ELEMENTS, 5 * leaf * leaf):
+        for chunk, cube_batch in itertools.product(chunks, _CUBE_BATCHES):
             monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+            monkeypatch.setattr(multiply, "_CUBE_BATCH_ELEMENTS", cube_batch)
             sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, tau)
             assert mirrored == 1
             _assert_same_product(sym, full)
