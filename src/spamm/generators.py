@@ -14,6 +14,7 @@ decay envelopes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +23,20 @@ from .quadtree import from_dense
 
 
 def gen_exponential(n, alpha, leaf_size=4):
-    """Quadtree matrix with entries exp(-alpha * |i - j|); alpha > 0."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    """Quadtree matrix with entries exp(-alpha * |i - j|); alpha > 0 and
+    finite."""
+    if not math.isfinite(alpha) or alpha <= 0:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :])
     return from_dense(np.exp(-alpha * dist), leaf_size=leaf_size)
 
 
 def gen_algebraic(n, p, leaf_size=4):
-    """Quadtree matrix with entries 1/|i - j|**p off the diagonal, 0 on it."""
-    if p <= 0:
-        raise ValueError(f"p must be > 0, got {p}")
+    """Quadtree matrix with entries 1/|i - j|**p off the diagonal, 0 on it;
+    p > 0 and finite."""
+    if not math.isfinite(p) or p <= 0:
+        raise ValueError(f"p must be finite and > 0, got {p}")
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
     out = np.zeros((n, n))
@@ -63,8 +66,10 @@ class ModelHamiltonian:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.kind not in ("gapped", "gapless"):
             raise ValueError(f"kind must be 'gapped' or 'gapless', got {self.kind!r}")
-        if self.kind == "gapped" and self.gap <= 0:
-            raise ValueError(f"gap must be > 0, got {self.gap}")
+        if not math.isfinite(self.gap) or (self.kind == "gapped" and self.gap <= 0):
+            raise ValueError(f"gap must be finite, and > 0 when gapped, got {self.gap}")
+        if not math.isfinite(self.hopping):
+            raise ValueError(f"hopping must be finite, got {self.hopping}")
 
     @property
     def n_occ(self):

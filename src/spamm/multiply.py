@@ -23,8 +23,8 @@ exactly that summation tree, so results are bit-reproducible run to run.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
 as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
-2, 1, is tried when one cube's (2**L)**3 leaf products fit the scratch cap
-and its block-column GEMM (below) fits a size cap.  There a triple whose
+2, 1, is tried when its block-column GEMM (below) fits the size cap
+``_COLUMN_GEMM_MAX``.  There a triple whose
 two operand tiles of 2**L x 2**L leaf blocks are fully stored, and whose
 smallest leaf norms have a product ``>= tau``, is a whole subcube: a
 node's norm is never below any of its leaves' (float sums and square roots
@@ -40,20 +40,24 @@ as one whole block.  Cubes run in batches of about ``_CUBE_BATCH_ELEMENTS``
 leaf products (a larger cube runs alone), so one batch's GEMM scratch is
 at most max(_CUBE_BATCH_ELEMENTS, 2**(3L) leaf**2) product elements plus
 two gathered operand stacks 1/2**L that size, whatever the multiply's
-size.  The sums themselves share one buffer for the whole multiply.  They
-enter the leaf stage's merge as level-L nodes beside the leaf products'
-nodes, each node one block index, so each C block still has one summation
-tree and one order.
+size.  Each sum is one block of the leaf stage's buffer, and enters its
+merge in place as a level-L node beside the leaf products, so each C
+block still has one summation tree and one order.
 
-The leaf stage plans the merge on the sorted integer keys
-``(i*nb + j)*nb + k`` of the triples before any block moves.  The operand
-gathers put the level-0 siblings (keys equal but for bit 0) first, as
-[first members | second members | the rest], so the GEMM output holds each
-level-0 pair p rows apart and level 0, half of all merges, is one
-contiguous in-place add.  Later levels add rows of the same product buffer
-by index, each at most half the size of the one below, and stop once every
-C block has one node; one final gather puts the merged blocks in key
-order.  No level copies the product stack.
+The leaf stage sorts one entry list, the leaf triples and the cube sums,
+once by the key ``(i*nb + j)*nb + k`` (a cube's lowest k) and merges it in
+chunks of whole C-block groups.  One buffer per multiply holds [cube sums
+| one chunk's leaf products], the latter at most ``_CHUNK_ELEMENTS + nb *
+leaf**2`` elements; beside it are the output and the adds' temporaries,
+each at most half a chunk's nodes.  A cube's k-window is aligned and at
+least 2 wide, so level-0 siblings (keys equal but for bit 0) are adjacent
+leaf triples.  The operand gathers put them first, as [first members |
+second members | the rest], so the GEMM output holds each level-0 pair p
+rows apart and level 0, half of all merges, is one contiguous in-place
+add.  Later levels add buffer rows by index; the nodes left stay in key
+order, so no level sorts, and the merge stops once every C block has one
+node.  A final gather puts the merged blocks in key order.  Nothing copies
+the product stack or a cube sum.
 
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
@@ -244,11 +248,8 @@ def spamm(a, b, config=None):
             break
 
         level = depth - tier
-        # A tier is tried only if the products of one of its cubes, e**3
-        # leaf blocks, fit the scratch cap, and its block-column GEMM fits
-        # its cap.
+        # A tier is tried only if its block-column GEMM fits its cap.
         if (level in _CUBE_LEVELS and active.any()
-                and a.leaf_size ** 2 << 3 * level <= _CHUNK_ELEMENTS
                 and (a.leaf_size << level) ** 2 * a.leaf_size <= _COLUMN_GEMM_MAX):
             # Every leaf triple below a triple whose operand tiles have all
             # leaves stored, with smallest norms whose product is >= tau,
@@ -306,45 +307,41 @@ def _mirror(keys, blocks, nb):
 
 def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
     """Compute the surviving leaf products and the whole subcubes and merge
-    them per C block.  The leaf products are made in chunks of about
-    ``_CHUNK_ELEMENTS`` product elements, and the cubes' in batches of
-    about ``_CUBE_BATCH_ELEMENTS``, but the cube sums share one buffer for
-    the whole multiply, which no cap bounds.  ``keys`` are the
-    leaf triples' keys ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the
-    stack rows of their operand blocks; ``cubes`` lists the whole subcubes
-    of each tier as ``(level, i, j, k)``, see ``_subcube_sums``.  Returns
-    the C block keys ``i * nb + j`` in increasing order and the (m, b, b)
-    stack of merged blocks in that order."""
-    leaf = a.leaf_size
-    # The (i, j, k) triples are unique, so any sort of their row-major keys
-    # gives the same permutation; nb**3 fits in intp for any nb whose
-    # operands fit in memory.
-    order = np.argsort(keys)
-    keys, rows_a, rows_b = keys[order], rows_a[order], rows_b[order]
-    groups = keys >> depth
-    # Each tier's cube sums are its part of one buffer, one block each.
+    them per C block.  ``keys`` are the leaf triples' keys
+    ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the stack rows of their
+    operand blocks; ``cubes`` lists the whole subcubes of each tier as
+    ``(level, i, j, k)``, see ``_subcube_sums``.  One entry list holds the
+    leaf triples and the cube sums, sorted once by key, and one buffer
+    holds [cube sums | one chunk's leaf products]: the sums, the leaf
+    products of a chunk, at most ``_CHUNK_ELEMENTS + nb * leaf**2``
+    elements, and the merged output are the leaf stage's scratch.
+    Returns the C block keys ``i * nb + j`` in increasing order and the
+    (m, b, b) stack of merged blocks in that order."""
+    leaf, m = a.leaf_size, keys.size
+    # A chunk holds the groups that start within one span of chunk_entries
+    # entries, so it never splits a group (the pairwise merge needs the
+    # whole contribution set) and ends within one group, at most nb
+    # entries, of the span.
+    chunk_entries = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
     sizes = [cube[1].size << 2 * cube[0] for cube in cubes]
-    sums = np.empty((sum(sizes), leaf, leaf))
-    node_keys = node_at = np.zeros(0, dtype=np.intp)
-    if cubes:
-        made = [_subcube_sums(a, b, *cube, depth, symmetric, sums, offset)
-                for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
-        node_keys, node_at = (np.concatenate(part) for part in zip(*made))
-        groups = np.sort(np.concatenate((groups, node_keys >> depth)))
-    order = np.argsort(node_keys)
-    node_keys, node_at = node_keys[order], node_at[order]
-    # A chunk holds the groups that start within one span of chunk_triples
-    # products, so it never splits a group (the pairwise merge needs the
-    # whole contribution set) and ends within one group of the span.
-    chunk_triples = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
-    group_starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    starts = group_starts[np.diff(group_starts // chunk_triples, prepend=-1) > 0]
-    first_keys = groups[starts] << depth
-    cuts = np.append(np.searchsorted(keys, first_keys), keys.size)
-    node_cuts = np.append(np.searchsorted(node_keys, first_keys), node_keys.size)
-    parts = [_merge_chunk(a, b, keys[s:e], rows_a[s:e], rows_b[s:e],
-                          node_keys[t:u], sums, node_at[t:u], depth)
-             for s, e, t, u in zip(cuts, cuts[1:], node_cuts, node_cuts[1:])]
+    head = sum(sizes)
+    buf = np.empty((head + min(m, chunk_entries + a.block_grid), leaf, leaf))
+    made = [_subcube_sums(a, b, *cube, depth, symmetric, buf, offset)
+            for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
+    # Entry e < m is leaf triple e, entry m + c is cube sum c, at buffer
+    # row sum_at[c].  The keys are unique (a cube covers its k-window), so
+    # any sort gives the same order; nb**3 fits in intp for any nb whose
+    # operands fit in memory.
+    keys = np.concatenate([keys] + [node_keys for node_keys, _ in made])
+    sum_at = np.concatenate([np.zeros(0, dtype=np.intp)] + [at for _, at in made])
+    entries = np.argsort(keys)
+    keys = keys[entries]
+    group_starts = np.flatnonzero(np.diff(keys >> depth, prepend=-1))
+    cuts = group_starts[np.diff(group_starts // chunk_entries, prepend=-1) > 0]
+    cuts = np.append(cuts, keys.size)
+    parts = [_merge_chunk(a, b, keys[s:e], entries[s:e], rows_a, rows_b,
+                          sum_at, buf, head, depth)
+             for s, e in zip(cuts, cuts[1:])]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -397,37 +394,37 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     return keys.reshape(-1)[node], start + node
 
 
-def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sums, node_at, depth):
-    """Multiply and merge one chunk of whole groups: the leaf triples at
-    ``keys``, sorted, and the subcube sums at sorted ``node_keys``, whose
-    blocks are ``sums[node_at]``.  At merge level l, nodes whose keys agree
-    above bit l are siblings, and the first (lower k) absorbs the second;
-    the sum of a subcube of edge 2**L is a node from level L on."""
-    m = keys.size
+def _merge_chunk(a, b, keys, entries, rows_a, rows_b, sum_at, buf, head, depth):
+    """Multiply and merge one chunk of whole groups: the entries of
+    ``_leaf_stage`` at sorted ``keys``.  The chunk's leaf products go to
+    ``buf`` from row ``head`` on, and every merge adds rows of ``buf`` in
+    place.  At merge level l, nodes whose keys agree above bit l are
+    siblings, and the first (lower k) absorbs the second; the sum of a
+    subcube of edge 2**L is a node from level L on.  A cube's k-window is
+    aligned and at least 2 wide, so level-0 siblings are two adjacent leaf
+    triples, and the nodes left after each level stay in key order."""
+    m = rows_a.size
+    triple = entries < m
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)
     p = first.size
     # The nodes left after level 0 (second members go), and the lone triples.
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(keys.size, dtype=bool)
     keep[1:] = ~same
-    rest = keep.copy()
-    rest[:-1] &= ~same
-    perm = np.concatenate((first, first + 1, np.flatnonzero(rest)))
-    prod = np.empty((m + node_keys.size, a.leaf_size, a.leaf_size))
-    np.matmul(np.take(a._stack, rows_a[perm], axis=0),
-              np.take(b._stack, rows_b[perm], axis=0), out=prod[:m])
-    # The cube sums' one copy; "clip" (the indices are in range) writes
-    # straight to prod, where "raise" would buffer the whole output first.
-    np.take(sums, node_at, axis=0, out=prod[m:], mode="clip")
+    lone = keep & triple
+    lone[:-1] &= ~same
+    perm = np.concatenate((first, first + 1, np.flatnonzero(lone)))
+    triples = entries[perm]
+    prod = buf[head:head + perm.size]
+    np.matmul(np.take(a._stack, rows_a[triples], axis=0),
+              np.take(b._stack, rows_b[triples], axis=0), out=prod)
     np.add(prod[:p], prod[p:2 * p], out=prod[:p])
 
-    # Each node lives in the product row of its lowest-k member.
-    row = np.empty(m, dtype=np.intp)
-    row[perm] = np.arange(m, dtype=np.intp)
-    node_keys = np.concatenate((keys[keep], node_keys))
-    node_rows = np.concatenate((row[keep], np.arange(m, len(prod), dtype=np.intp)))
-    order = np.argsort(node_keys, kind="stable")
-    node_keys, node_rows = node_keys[order], node_rows[order]
+    # Each node lives in the buffer row of its lowest-k member.
+    row = np.empty(keys.size, dtype=np.intp)
+    row[perm] = np.arange(head, head + perm.size, dtype=np.intp)
+    row[~triple] = sum_at[entries[~triple] - m]
+    node_keys, node_rows = keys[keep], row[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     for level in range(1, depth):
         if node_keys.size == n_groups:
@@ -435,10 +432,10 @@ def _merge_chunk(a, b, keys, rows_a, rows_b, node_keys, sums, node_at, depth):
         up = node_keys >> (level + 1)
         same = up[:-1] == up[1:]
         first = np.flatnonzero(same)
-        prod[node_rows[first]] += np.take(prod, node_rows[first + 1], axis=0)
+        buf[node_rows[first]] += np.take(buf, node_rows[first + 1], axis=0)
         keep = np.concatenate(([True], ~same))
         node_keys, node_rows = node_keys[keep], node_rows[keep]
-    return node_keys >> depth, np.take(prod, node_rows, axis=0)
+    return node_keys >> depth, np.take(buf, node_rows, axis=0)
 
 
 def _interleave3(i, j, k):

@@ -91,8 +91,11 @@ def tc2_initial_guess(f):
     """Map the spectrum of ``f`` linearly into [0, 1], highest state first:
     X0 = (eps_max I - F) / (eps_max - eps_min) with Gershgorin bounds.
     A matrix whose Gershgorin interval collapses to a point maps to I/2.
+    An F holding NaN or inf is rejected.
     """
     fd = f.to_dense()
+    if not np.isfinite(fd).all():
+        raise ValueError("F must be finite: it holds NaN or inf")
     centers = np.diag(fd)
     radii = np.abs(fd).sum(axis=1) - np.abs(centers)
     eps_min = float((centers - radii).min())

@@ -300,6 +300,23 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
+    (["--kind", "exp", "--alpha", "nan"], "alpha must be finite"),
+    (["--kind", "exp", "--alpha", "inf"], "alpha must be finite"),
+    (["--kind", "alg", "--p", "nan"], "p must be finite"),
+    (["--kind", "gapped", "--gap", "nan"], "gap must be finite"),
+    (["--kind", "gapless", "--hopping", "inf"], "hopping must be finite"),
+])
+def test_generate_rejects_non_finite_parameters(tmp_path, capsys, flags, message):
+    """A NaN or infinite generator parameter is a rejected input: exit
+    status 1, an error line naming it, and no file written."""
+    out = tmp_path / "x.mtx"
+    assert main(["generate", "--n", "8", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
     (["--taus", "1e-6", "--match-targets", "nan"], "finite and > 0"),
     (["--taus", "1e-6", "--match-targets", "1e-17"], "below float64 resolution"),
     (["--modes", "spamm,bogus", "--taus", "1e-6"], "unknown mode 'bogus'"),

@@ -1,5 +1,7 @@
 """Decay-matrix generators, model Hamiltonians and decay-profile extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,9 @@ def test_exponential_matches_formula():
 
 
 def test_exponential_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        gen_exponential(16, 0.0)
-    with pytest.raises(ValueError):
-        gen_exponential(16, -1.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            gen_exponential(16, alpha)
 
 
 # --------------------------------------------------------------- algebraic
@@ -66,10 +67,9 @@ def test_algebraic_n2_any_p():
 
 
 def test_algebraic_rejects_bad_p():
-    with pytest.raises(ValueError):
-        gen_algebraic(16, 0.0)
-    with pytest.raises(ValueError):
-        gen_algebraic(16, -2.0)
+    for p in (0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="p must be finite and > 0"):
+            gen_algebraic(16, p)
 
 
 def test_generators_symmetric_bitexact():
@@ -127,6 +127,13 @@ def test_hamiltonian_validation():
         ModelHamiltonian(8, "metallic")
     with pytest.raises(ValueError):
         ModelHamiltonian(8, "gapped", gap=-1.0)
+    for kind in ("gapped", "gapless"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gap must be finite"):
+                ModelHamiltonian(8, kind, gap=bad)
+            with pytest.raises(ValueError, match="hopping must be finite"):
+                ModelHamiltonian(8, kind, hopping=bad)
+    assert ModelHamiltonian(8, "gapless", gap=-1.0).gap == -1.0  # unused there
     assert ModelHamiltonian(8).n_occ == 4  # half filling default
 
 

@@ -228,7 +228,7 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
     +0.0), at tau 0 and at a pruning tau, in one chunk, in chunks of one
     2 x 2 x 2-block subcube and with every group alone in its chunk; on
     the leaf path alone, and with the few 2 x 2 x 2-block subcubes whose
-    tiles are fully stored taken whole (at the smallest chunk none fits)."""
+    tiles are fully stored taken whole."""
     n, leaf = 64, 4
     nb = n // leaf
     rng = np.random.default_rng(12)
@@ -262,12 +262,10 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
             assert np.signbit(prods[:, 0, 0]).all()
             assert np.signbit(blocks[:, 0, 0]).all()
         chunks = (multiply._CHUNK_ELEMENTS, 8 * leaf * leaf, leaf * leaf)
-        expect = {chunk: _cube_walk(ad, bd, leaf, tau, False, _fitting(lows, leaf, chunk))
-                  for chunk in chunks}
-        assert {edge for edge, *_ in expect[chunks[0]]} <= {2}
-        assert expect[chunks[0]] == expect[chunks[1]]
-        assert not expect[chunks[2]]
-        assert expect[chunks[0]] or tau
+        expect = _cube_walk(ad, bd, leaf, tau, False,
+                            _fitting(lows, leaf, multiply._CUBE_LEVELS))
+        assert {edge for edge, *_ in expect} <= {2}
+        assert expect or tau
         for levels in ((), multiply._CUBE_LEVELS):
             cubes = _spy_subcubes(monkeypatch)
             monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
@@ -278,7 +276,7 @@ def test_leaf_sum_follows_fixed_pairwise_tree(monkeypatch):
                 assert stats.leaf_matmuls == len(leaves)
                 assert c._keys.tolist() == keys
                 assert c._stack.tobytes() == blocks.tobytes()
-                want = sorted(expect[chunk]) if levels else []
+                want = sorted(expect) if levels else []
                 assert sorted(cube[:4] for cube in cubes) == want
             monkeypatch.undo()
 
@@ -333,12 +331,12 @@ def _tile_lows(pa, pb, leaf):
             for edge in _CUBE_EDGES if edge <= leaf_a.shape[0]}
 
 
-def _fitting(lows, leaf, chunk):
-    """The edges of ``lows`` whose cubes, edge**3 leaf products, fit a
-    scratch cap of ``chunk`` elements, and whose block-column GEMMs fit
-    ``_COLUMN_GEMM_MAX``: the tiers the kernel tries."""
+def _fitting(lows, leaf, levels):
+    """The edges of ``lows`` that are 2**L for an L of ``levels``, and whose
+    block-column GEMMs fit ``_COLUMN_GEMM_MAX``: the tiers the kernel tries
+    with ``_CUBE_LEVELS`` set to ``levels``."""
     return {edge: low for edge, low in lows.items()
-            if edge ** 3 * leaf * leaf <= chunk
+            if edge.bit_length() - 1 in levels
             and (edge * leaf) ** 2 * leaf <= multiply._COLUMN_GEMM_MAX}
 
 
@@ -427,9 +425,10 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
     gives it, and for the symmetric square; at tau 0, at a pruning tau
     and at a tau tied with one cube's smallest norm product at each edge
     with a fully stored tile; in one chunk, in chunks of one cube of the
-    widest edge (many merge chunks), in chunks too small for it (its tier
-    is skipped) and in chunks too small for any cube; each with whole
-    subcubes multiplied one cube per batch and in the default batches."""
+    widest edge (many merge chunks), in chunks of an eighth of that with
+    the widest edge's tier not tried and in chunks of one leaf product
+    with no cube tier tried; each with whole subcubes multiplied one cube
+    per batch and in the default batches."""
     ad, bd = _decaying(n, 1, band), _decaying(n, 2, band)
     # tiny rows of A and columns of B: each leaf product's (0, 0) underflows
     # to -0.0 (a zero outside a band adds a +0.0 term)
@@ -447,7 +446,11 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
         stored = {edge for edge, low in lows.items() if low.any()}
         assert set(ties) == stored and 8 in stored
         widest = max(stored) ** 3 * leaf * leaf
-        chunks = (widest, widest // 8 - 1, leaf * leaf, multiply._CHUNK_ELEMENTS)
+        top = max(stored).bit_length() - 1
+        below = tuple(level for level in multiply._CUBE_LEVELS if level != top)
+        every = multiply._CUBE_LEVELS
+        chunks = ((widest, every), (widest // 8 - 1, below), (leaf * leaf, ()),
+                  (multiply._CHUNK_ELEMENTS, every))
         cases = [(0.0, None), (1e-2, None),
                  *((tau, (edge, *cube)) for edge, (tau, cube) in ties.items())]
         for tau, tied in cases:
@@ -462,9 +465,10 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
             assert cubes == []
             monkeypatch.undo()
             cubes = _spy_subcubes(monkeypatch)
-            for chunk, cube_batch in itertools.product(chunks, _CUBE_BATCHES):
-                expect = _cube_walk(pa, pb, leaf, tau, symmetric, _fitting(lows, leaf, chunk))
+            for (chunk, levels), cube_batch in itertools.product(chunks, _CUBE_BATCHES):
+                expect = _cube_walk(pa, pb, leaf, tau, symmetric, _fitting(lows, leaf, levels))
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
+                monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
                 monkeypatch.setattr(multiply, "_CUBE_BATCH_ELEMENTS", cube_batch)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
@@ -473,9 +477,9 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                            for _, i, j, _, diagonal in cubes)
                 assert all((max(i, j, k) + 1) * edge * leaf <= n
                            for edge, i, j, k, _ in cubes)  # no padding
-                if chunk < widest:
+                if top not in levels:
                     assert max(stored) not in {edge for edge, *_ in cubes}
-                if chunk == leaf * leaf:
+                if not levels:
                     assert cubes == []
                 assert c._keys.tolist() == keys
                 assert c._stack.tobytes() == blocks.tobytes()
@@ -486,7 +490,7 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
                 assert stats.covered_volume(leaf) == a.padded_dim ** 3
             monkeypatch.undo()
-            # cubes and expect are those of the default chunk, which fits all
+            # cubes and expect are those of the default chunk and levels
             if tau == 0.0:
                 assert cubes
                 assert any(diagonal for *_, diagonal in cubes) == symmetric
@@ -496,19 +500,21 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert stats.pruned_volume > 0
 
 
-@pytest.mark.parametrize("square", [True, False])
-def test_cube_scratch_is_bounded(monkeypatch, square):
-    """The traced allocation peak of an exact n=256 leaf-4 product that
-    whole subcubes of edge 16 cover, as the symmetric square and as the
-    product of two trees, stays within a bound stated from its buffers:
-    4x the cube sums (the sums, the merge's one copy of them and its level
-    temporaries), 2x the output stack (the merged blocks and their final
-    gather) and 2x one batch's cap of max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2)
-    products (those products and two gathered operand stacks 1/e that
-    size).  One batch of every cube of the multiply (24 and 39 MiB here)
-    exceeds it several times over."""
-    x = gen_exponential(256, 0.05)
-    other = x if square else gen_exponential(256, 0.05)
+@pytest.mark.parametrize("n, square", [(256, True), (256, False), (512, False)])
+def test_cube_scratch_is_bounded(monkeypatch, n, square):
+    """The traced allocation peak of an exact leaf-4 product that whole
+    subcubes of edge 16 cover, as the symmetric square and as the product
+    of two trees, stays within a bound stated from its buffers: 3x the cube
+    sums (the sums, in place in the leaf stage's one buffer, and the
+    temporaries of a merge level, at most half the sums each), 2x the
+    output stack (the merged blocks and their final gather) and 2x one
+    batch's cap of max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2) products (those
+    products and two gathered operand stacks 1/e that size).  One batch
+    of every cube of the multiply (24 and 39 MiB at n=256) exceeds it
+    several times over, and a merge that copies the sums to a second
+    buffer peaks at 60 MiB for two trees at n=512, over its 53 MiB."""
+    x = gen_exponential(n, 0.05)
+    other = x if square else gen_exponential(n, 0.05)
     cubes = _spy_subcubes(monkeypatch)
     tracemalloc.start()
     try:
@@ -520,7 +526,7 @@ def test_cube_scratch_is_bounded(monkeypatch, square):
     assert {edge for edge, *_ in cubes} == {16}
     sums = sum(edge * edge for edge, *_ in cubes) * leaf * leaf * item
     batch = max(multiply._CUBE_BATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
-    assert peak <= 4 * sums + 2 * out + 2 * batch
+    assert peak <= 3 * sums + 2 * out + 2 * batch
 
 
 def test_block_column_gemm_matches_leaf_gemms():

@@ -1,5 +1,7 @@
 """TC2 purification driver: initial guess, sweeps, matched-error search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -289,13 +291,15 @@ def test_purify_tau0_reference_is_self():
     assert res.reference_energy == res.energy
 
 
-def test_purify_tau0_delta_is_nan_for_nan_energy():
+def test_purify_tau0_delta_is_nan_for_nan_energy(monkeypatch):
     """At tau 0 the run is its own reference, and its delta_e_rel is 0 only
-    when its energy is finite: a NaN-filled F, flagged symmetric (its NaNs
-    have their mirrors' bits), gives a NaN energy and a NaN delta_e_rel."""
-    f = from_dense(np.full((16, 16), np.nan))
-    assert f.symmetric
-    res = purify(f, 8, SpammMode(0.0))
+    when its energy is finite: a NaN-filled iterate gives a NaN energy and
+    a NaN delta_e_rel.  ``purify`` rejects a NaN F up front, so the
+    NaN-filled initial guess is patched in."""
+    nan_guess = from_dense(np.full((16, 16), np.nan))
+    assert nan_guess.symmetric  # its NaNs have their mirrors' bits
+    monkeypatch.setattr(purification, "tc2_initial_guess", lambda f: nan_guess)
+    res = purify(_gapped(16), 8, SpammMode(0.0))
     assert np.isnan(res.energy)
     assert not np.isfinite(res.delta_e_rel)
 
@@ -476,6 +480,25 @@ def test_purify_validation():
         tc2_step(tc2_initial_guess(h), 4, "spamm")
     with pytest.raises(ValueError):
         match_error_threshold(h, 4, 0.0, SpammMode(0.0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_f_is_rejected(value):
+    """An F holding NaN or inf fails loudly in ``tc2_initial_guess`` and so
+    in ``purify``, with no RuntimeWarning on the way."""
+    f = from_dense(np.array([[value, 0.0], [0.0, 1.0]]))
+    assert f.symmetric
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="F must be finite"):
+            tc2_initial_guess(f)
+        with pytest.raises(ValueError, match="F must be finite"):
+            purify(f, 1, SpammMode(0.0))
+
+
+def test_huge_finite_f_still_purifies():
+    huge = from_dense(np.array([[1e200, 0.0], [0.0, 1.0]]))
+    assert purify(huge, 1, SpammMode(0.0)).energy == 1.0
 
 
 def test_purify_requires_symmetric_flag():
