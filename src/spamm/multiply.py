@@ -49,9 +49,10 @@ once by the key ``(i*nb + j)*nb + k`` (a cube's lowest k) and merges it in
 chunks of whole C-block groups.  One buffer per multiply holds [cube sums
 | one chunk's leaf products], the latter at most ``_CHUNK_ELEMENTS + nb *
 leaf**2`` elements; beside it are the output and the adds' temporaries,
-each at most half a chunk's nodes.  A cube's k-window is aligned and at
-least 2 wide, so level-0 siblings (keys equal but for bit 0) are adjacent
-leaf triples.  The operand gathers put them first, as [first members |
+each at most ``_CUBE_BATCH_ELEMENTS`` elements, since a merge level adds
+its pairs in slices.  A cube's k-window is aligned and at least 2 wide,
+so level-0 siblings (keys equal but for bit 0) are adjacent leaf
+triples.  The operand gathers put them first, as [first members |
 second members | the rest], so the GEMM output holds each level-0 pair p
 rows apart and level 0, half of all merges, is one contiguous in-place
 add.  Later levels add buffer rows by index; the nodes left stay in key
@@ -426,13 +427,18 @@ def _merge_chunk(a, b, keys, entries, rows_a, rows_b, sum_at, buf, head, depth):
     row[~triple] = sum_at[entries[~triple] - m]
     node_keys, node_rows = keys[keep], row[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
+    # The pairs of a level are added in slices, so the gathered blocks and
+    # their sum are bounded by the cube batch size, not by the level.
+    pairs = max(1, _CUBE_BATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
     for level in range(1, depth):
         if node_keys.size == n_groups:
             break
         up = node_keys >> (level + 1)
         same = up[:-1] == up[1:]
         first = np.flatnonzero(same)
-        buf[node_rows[first]] += np.take(buf, node_rows[first + 1], axis=0)
+        for lo in range(0, first.size, pairs):
+            pair = first[lo:lo + pairs]
+            buf[node_rows[pair]] += np.take(buf, node_rows[pair + 1], axis=0)
         keep = np.concatenate(([True], ~same))
         node_keys, node_rows = node_keys[keep], node_rows[keep]
     return node_keys >> depth, np.take(buf, node_rows, axis=0)

@@ -23,6 +23,14 @@ and 1 by about tau; Tr(X F) would read that noise as a first-order energy
 error, while Tr(P F) measures only the occupied subspace the run computed.
 The McWeeny steps are not counted as sweep work, and ``density`` stays the
 iterate X itself.
+
+Memory: no n x n array exists before the energy.  The initial guess reads F
+in dense strips of whole block rows, at most ``_STRIP_ELEMENTS`` elements
+each, for its Gershgorin sums, and builds X0 from F's blocks; the sweeps
+are tree algebra.  The McWeeny steps run in four n x n buffers, updated in
+place, and F is made dense only after them, for the final trace, so at
+most four n x n arrays are alive at once.  Every output has the bits of
+the dense forms these replace.
 """
 
 from __future__ import annotations
@@ -33,7 +41,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiply import SpammConfig, spamm
-from .quadtree import add, distance, filter_drop, from_dense, scale, trace
+from .quadtree import (
+    _bitwise_symmetric,
+    _from_blocks,
+    _row_strips,
+    add,
+    distance,
+    filter_drop,
+    scale,
+    trace,
+)
+
+# Elements of each dense strip of whole block rows that the initial guess
+# and the projector energy read a tree in (512 KiB).
+_STRIP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,20 +112,59 @@ def tc2_initial_guess(f):
     """Map the spectrum of ``f`` linearly into [0, 1], highest state first:
     X0 = (eps_max I - F) / (eps_max - eps_min) with Gershgorin bounds.
     A matrix whose Gershgorin interval collapses to a point maps to I/2.
-    An F holding NaN or inf is rejected.
+    An F holding NaN or inf is rejected, and so is one whose bounds
+    overflow: their width is not finite.
+
+    No n x n array is made.  The Gershgorin centres and radii come from
+    dense strips of whole block rows of F, at most ``_STRIP_ELEMENTS``
+    elements each, each row's absolute values summed as numpy sums a row
+    of the whole array; X0 is then made block by block from F's stored
+    blocks and the logical diagonal blocks, with its padding +0.0.  Its
+    bits, and its ``symmetric`` flag, are those of ``from_dense`` on the
+    dense X0.
     """
-    fd = f.to_dense()
-    if not np.isfinite(fd).all():
-        raise ValueError("F must be finite: it holds NaN or inf")
-    centers = np.diag(fd)
-    radii = np.abs(fd).sum(axis=1) - np.abs(centers)
-    eps_min = float((centers - radii).min())
-    eps_max = float((centers + radii).max())
-    if eps_max == eps_min:
-        x0 = 0.5 * np.eye(f.logical_dim)
+    n, b, nb = f.logical_dim, f.leaf_size, f.block_grid
+    centers, abs_sums = np.empty(n), np.empty(n)
+    with np.errstate(over="ignore"):
+        for lo, rows in _row_strips(f, _STRIP_ELEMENTS):
+            rows_abs = np.abs(rows)
+            if not np.isfinite(rows_abs).all():
+                raise ValueError("F must be finite: it holds NaN or inf")
+            centers[lo:lo + rows.shape[0]] = rows.diagonal(lo)
+            abs_sums[lo:lo + rows.shape[0]] = rows_abs.sum(axis=1)
+        radii = abs_sums - np.abs(centers)
+        eps_min = float((centers - radii).min())
+        eps_max = float((centers + radii).max())
+        width = eps_max - eps_min
+    if not math.isfinite(width):
+        raise ValueError(f"the Gershgorin bounds [{eps_min}, {eps_max}] of F "
+                         "overflow: their width is not finite")
+    diagonal = np.arange(-(-n // b)) * (nb + 1)
+    if width == 0:
+        keys = diagonal
     else:
-        x0 = (eps_max * np.eye(f.logical_dim) - fd) / (eps_max - eps_min)
-    return from_dense(x0, leaf_size=f.leaf_size)
+        stored = f._occupied[f.depth].reshape(-1).copy()
+        stored[diagonal] = True
+        keys = np.flatnonzero(stored)
+    x0 = np.zeros((keys.size, b, b))
+    x0.reshape(keys.size, -1)[np.searchsorted(keys, diagonal), ::b + 1] = 1.0
+    if width == 0:
+        x0 *= 0.5
+    else:
+        x0 *= eps_max
+        x0[np.searchsorted(keys, f._keys)] -= f._stack
+        x0 /= width
+    # The blocks crossing the edge of the logical matrix get +0.0 padding.
+    i, j = np.divmod(keys, nb)
+    edge = np.flatnonzero(((i + 1) * b > n) | ((j + 1) * b > n))
+    r = np.arange(b)
+    inside = (((i[edge, None] * b + r) < n)[:, :, None]
+              & ((j[edge, None] * b + r) < n)[:, None, :])
+    x0[edge] = np.where(inside, x0[edge], 0.0)
+    kept = (x0 != 0).any(axis=(1, 2))
+    if not kept.all():
+        keys, x0 = keys[kept], x0[kept]
+    return _from_blocks(keys, x0, n, b, _bitwise_symmetric(keys, x0, nb))
 
 
 # Fixed-point floor of a sweep's displacement, in units of (machine epsilon
@@ -131,7 +191,7 @@ def tc2_step(x, n_occ, mode):
     return add(scale(x, 2.0), scale(x2, -1.0)), stats
 
 
-def _projector_energy(x, f_dense):
+def _projector_energy(x, f):
     """Tr(P F) in exact dense algebra for the projector P that ``x`` purifies
     to: McWeeny steps P <- 3P**2 - 2P**3 from P = X, stopping at the first
     P whose gap |P**2 - P|_F does not fall below the gap g of the P before
@@ -150,14 +210,24 @@ def _projector_energy(x, f_dense):
     test against h(g) one step early; 4 g**2 keeps a margin of
     (1 - 4g) g**2 above it.
 
+    Memory: the steps run in four n x n buffers made up front, the current
+    P, the one before it, P**2 and a scratch; each product is written
+    with ``out=`` and each sum in place, so a step allocates no array and
+    the P and previous-P roles swap from step to step.  The tree ``f`` is
+    made dense only after the last step, into the P**2 buffer, for the
+    trace.  Every operation is the one a fresh-array form would run, so
+    the bits are the same.
+
     Returns (energy, |X**2 - X|), the second being the gap of ``x`` itself
     that the first step measures."""
-    p = x.to_dense()
+    n = x.logical_dim
+    p, q, p2, scratch = (np.empty((n, n)) for _ in range(4))
+    _write_dense(x, p)
     best, best_gap = p, math.inf
     x_gap = None
     while best_gap > 0:
-        p2 = p @ p
-        gap = float(np.linalg.norm(p2 - p))
+        np.matmul(p, p, out=p2)
+        gap = float(np.linalg.norm(np.subtract(p2, p, out=scratch)))
         if x_gap is None:
             x_gap = gap
         if not gap < best_gap:
@@ -166,8 +236,23 @@ def _projector_energy(x, f_dense):
         best, best_gap = p, gap
         if at_floor:
             break
-        p = 3.0 * p2 - 2.0 * (p2 @ p)
-    return float(np.einsum("ij,ji->", best, f_dense)), x_gap
+        # The next P goes to q, which holds no P still needed; p stays as
+        # the best so far.
+        np.matmul(p2, p, out=scratch)
+        np.multiply(p2, 3.0, out=q)
+        np.multiply(scratch, 2.0, out=scratch)
+        np.subtract(q, scratch, out=q)
+        p, q = q, p
+    p = q = scratch = None  # best keeps its buffer, and F takes P**2's
+    return float(np.einsum("ij,ji->", best, _write_dense(f, p2))), x_gap
+
+
+def _write_dense(m, out):
+    """Write the dense logical matrix of the tree ``m`` into ``out`` and
+    return ``out``."""
+    for lo, rows in _row_strips(m, _STRIP_ELEMENTS):
+        out[lo:lo + rows.shape[0]] = rows
+    return out
 
 
 def _check_tau(tau):
@@ -254,8 +339,7 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
         trace_history += ([trace_history[frozen - 1]]
                           * (max_iter + 1 - len(trace_history)))
 
-    fd = f.to_dense()
-    energy, idempotency_gap = _projector_energy(x, fd)
+    energy, idempotency_gap = _projector_energy(x, f)
     if mode.tau == 0:
         reference = energy
         delta = 0.0 if math.isfinite(energy) else math.nan

@@ -27,8 +27,9 @@ same bits whichever operation produced it, and on a tree flagged ``symmetric``
 
 Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
 O(stored blocks) in block data plus O(nb**2) for the pyramids and the
-index; no operation on trees allocates an n x n array.  ``from_dense`` and
-``to_dense`` are the only O(n**2) steps.
+index; no operation on trees allocates an n x n array.  ``from_dense``,
+``to_dense`` and ``_row_strips`` (dense strips of bounded size, for the
+purification driver) are the only O(n**2) steps.
 
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
@@ -238,16 +239,26 @@ def from_dense(dense, leaf_size=4):
         stack = grid.copy().reshape(keys.size, leaf_size, leaf_size)
     else:
         stack = grid[keys // nb, keys % nb]
-    # Bitwise symmetry (-0.0 is not +0.0) of the pattern and the kept blocks.
-    symmetric = np.array_equal(mask, mask.T)
-    if symmetric:
-        i, j = np.divmod(keys, nb)
-        rows = np.flatnonzero(i <= j)
-        mirror = (np.cumsum(mask) - 1).reshape(nb, nb)[j[rows], i[rows]]
-        bits = stack.view(np.uint64)
-        symmetric = np.array_equal(np.take(bits, mirror, axis=0),
-                                   np.take(bits, rows, axis=0).swapaxes(1, 2))
+    symmetric = _bitwise_symmetric(keys, stack, nb)
     return _from_blocks(keys, stack, n, leaf_size, symmetric)
+
+
+def _bitwise_symmetric(keys, stack, nb):
+    """The ``symmetric`` flag of a tree built from the nonzero blocks at
+    strictly increasing ``keys``: True iff the block pattern is symmetric
+    and each block with i <= j is its mirror's transpose bit for bit
+    (-0.0 is not +0.0)."""
+    mask = np.zeros(nb * nb, dtype=bool)
+    mask[keys] = True
+    mask = mask.reshape(nb, nb)
+    if not np.array_equal(mask, mask.T):
+        return False
+    i, j = np.divmod(keys, nb)
+    rows = np.flatnonzero(i <= j)
+    mirror = (np.cumsum(mask) - 1).reshape(nb, nb)[j[rows], i[rows]]
+    bits = stack.view(np.uint64)
+    return np.array_equal(np.take(bits, mirror, axis=0),
+                          np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 
 def _nonzero_blocks(arr, b):
@@ -266,6 +277,25 @@ def _nonzero_blocks(arr, b):
             strip |= rows[..., c]
         mask[lo:lo + step] = strip
     return mask
+
+
+def _row_strips(m, max_elements):
+    """Yield ``(row, strip)`` down the dense logical rows of ``m``: each
+    strip holds the rows of whole block rows from ``row`` on, as a
+    (rows, logical_dim) view, and spans at most ``max_elements`` padded
+    elements (one block row if that is larger).  Every strip is a view of
+    one buffer, which the next strip overwrites."""
+    n, b, nb = m.logical_dim, m.leaf_size, m.block_grid
+    block_rows = -(-n // b)  # those holding logical rows
+    step = min(block_rows, max(1, max_elements // (b * m.padded_dim)))
+    buf = np.empty((step * b, m.padded_dim))
+    grid = buf.reshape(step, b, nb, b).swapaxes(1, 2)
+    bounds = np.searchsorted(m._keys, np.arange(0, nb + step, step) * nb)
+    for s, lo in enumerate(range(0, block_rows, step)):
+        keys = m._keys[bounds[s]:bounds[s + 1]]
+        buf.fill(0.0)
+        grid[keys // nb - lo, keys % nb] = m._stack[bounds[s]:bounds[s + 1]]
+        yield lo * b, buf[:min(step * b, n - lo * b), :n]
 
 
 def _from_blocks(keys, stack, logical_dim, leaf_size, symmetric):

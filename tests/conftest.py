@@ -134,18 +134,30 @@ def jittered_grid_positions(count, spacing=1.0, jitter=0.25, seed=0):
     return lattice + rng.uniform(-jitter, jitter, size=(count, 3))
 
 
-def dense_tc2(fd, n_occ, sweeps=50):
-    """Plain-array trace-correcting purification: Gershgorin linear map,
-    trace-threshold branch, one squaring per sweep, early exit once the
-    idempotency gap reaches the machine floor.  Used as a fast fixture for
-    density matrices at sizes where the tree driver would be wasteful."""
+def dense_initial_guess(fd):
+    """The TC2 initial guess over the whole dense array:
+    X0 = (eps_max I - F) / (eps_max - eps_min), with the Gershgorin bounds
+    from numpy's row sums of |F|, and I/2 when the bounds meet.  The
+    library builds X0 from F's blocks and must match ``from_dense`` of this
+    array bit for bit, its ``symmetric`` flag included."""
     n = fd.shape[0]
-    offdiag = np.abs(fd).sum(axis=1) - np.abs(np.diag(fd))
-    lo = float((np.diag(fd) - offdiag).min())
-    hi = float((np.diag(fd) + offdiag).max())
-    if hi <= lo:
-        return np.eye(n) * 0.5
-    x = (hi * np.eye(n) - fd) / (hi - lo)
+    centers = np.diag(fd)
+    radii = np.abs(fd).sum(axis=1) - np.abs(centers)
+    lo = float((centers - radii).min())
+    hi = float((centers + radii).max())
+    if hi == lo:
+        return 0.5 * np.eye(n)
+    return (hi * np.eye(n) - fd) / (hi - lo)
+
+
+def dense_tc2(fd, n_occ, sweeps=50):
+    """Plain-array trace-correcting purification: Gershgorin linear map
+    (``dense_initial_guess``), trace-threshold branch, one squaring per
+    sweep, early exit once the idempotency gap reaches the machine floor.
+    Used as a fast fixture for density matrices at sizes where the tree
+    driver would be wasteful."""
+    n = fd.shape[0]
+    x = dense_initial_guess(fd)
     floor = 16.0 * np.finfo(x.dtype).eps * n
     for _ in range(sweeps):
         x2 = x @ x

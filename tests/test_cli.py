@@ -355,3 +355,16 @@ def test_purify_rejects_non_finite_input(tmp_path, capsys, value):
     out, err = capsys.readouterr()
     assert "energy=" not in out
     assert err.startswith("error:") and "(4, 4)" in err
+
+
+def test_purify_rejects_overflowing_gershgorin_bounds(tmp_path, capsys):
+    """A finite F whose Gershgorin bounds overflow is a rejected input: exit
+    status 1, an error line naming the bounds, and no energy printed (it
+    used to print a NaN energy)."""
+    f = tmp_path / "overflow.mtx"
+    f.write_text("%%MatrixMarket matrix array real symmetric\n"
+                 "2 2\n1e308\n1e308\n1.0\n")
+    assert main(["purify", "--f", str(f), "--n-occ", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "energy=" not in out
+    assert err.startswith("error:") and "Gershgorin bounds" in err

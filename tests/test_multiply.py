@@ -504,15 +504,18 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
 def test_cube_scratch_is_bounded(monkeypatch, n, square):
     """The traced allocation peak of an exact leaf-4 product that whole
     subcubes of edge 16 cover, as the symmetric square and as the product
-    of two trees, stays within a bound stated from its buffers: 3x the cube
-    sums (the sums, in place in the leaf stage's one buffer, and the
-    temporaries of a merge level, at most half the sums each), 2x the
-    output stack (the merged blocks and their final gather) and 2x one
-    batch's cap of max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2) products (those
-    products and two gathered operand stacks 1/e that size).  One batch
-    of every cube of the multiply (24 and 39 MiB at n=256) exceeds it
-    several times over, and a merge that copies the sums to a second
-    buffer peaks at 60 MiB for two trees at n=512, over its 53 MiB."""
+    of two trees, stays within a bound stated from its buffers: the cube
+    sums (in place in the leaf stage's one buffer), 2x the output stack
+    (the merged blocks and their final gather), 2x one batch's cap of
+    max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2) products (those products and
+    two gathered operand stacks 1/e that size), 2x one merge slice of
+    _CUBE_BATCH_ELEMENTS (the gathered rows and the rows added to them),
+    and eight 8-byte index words per merge node (the entry keys, their
+    sort order, buffer rows and level masks).  One batch of every cube of
+    the multiply (24 and 39 MiB at n=256) exceeds it several times over; a
+    merge that copies the sums to a second buffer peaks at 60 MiB for two
+    trees at n=512, and one that adds a whole merge level at once at 43
+    MiB, both over its 30 MiB (the measured peak is 28 MiB)."""
     x = gen_exponential(n, 0.05)
     other = x if square else gen_exponential(n, 0.05)
     cubes = _spy_subcubes(monkeypatch)
@@ -524,9 +527,11 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square):
         tracemalloc.stop()
     leaf, item, out = x.leaf_size, c._stack.itemsize, c._stack.nbytes
     assert {edge for edge, *_ in cubes} == {16}
-    sums = sum(edge * edge for edge, *_ in cubes) * leaf * leaf * item
+    nodes = sum(edge * edge for edge, *_ in cubes)
+    sums = nodes * leaf * leaf * item
     batch = max(multiply._CUBE_BATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
-    assert peak <= 3 * sums + 2 * out + 2 * batch
+    merge = multiply._CUBE_BATCH_ELEMENTS * item
+    assert peak <= sums + 2 * out + 2 * batch + 2 * merge + 8 * 8 * nodes
 
 
 def test_block_column_gemm_matches_leaf_gemms():
@@ -788,9 +793,10 @@ def test_symmetric_square_at_a_tied_tau(monkeypatch):
 @pytest.mark.parametrize("kind, mode", [("gapped", SpammMode(1e-6)),
                                         ("gapless", DroppingMode(1e-5))])
 def test_symmetric_flag_through_a_tc2_run(monkeypatch, kind, mode):
-    """Every tree that from_dense, add, scale, filter_drop and spamm build
-    in a TC2 run carries a ``symmetric`` flag equal to the bitwise oracle,
-    and, TC2 iterates being symmetric by construction, that flag is set."""
+    """Every tree that tc2_initial_guess, add, scale, filter_drop and spamm
+    build in a TC2 run carries a ``symmetric`` flag equal to the bitwise
+    oracle, and, TC2 iterates being symmetric by construction, that flag is
+    set."""
     built = Counter()
 
     def checked(name):
@@ -804,11 +810,11 @@ def test_symmetric_flag_through_a_tc2_run(monkeypatch, kind, mode):
             return out
         return wrapper
 
-    for name in ("from_dense", "add", "scale", "filter_drop", "spamm"):
+    for name in ("tc2_initial_guess", "add", "scale", "filter_drop", "spamm"):
         monkeypatch.setattr(purification, name, checked(name))
     f = gen_model_hamiltonian(ModelHamiltonian(64, kind))
     purify(f, 32, mode, reference_energy=-1.0)
-    assert built["from_dense"] == 1
+    assert built["tc2_initial_guess"] == 1
     assert min(built["spamm"], built["add"], built["scale"]) > 0
     assert built["filter_drop"] == (built["spamm"] if kind == "gapless" else 0)
 

@@ -1,5 +1,6 @@
 """TC2 purification driver: initial guess, sweeps, matched-error search."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from spamm.purification import (
 from spamm.quadtree import add, filter_drop, from_dense, scale, trace
 
 from conftest import (
+    dense_initial_guess,
     eig_projector,
     every_sweep_tc2,
     falling_gap_mcweeny,
@@ -54,6 +56,97 @@ def test_initial_guess_spectrum_in_unit_interval():
     eps = np.finfo(np.float64).eps
     assert ev.min() >= -8 * eps
     assert ev.max() <= 1 + 8 * eps
+
+
+@pytest.mark.parametrize("strip", ["default", "one block row"])
+@pytest.mark.parametrize("leaf", [1, 2, 4, 8, 16, 32, 64])
+def test_initial_guess_matches_dense_oracle(monkeypatch, leaf, strip):
+    """X0 built from F's blocks is ``from_dense`` of the dense oracle's X0
+    bit for bit, with the same ``symmetric`` flag, at n that pad and n that
+    do not: on a symmetric F with empty blocks and -0.0 entries; on one
+    with a -0.0 facing a +0.0 in a stored block, which is not flagged while
+    its X0 is; on one whose Gershgorin bounds are all negative, so that X0
+    holds -0.0 where F holds +0.0; on an asymmetric F; and on a multiple of
+    I, whose bounds meet.  With the default strips and with strips of one
+    block row."""
+    if strip != "default":
+        monkeypatch.setattr(purification, "_STRIP_ELEMENTS", 1)
+    rng = np.random.default_rng(leaf)
+    for n in (1, 5, 37, 64, 100, 129):
+        d = rng.standard_normal((n, n))
+        d[rng.random((n, n)) < 0.6] = 0.0
+        d[rng.random((n, n)) < 0.1] = -0.0
+        sym = np.where(np.triu(np.ones((n, n), dtype=bool)), d, d.T)
+        facing = sym.copy()
+        if n > 1:
+            facing[0, 0], facing[0, 1], facing[1, 0] = 1.0, -0.0, 0.0
+        shifted = sym - (np.abs(sym).sum(axis=1).max() + 1.0) * np.eye(n)
+        for fd in (sym, facing, shifted, d, 3.0 * np.eye(n)):
+            f = from_dense(fd, leaf_size=leaf)
+            want = from_dense(dense_initial_guess(fd), leaf_size=leaf)
+            got = tc2_initial_guess(f)
+            assert got.structurally_equal(want)
+            assert got.symmetric == want.symmetric
+        if n > 1:
+            assert from_dense(facing, leaf_size=leaf).symmetric == (leaf == 1)
+            assert tc2_initial_guess(from_dense(facing, leaf_size=leaf)).symmetric
+
+
+@pytest.mark.parametrize("entries", [[[1e308, 1e308], [1e308, 1.0]],
+                                     [[1e308, 0.0], [0.0, -1e308]]])
+def test_overflowing_gershgorin_bounds_are_rejected(entries):
+    """A finite F whose Gershgorin bounds overflow, or lie further apart
+    than float64 reaches, fails loudly in ``tc2_initial_guess`` and so in
+    ``purify``, naming the bounds, with no RuntimeWarning on the way; it
+    used to give X0 = NaN and a NaN energy."""
+    with np.errstate(over="ignore"):  # the tree's own squared norms
+        f = from_dense(np.array(entries))
+    assert f.symmetric
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Gershgorin bounds"):
+            tc2_initial_guess(f)
+        with pytest.raises(ValueError, match="Gershgorin bounds"):
+            purify(f, 1, SpammMode(0.0))
+
+
+def test_purify_holds_no_dense_array_before_the_energy(monkeypatch):
+    """tracemalloc over a gapped n=512 purify call (leaf 4, SpammMode(1e-8)).
+    The initial guess peaks below one n x n array (its strips are 2**16
+    elements), and what the guess and the sweeps leave allocated when the
+    energy starts is below one n x n array: no dense F or X0 is held.  The
+    whole call peaks within the energy's four n x n buffers, plus what was
+    allocated when it started, one strip, and 64 KiB of small arrays.  A
+    guess made from dense F peaks at 2.2 n x n arrays, and holding a dense
+    F through the energy, as purify once did, holds 1.8."""
+    n = 512
+    f = _gapped(n)
+    purify(_gapped(16), 8, SpammMode(1e-8), reference_energy=-1.0)  # imports
+    seen = {}
+    guess, energy = purification.tc2_initial_guess, purification._projector_energy
+
+    def traced_guess(f):
+        x = guess(f)
+        seen["guess"] = tracemalloc.get_traced_memory()[1]
+        return x
+
+    def traced_energy(x, f):
+        seen["held"] = tracemalloc.get_traced_memory()[0]
+        return energy(x, f)
+
+    monkeypatch.setattr(purification, "tc2_initial_guess", traced_guess)
+    monkeypatch.setattr(purification, "_projector_energy", traced_energy)
+    tracemalloc.start()
+    try:
+        purify(f, n // 2, SpammMode(1e-8), reference_energy=-1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = n * n * 8
+    assert seen["guess"] < dense
+    assert seen["held"] < dense
+    strip = purification._STRIP_ELEMENTS * 8
+    assert peak <= 4 * dense + seen["held"] + strip + (64 << 10)
 
 
 # ------------------------------------------------------------------ tc2_step
@@ -215,7 +308,7 @@ def test_projector_energy_stops_at_rounding_floor(case, request, monkeypatch):
         return norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
-    got = purification._projector_energy(res.density, fd)
+    got = purification._projector_energy(res.density, data["tree"])
     monkeypatch.undo()
     assert got == (res.energy, res.idempotency_gap)
     assert abs(res.energy - want) <= 1e-13 * abs(want)

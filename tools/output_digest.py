@@ -17,6 +17,10 @@ benchmark runs it.  The lines are:
   its ``ProductStats``, boxes collected;
 - ``multiply-density-leaves``: the same product of (first seed, instance
   0) at leaf sizes 1 to 64;
+- ``initial-guess``: ``tc2_initial_guess`` (keys, block stack and
+  ``symmetric`` flag of X0) over symmetric trees drawn from the first
+  seed (see ``guess_inputs``), at n that pad and n that do not, and leaf
+  sizes 1 to 64;
 - ``cli-recipe``: the files and standard output of the README's command
   line recipes, run in a fresh directory.
 
@@ -137,6 +141,34 @@ def leaf_digest(seed):
     return h.hexdigest()
 
 
+# Sizes of the initial-guess trees: a lone element, sizes that pad at every
+# leaf size, and powers of two that pad at none up to their own size.
+GUESS_SIZES = (1, 37, 64, 100, 129, 200, 256)
+
+
+def guess_inputs(rng, n):
+    """Symmetric matrices for ``tc2_initial_guess``: random with empty blocks
+    and -0.0 entries, that matrix shifted so its Gershgorin bounds are all
+    negative (so X0 holds -0.0 where F holds +0.0), and a multiple of I,
+    whose bounds meet."""
+    d = rng.standard_normal((n, n))
+    d[rng.random((n, n)) < 0.6] = 0.0
+    d[rng.random((n, n)) < 0.05] = -0.0
+    d = np.where(np.triu(np.ones((n, n), dtype=bool)), d, d.T)
+    shifted = d - (np.abs(d).sum(axis=1).max() + 1.0) * np.eye(n)
+    return d, shifted, 2.5 * np.eye(n)
+
+
+def initial_guess_digest(seed):
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for leaf in LEAF_SIZES:
+        for n in GUESS_SIZES:
+            for d in guess_inputs(rng, n):
+                feed(h, purification.tc2_initial_guess(from_dense(d, leaf_size=leaf)))
+    return h.hexdigest()
+
+
 def cli_digest():
     h = hashlib.sha256()
     cwd = os.getcwd()
@@ -164,6 +196,7 @@ def main(argv=None):
     for name, w in harness.WORKLOADS.items():
         print(f"{workload_digest(w, seeds)}  {name}", flush=True)
     print(f"{leaf_digest(seeds[0])}  multiply-density-leaves", flush=True)
+    print(f"{initial_guess_digest(seeds[0])}  initial-guess", flush=True)
     print(f"{cli_digest()}  cli-recipe", flush=True)
 
 
