@@ -26,10 +26,9 @@ from .generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
                          gen_model_hamiltonian)
 from .matrixmarket import read_matrix_market, write_matrix_market
 from .multiply import SpammConfig, spamm, write_box_log
-from .purification import (DroppingMode, SpammMode, _check_target, _check_tau,
-                           _held_token, match_error_threshold, purify,
-                           write_purify_report)
-from .quadtree import from_dense
+from .purification import (DroppingMode, SpammMode, _check_target, _held_token,
+                           match_error_threshold, purify, write_purify_report)
+from .quadtree import _check_tau, from_dense
 
 
 def _load_tree(path, leaf_size):

@@ -81,13 +81,12 @@ def read_matrix_market(path):
                 if len(values) != expected:
                     raise ValueError(
                         f"expected {expected} values, found {len(values)}")
+                # Column-major lower-triangle order is the row-major order
+                # of the upper triangle's indices, transposed.
+                upper, lower = np.triu_indices(rows)
                 out = np.zeros((rows, cols))
-                pos = 0
-                for j in range(cols):
-                    for i in range(j, rows):
-                        out[i, j] = values[pos]
-                        out[j, i] = values[pos]
-                        pos += 1
+                out[lower, upper] = values
+                out[upper, lower] = values
             elif len(values) != rows * cols:
                 raise ValueError(
                     f"expected {rows * cols} values, found {len(values)}")

@@ -36,21 +36,22 @@ row makes all of the cube's leaf products at that k: block (i, j) of it is
 A_ik B_kj, summed over the same K terms as that leaf product's own GEMM.
 L slab adds then sum the products over k; on a complete aligned window of
 2**L that is the pairwise tree itself, and the last add stores each sum
-as one whole block.  Cubes run in batches of about ``_CUBE_BATCH_ELEMENTS``
-leaf products (a larger cube runs alone), so one batch's GEMM scratch is
-at most max(_CUBE_BATCH_ELEMENTS, 2**(3L) leaf**2) product elements plus
-two gathered operand stacks 1/2**L that size, whatever the multiply's
-size.  Each sum is one block of the leaf stage's buffer, and enters its
-merge in place as a level-L node beside the leaf products, so each C
-block still has one summation tree and one order.
+as one whole block.  Cubes run in batches of about
+``quadtree._SCRATCH_ELEMENTS`` leaf products (a larger cube runs alone),
+so one batch's GEMM scratch is at most max(_SCRATCH_ELEMENTS, 2**(3L)
+leaf**2) product elements plus two gathered operand stacks 1/2**L that
+size, whatever the multiply's size.  Each sum is one block of the leaf
+stage's buffer, and enters its merge in place as a level-L node beside
+the leaf products, so each C block still has one summation tree and one
+order.
 
 The leaf stage sorts one entry list, the leaf triples and the cube sums,
 once by the key ``(i*nb + j)*nb + k`` (a cube's lowest k) and merges it in
 chunks of whole C-block groups.  One buffer per multiply holds [cube sums
 | one chunk's leaf products], the latter at most ``_CHUNK_ELEMENTS + nb *
 leaf**2`` elements; beside it are the output and the adds' temporaries,
-each at most ``_CUBE_BATCH_ELEMENTS`` elements, since a merge level adds
-its pairs in slices.  A cube's k-window is aligned and at least 2 wide,
+each at most ``_SCRATCH_ELEMENTS`` elements, since a merge level adds its
+pairs in slices.  A cube's k-window is aligned and at least 2 wide,
 so level-0 siblings (keys equal but for bit 0) are adjacent leaf
 triples.  The operand gathers put them first, as [first members |
 second members | the rest], so the GEMM output holds each level-0 pair p
@@ -75,27 +76,24 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadtree import _from_blocks, _require_conformable
+from . import quadtree
+from .quadtree import _check_tau, _from_blocks, _require_conformable
 
 # Child offset enumeration for one tier of expansion: (di, dj, dk).
 _DI = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.intp)
 _DJ = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=np.intp)
 _DK = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.intp)
 
-# Leaf products are batched; cap the scratch size per batch (in elements).
+# Leaf products are multiplied and merged in chunks of about this many
+# elements, a cap apart from quadtree._SCRATCH_ELEMENTS since each chunk
+# pays a fixed merge overhead: chunks of 2**16 ran the gapped n=1024 purify
+# 1.02x and the n=1024 multiply 1.11x as long, with equal outputs (calls
+# alternated in one process, 2-core x86-64, BLAS on 1 thread).
 _CHUNK_ELEMENTS = 1 << 23
-
-# Whole subcubes are multiplied in batches whose leaf products, written out
-# before the sum over k, hold about this many elements (512 KiB): a batch
-# stays in a core's L2 cache instead of setting the process's peak memory.
-# A cube larger than the cap runs alone.  The leaf products keep
-# _CHUNK_ELEMENTS, whose large merge chunks they need.
-_CUBE_BATCH_ELEMENTS = 1 << 16
 
 # A triple at tier depth - L, for each L here, may leave the traversal as a
 # whole subcube of 2**L leaf blocks along each axis.
@@ -126,8 +124,7 @@ class SpammConfig:
     collect_boxes: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.tau) or self.tau < 0:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        _check_tau(self.tau)
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,7 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     one GEMM of A's block column by B's block row.  The sum over k then
     follows the merge's pairwise tree, which on a complete aligned window
     has no lone nodes.  Cubes run in batches whose e**3 leaf products per
-    cube total at most ``_CUBE_BATCH_ELEMENTS`` elements, or one cube if
+    cube total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if
     that is larger: a batch's scratch is those products plus A's and B's
     gathered blocks, 1/e of them each.  Returns the keys
     ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made and
@@ -375,7 +372,7 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
     # (i, j, r, c), one block per (i, j).
     out = sums[start:start + ci.size * e * e].reshape(-1, e, e, leaf, leaf)
     out = out.swapaxes(2, 3)
-    batch = max(1, _CUBE_BATCH_ELEMENTS // (e ** 3 * leaf * leaf))
+    batch = max(1, quadtree._SCRATCH_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
         tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]
@@ -428,8 +425,8 @@ def _merge_chunk(a, b, keys, entries, rows_a, rows_b, sum_at, buf, head, depth):
     node_keys, node_rows = keys[keep], row[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     # The pairs of a level are added in slices, so the gathered blocks and
-    # their sum are bounded by the cube batch size, not by the level.
-    pairs = max(1, _CUBE_BATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
+    # their sum are bounded by the scratch cap, not by the level.
+    pairs = max(1, quadtree._SCRATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
     for level in range(1, depth):
         if node_keys.size == n_groups:
             break

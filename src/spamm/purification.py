@@ -25,12 +25,13 @@ The McWeeny steps are not counted as sweep work, and ``density`` stays the
 iterate X itself.
 
 Memory: no n x n array exists before the energy.  The initial guess reads F
-in dense strips of whole block rows, at most ``_STRIP_ELEMENTS`` elements
-each, for its Gershgorin sums, and builds X0 from F's blocks; the sweeps
-are tree algebra.  The McWeeny steps run in four n x n buffers, updated in
-place, and F is made dense only after them, for the final trace, so at
-most four n x n arrays are alive at once.  Every output has the bits of
-the dense forms these replace.
+in dense strips of whole block rows, at most ``quadtree._SCRATCH_ELEMENTS``
+elements each, for its Gershgorin sums, and builds X0 from F's blocks; the
+sweeps are tree algebra.  The McWeeny steps run in four n x n buffers,
+updated in place, one of them ``to_dense`` of X, and F is made dense
+only after the other three are released, for the final trace, so at most
+four n x n arrays are alive at once.  Every output has the bits of the
+dense forms these replace.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .multiply import SpammConfig, spamm
 from .quadtree import (
     _bitwise_symmetric,
+    _check_tau,
     _from_blocks,
     _row_strips,
     add,
@@ -51,10 +53,6 @@ from .quadtree import (
     scale,
     trace,
 )
-
-# Elements of each dense strip of whole block rows that the initial guess
-# and the projector energy read a tree in (512 KiB).
-_STRIP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,17 +114,16 @@ def tc2_initial_guess(f):
     overflow: their width is not finite.
 
     No n x n array is made.  The Gershgorin centres and radii come from
-    dense strips of whole block rows of F, at most ``_STRIP_ELEMENTS``
-    elements each, each row's absolute values summed as numpy sums a row
-    of the whole array; X0 is then made block by block from F's stored
-    blocks and the logical diagonal blocks, with its padding +0.0.  Its
-    bits, and its ``symmetric`` flag, are those of ``from_dense`` on the
-    dense X0.
+    dense strips of whole block rows of F (``_row_strips``), each row's
+    absolute values summed as numpy sums a row of the whole array; X0 is
+    then made block by block from F's stored blocks and the logical
+    diagonal blocks, with its padding +0.0.  Its bits, and its
+    ``symmetric`` flag, are those of ``from_dense`` on the dense X0.
     """
     n, b, nb = f.logical_dim, f.leaf_size, f.block_grid
     centers, abs_sums = np.empty(n), np.empty(n)
     with np.errstate(over="ignore"):
-        for lo, rows in _row_strips(f, _STRIP_ELEMENTS):
+        for lo, rows in _row_strips(f):
             rows_abs = np.abs(rows)
             if not np.isfinite(rows_abs).all():
                 raise ValueError("F must be finite: it holds NaN or inf")
@@ -211,18 +208,19 @@ def _projector_energy(x, f):
     (1 - 4g) g**2 above it.
 
     Memory: the steps run in four n x n buffers made up front, the current
-    P, the one before it, P**2 and a scratch; each product is written
-    with ``out=`` and each sum in place, so a step allocates no array and
-    the P and previous-P roles swap from step to step.  The tree ``f`` is
-    made dense only after the last step, into the P**2 buffer, for the
-    trace.  Every operation is the one a fresh-array form would run, so
-    the bits are the same.
+    P (first ``x.to_dense()``), the one before it, P**2 and a scratch;
+    each product is written with ``out=`` and each sum in place, so a step
+    allocates no array and the P and previous-P roles swap from step to
+    step.  The tree ``f`` is made dense only after the last step, once
+    every buffer but the best P is released, for the trace.  Every
+    operation is the one a fresh-array form would run, so the bits are
+    the same.
 
     Returns (energy, |X**2 - X|), the second being the gap of ``x`` itself
     that the first step measures."""
     n = x.logical_dim
-    p, q, p2, scratch = (np.empty((n, n)) for _ in range(4))
-    _write_dense(x, p)
+    q, p2, scratch = (np.empty((n, n)) for _ in range(3))
+    p = x.to_dense()
     best, best_gap = p, math.inf
     x_gap = None
     while best_gap > 0:
@@ -243,22 +241,8 @@ def _projector_energy(x, f):
         np.multiply(scratch, 2.0, out=scratch)
         np.subtract(q, scratch, out=q)
         p, q = q, p
-    p = q = scratch = None  # best keeps its buffer, and F takes P**2's
-    return float(np.einsum("ij,ji->", best, _write_dense(f, p2))), x_gap
-
-
-def _write_dense(m, out):
-    """Write the dense logical matrix of the tree ``m`` into ``out`` and
-    return ``out``."""
-    for lo, rows in _row_strips(m, _STRIP_ELEMENTS):
-        out[lo:lo + rows.shape[0]] = rows
-    return out
-
-
-def _check_tau(tau):
-    """Reject a truncation threshold that is negative or not finite."""
-    if tau < 0 or not math.isfinite(tau):
-        raise ValueError(f"mode.tau must be finite and >= 0, got {tau}")
+    p = q = p2 = scratch = None  # only best keeps its buffer
+    return float(np.einsum("ij,ji->", best, f.to_dense())), x_gap
 
 
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):

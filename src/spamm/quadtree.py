@@ -28,8 +28,10 @@ same bits whichever operation produced it, and on a tree flagged ``symmetric``
 Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
 O(stored blocks) in block data plus O(nb**2) for the pyramids and the
 index; no operation on trees allocates an n x n array.  ``from_dense``,
-``to_dense`` and ``_row_strips`` (dense strips of bounded size, for the
-purification driver) are the only O(n**2) steps.
+``to_dense`` and ``_row_strips`` are the only O(n**2) steps: ``to_dense``
+is the only writer of a tree's dense array, and ``_row_strips`` (dense
+strips of bounded size, which ``to_dense`` and the purification driver
+read) its only bounded reader.
 
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
@@ -42,13 +44,21 @@ import math
 
 import numpy as np
 
-# Elements of a dense input tested per strip by ``from_dense``.
-_STRIP_ELEMENTS = 1 << 20
+# The one cap, in float64 elements (512 KiB), on the scratch of every
+# bounded pass, read when the pass runs: from_dense's nonzero scan,
+# _row_strips, and the multiply's whole-subcube batches and merge slices.
+_SCRATCH_ELEMENTS = 1 << 16
 
 
 class DimensionMismatchError(ValueError):
     """Raised for unusable matrix dimensions: non-square input, or two
     trees that are not conformable for an operation."""
+
+
+def _check_tau(tau):
+    """Reject a truncation threshold that is negative or not finite."""
+    if not math.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
 
 
 def _leaf_norm_sq(blocks):
@@ -109,7 +119,9 @@ class QuadTreeMatrix:
         nb = 1 << depth
         # A block with a positive squared norm holds a nonzero, so only the
         # blocks whose squares sum to 0 (or underflow to it) are tested.
-        norms = _leaf_norm_sq(stack)
+        # Squares of finite entries near 1e308 give inf norms, silently.
+        with np.errstate(over="ignore"):
+            norms = _leaf_norm_sq(stack)
         maybe = np.flatnonzero(norms == 0)
         if maybe.size:
             kept = np.ones(keys.size, dtype=bool)
@@ -133,10 +145,11 @@ class QuadTreeMatrix:
         occupied = [None] * (depth + 1)
         norm_sq[depth] = leaf_norm_sq.reshape(nb, nb)
         occupied[depth] = leaf_nonzero.reshape(nb, nb)
-        for k in range(depth - 1, -1, -1):
-            norm_sq[k] = _aggregate_norm_sq(norm_sq[k + 1])
-            f = occupied[k + 1]
-            occupied[k] = f[0::2, 0::2] | f[0::2, 1::2] | f[1::2, 0::2] | f[1::2, 1::2]
+        with np.errstate(over="ignore"):
+            for k in range(depth - 1, -1, -1):
+                norm_sq[k] = _aggregate_norm_sq(norm_sq[k + 1])
+                f = occupied[k + 1]
+                occupied[k] = f[0::2, 0::2] | f[0::2, 1::2] | f[1::2, 0::2] | f[1::2, 1::2]
 
         self.logical_dim = logical_dim
         self.leaf_size = leaf_size
@@ -166,12 +179,12 @@ class QuadTreeMatrix:
     # -- basic queries ------------------------------------------------------
 
     def to_dense(self):
-        """Dense logical_dim x logical_dim array (padding stripped)."""
-        n, pad, b, nb = self.logical_dim, self.padded_dim, self.leaf_size, self.block_grid
-        out = np.zeros((pad, pad))
-        out.reshape(nb, b, nb, b).swapaxes(1, 2)[
-            self._keys // nb, self._keys % nb] = self._stack
-        return out if n == pad else out[:n, :n].copy()
+        """Dense logical_dim x logical_dim array (padding stripped), written
+        from ``_row_strips``: beside it, one strip of scratch."""
+        out = np.empty((self.logical_dim, self.logical_dim))
+        for lo, rows in _row_strips(self):
+            out[lo:lo + rows.shape[0]] = rows
+        return out
 
     def norm(self):
         """Frobenius norm of the whole matrix."""
@@ -263,11 +276,11 @@ def _bitwise_symmetric(keys, stack, nb):
 
 def _nonzero_blocks(arr, b):
     """(nb, nb) mask of the b x b blocks of ``arr`` holding a nonzero,
-    scanned in strips of block rows of about ``_STRIP_ELEMENTS`` elements so
-    the scratch is one boolean per strip element, not per array element."""
+    scanned in strips of block rows of about ``_SCRATCH_ELEMENTS`` elements
+    so the scratch is one boolean per strip element, not per array element."""
     nb = arr.shape[0] // b
     mask = np.empty((nb, nb), dtype=bool)
-    step = max(1, _STRIP_ELEMENTS // (b * arr.shape[1]))
+    step = max(1, _SCRATCH_ELEMENTS // (b * arr.shape[1]))
     for lo in range(0, nb, step):
         rows = np.logical_or.reduce(
             (arr[lo * b:(lo + step) * b] != 0).reshape(-1, b, nb, b), axis=1)
@@ -279,15 +292,15 @@ def _nonzero_blocks(arr, b):
     return mask
 
 
-def _row_strips(m, max_elements):
+def _row_strips(m):
     """Yield ``(row, strip)`` down the dense logical rows of ``m``: each
     strip holds the rows of whole block rows from ``row`` on, as a
-    (rows, logical_dim) view, and spans at most ``max_elements`` padded
-    elements (one block row if that is larger).  Every strip is a view of
-    one buffer, which the next strip overwrites."""
+    (rows, logical_dim) view, and spans at most ``_SCRATCH_ELEMENTS``
+    padded elements (one block row if that is larger).  Every strip is a
+    view of one buffer, which the next strip overwrites."""
     n, b, nb = m.logical_dim, m.leaf_size, m.block_grid
     block_rows = -(-n // b)  # those holding logical rows
-    step = min(block_rows, max(1, max_elements // (b * m.padded_dim)))
+    step = min(block_rows, max(1, _SCRATCH_ELEMENTS // (b * m.padded_dim)))
     buf = np.empty((step * b, m.padded_dim))
     grid = buf.reshape(step, b, nb, b).swapaxes(1, 2)
     bounds = np.searchsorted(m._keys, np.arange(0, nb + step, step) * nb)
@@ -373,8 +386,7 @@ def filter_drop(m, tau):
     re-aggregated; every surviving leaf is bit-identical to its source.
     Idempotent for a fixed tau.  A negative or non-finite tau is rejected.
     """
-    if not math.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    _check_tau(tau)
     drop = np.sqrt(m._norm_sq[m.depth].reshape(-1)[m._keys]) < tau
     if not drop.any():
         return m

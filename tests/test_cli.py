@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spamm.cli import main
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
 from spamm.multiply import spamm
+from spamm.quadtree import from_dense
 
 from conftest import padded_dense
 from test_matrixmarket import NON_SQUARE_SYMMETRIC
@@ -368,3 +370,19 @@ def test_purify_rejects_overflowing_gershgorin_bounds(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "energy=" not in out
     assert err.startswith("error:") and "Gershgorin bounds" in err
+
+
+def test_overflowing_norms_warn_nothing(tmp_path, capsys):
+    """A finite matrix whose squares overflow builds a tree with inf norms
+    and no RuntimeWarning, and its purify run ends in the one error line,
+    with warnings raised as errors throughout."""
+    entries = [[1e308, 1e308], [1e308, 1.0]]
+    f = tmp_path / "overflow.mtx"
+    write_matrix_market(np.array(entries), f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert from_dense(entries).norm() == math.inf
+        assert main(["purify", "--f", str(f), "--n-occ", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

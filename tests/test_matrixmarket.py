@@ -82,6 +82,18 @@ def test_we_read_scipy_files(tmp_path):
     scipy.io.mmwrite(tmp_path / "sym.mtx", sym, symmetry="symmetric")
     assert np.array_equal(read_matrix_market(tmp_path / "sym.mtx"), sym)
 
+    # A symmetric array payload of n = 64 holding a -0.0.  scipy's read
+    # mirrors it as +0.0, so scipy is the oracle in value and the source
+    # array the one in bits.
+    n = 64
+    big = rng.standard_normal((n, n))
+    big += big.T
+    big[5, 2] = big[2, 5] = -0.0
+    scipy.io.mmwrite(tmp_path / "sym64.mtx", big, symmetry="symmetric")
+    got = read_matrix_market(tmp_path / "sym64.mtx")
+    assert np.array_equal(got, scipy.io.mmread(tmp_path / "sym64.mtx"))
+    assert got.tobytes() == big.tobytes()
+
 
 def test_symmetric_coordinate_mirrors_entries(tmp_path):
     path = tmp_path / "sym.mtx"

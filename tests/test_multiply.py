@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from spamm import multiply, purification
+from spamm import multiply, purification, quadtree
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.multiply import (
     PrunedBox,
@@ -313,7 +313,7 @@ def _spy_subcubes(monkeypatch):
 _CUBE_EDGES = (16, 8, 4, 2)
 
 # Whole-subcube batch caps: one cube per batch, and the default.
-_CUBE_BATCHES = (1, multiply._CUBE_BATCH_ELEMENTS)
+_CUBE_BATCHES = (1, quadtree._SCRATCH_ELEMENTS)
 
 
 def _tile_lows(pa, pb, leaf):
@@ -469,7 +469,7 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 expect = _cube_walk(pa, pb, leaf, tau, symmetric, _fitting(lows, leaf, levels))
                 monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
                 monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
-                monkeypatch.setattr(multiply, "_CUBE_BATCH_ELEMENTS", cube_batch)
+                monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS", cube_batch)
                 cubes.clear()
                 c, stats = spamm(a, b, SpammConfig(tau=tau, collect_boxes=True))
                 assert sorted(cube[:4] for cube in cubes) == sorted(expect)
@@ -500,6 +500,32 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                 assert stats.pruned_volume > 0
 
 
+def test_one_scratch_cap_moves_every_bounded_pass(monkeypatch):
+    """With ``quadtree._SCRATCH_ELEMENTS`` patched to 1, ``_row_strips``
+    yields one block row per strip, and ``from_dense``, ``to_dense``,
+    ``tc2_initial_guess`` and a symmetric square that takes whole subcubes
+    (one per batch, its merge one pair per slice) give the bytes they give
+    at the default cap, on a padded banded input with -0.0 entries."""
+    d = _symmetric_decay(100, 5, band=40)
+    d[np.abs(d) < 1e-3] = -0.0
+    outputs = []
+    for cap in (quadtree._SCRATCH_ELEMENTS, 1):
+        monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS", cap)
+        cubes = _spy_subcubes(monkeypatch)
+        x = from_dense(d)
+        assert x.symmetric
+        strips = sum(1 for _ in quadtree._row_strips(x))
+        c, stats = spamm(x, x)
+        assert cubes
+        outputs.append((x._keys.tobytes(), x._stack.tobytes(),
+                        x.to_dense().tobytes(),
+                        purification.tc2_initial_guess(x)._stack.tobytes(),
+                        c._keys.tobytes(), c._stack.tobytes(), stats))
+        monkeypatch.undo()
+    assert strips == -(-100 // x.leaf_size)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("n, square", [(256, True), (256, False), (512, False)])
 def test_cube_scratch_is_bounded(monkeypatch, n, square):
     """The traced allocation peak of an exact leaf-4 product that whole
@@ -507,9 +533,9 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square):
     of two trees, stays within a bound stated from its buffers: the cube
     sums (in place in the leaf stage's one buffer), 2x the output stack
     (the merged blocks and their final gather), 2x one batch's cap of
-    max(_CUBE_BATCH_ELEMENTS, e**3 leaf**2) products (those products and
+    max(_SCRATCH_ELEMENTS, e**3 leaf**2) products (those products and
     two gathered operand stacks 1/e that size), 2x one merge slice of
-    _CUBE_BATCH_ELEMENTS (the gathered rows and the rows added to them),
+    _SCRATCH_ELEMENTS (the gathered rows and the rows added to them),
     and eight 8-byte index words per merge node (the entry keys, their
     sort order, buffer rows and level masks).  One batch of every cube of
     the multiply (24 and 39 MiB at n=256) exceeds it several times over; a
@@ -529,8 +555,8 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square):
     assert {edge for edge, *_ in cubes} == {16}
     nodes = sum(edge * edge for edge, *_ in cubes)
     sums = nodes * leaf * leaf * item
-    batch = max(multiply._CUBE_BATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
-    merge = multiply._CUBE_BATCH_ELEMENTS * item
+    batch = max(quadtree._SCRATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
+    merge = quadtree._SCRATCH_ELEMENTS * item
     assert peak <= sums + 2 * out + 2 * batch + 2 * merge + 8 * 8 * nodes
 
 
@@ -738,7 +764,7 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
     for tau in (0.0, 1e-2):
         for chunk, cube_batch in itertools.product(chunks, _CUBE_BATCHES):
             monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
-            monkeypatch.setattr(multiply, "_CUBE_BATCH_ELEMENTS", cube_batch)
+            monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS", cube_batch)
             sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, tau)
             assert mirrored == 1
             _assert_same_product(sym, full)

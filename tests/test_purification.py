@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spamm import purification
+from spamm import purification, quadtree
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
 from spamm.multiply import spamm
 from spamm.purification import (
@@ -70,7 +70,7 @@ def test_initial_guess_matches_dense_oracle(monkeypatch, leaf, strip):
     I, whose bounds meet.  With the default strips and with strips of one
     block row."""
     if strip != "default":
-        monkeypatch.setattr(purification, "_STRIP_ELEMENTS", 1)
+        monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS", 1)
     rng = np.random.default_rng(leaf)
     for n in (1, 5, 37, 64, 100, 129):
         d = rng.standard_normal((n, n))
@@ -99,11 +99,10 @@ def test_overflowing_gershgorin_bounds_are_rejected(entries):
     than float64 reaches, fails loudly in ``tc2_initial_guess`` and so in
     ``purify``, naming the bounds, with no RuntimeWarning on the way; it
     used to give X0 = NaN and a NaN energy."""
-    with np.errstate(over="ignore"):  # the tree's own squared norms
-        f = from_dense(np.array(entries))
-    assert f.symmetric
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        f = from_dense(np.array(entries))
+        assert f.symmetric
         with pytest.raises(ValueError, match="Gershgorin bounds"):
             tc2_initial_guess(f)
         with pytest.raises(ValueError, match="Gershgorin bounds"):
@@ -145,7 +144,7 @@ def test_purify_holds_no_dense_array_before_the_energy(monkeypatch):
     dense = n * n * 8
     assert seen["guess"] < dense
     assert seen["held"] < dense
-    strip = purification._STRIP_ELEMENTS * 8
+    strip = quadtree._SCRATCH_ELEMENTS * 8
     assert peak <= 4 * dense + seen["held"] + strip + (64 << 10)
 
 

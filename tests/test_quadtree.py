@@ -321,7 +321,7 @@ def test_from_dense_strips_keep_every_block(monkeypatch):
         d[n - 1, 0] = 1.5  # a lone nonzero block in the last block row
         m = from_dense(d, leaf_size=leaf)
         # three block rows per strip, so the last strip is partial
-        monkeypatch.setattr(quadtree, "_STRIP_ELEMENTS",
+        monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS",
                             3 * leaf * m.padded_dim)
         m = from_dense(d, leaf_size=leaf)
         assert m.block_grid % 3 != 0
