@@ -26,8 +26,9 @@ from .generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
                          gen_model_hamiltonian)
 from .matrixmarket import read_matrix_market, write_matrix_market
 from .multiply import SpammConfig, spamm, write_box_log
-from .purification import (DroppingMode, SpammMode, _check_target, _held_token,
-                           match_error_threshold, purify, write_purify_report)
+from .purification import (DroppingMode, SpammMode, _check_max_iter,
+                           _check_target, _held_token, match_error_threshold,
+                           purify, write_purify_report)
 from .quadtree import _check_tau, from_dense
 
 
@@ -118,6 +119,9 @@ def cmd_sweep(args):
     targets = ([float(t) for t in args.match_targets.split(",") if t]
                if args.match_targets else [])
     # Every input is checked before the first purification runs.
+    models = [ModelHamiltonian(n=n, kind=args.kind, gap=args.gap,
+                               hopping=args.hopping) for n in sizes]
+    _check_max_iter(args.max_iter)
     for mode_name in modes:
         _parse_mode(mode_name, 0.0)
     for tau in taus:
@@ -127,9 +131,7 @@ def cmd_sweep(args):
 
     lines = ["n,mode,tau,target,iterations,avg_leaf_matmuls,"
              "total_leaf_matmuls,delta_e_rel"]
-    for n in sizes:
-        model = ModelHamiltonian(n=n, kind=args.kind, gap=args.gap,
-                                 hopping=args.hopping)
+    for model in models:
         f = gen_model_hamiltonian(model, leaf_size=args.leaf_size)
         reference = purify(f, model.n_occ, SpammMode(0.0),
                            max_iter=args.max_iter).energy
@@ -139,7 +141,7 @@ def cmd_sweep(args):
                 res = purify(f, model.n_occ, mode, max_iter=args.max_iter,
                              reference_energy=reference)
                 lines.append(
-                    f"{n},{mode_name},{tau:.17g},,{res.iterations},"
+                    f"{model.n},{mode_name},{tau:.17g},,{res.iterations},"
                     f"{res.avg_leaf_matmuls:.17g},{res.total_leaf_matmuls},"
                     f"{res.delta_e_rel:.17g}")
             for target in targets:
@@ -148,7 +150,7 @@ def cmd_sweep(args):
                     max_iter=args.max_iter, reference_energy=reference)
                 res = match.result
                 lines.append(
-                    f"{n},{mode_name},{match.tau:.17g},{target:.17g},"
+                    f"{model.n},{mode_name},{match.tau:.17g},{target:.17g},"
                     f"{res.iterations},{res.avg_leaf_matmuls:.17g},"
                     f"{res.total_leaf_matmuls},{res.delta_e_rel:.17g}")
     text = "\n".join(lines) + "\n"

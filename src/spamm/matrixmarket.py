@@ -11,7 +11,8 @@ _HEADER_PREFIX = "%%MatrixMarket"
 
 def write_matrix_market(mat, path, fmt="array"):
     """Write a matrix as ``matrix array real general`` (dense, column-major
-    values) or ``matrix coordinate real general`` (1-based nonzero triples).
+    values) or ``matrix coordinate real general`` (1-based triples of every
+    entry that is nonzero or -0.0).
 
     ``mat`` may be a 2-D ndarray or anything with a to_dense() method.
     """
@@ -30,7 +31,7 @@ def write_matrix_market(mat, path, fmt="array"):
                     fh.write(f"{dense[i, j]:.17g}\n")
         else:
             fh.write(f"{_HEADER_PREFIX} matrix coordinate real general\n")
-            nz_i, nz_j = np.nonzero(dense.T)
+            nz_i, nz_j = np.nonzero((dense.T != 0) | np.signbit(dense.T))
             fh.write(f"{rows} {cols} {nz_i.size}\n")
             for j, i in zip(nz_i, nz_j):
                 fh.write(f"{i + 1} {j + 1} {dense[i, j]:.17g}\n")
@@ -94,7 +95,9 @@ def read_matrix_market(path):
                 out = np.array(values).reshape(cols, rows).T
         else:
             nnz = size[2]
+            # a position keeps its first value as is (-0.0 too); duplicates add
             out = np.zeros((rows, cols))
+            written = np.zeros((rows, cols), dtype=bool)
             seen = 0
             for line in data_lines:
                 i_s, j_s, v_s = line.split()
@@ -103,9 +106,9 @@ def read_matrix_market(path):
                     raise ValueError(f"entry ({i_s}, {j_s}) lies outside the "
                                      f"{rows} x {cols} matrix")
                 v = float(v_s)
-                out[i, j] += v
-                if symmetry == "symmetric" and i != j:
-                    out[j, i] += v
+                for p, q in {(i, j), (j, i)} if symmetry == "symmetric" else {(i, j)}:
+                    out[p, q] = out[p, q] + v if written[p, q] else v
+                    written[p, q] = True
                 seen += 1
             if seen != nnz:
                 raise ValueError(f"expected {nnz} entries, found {seen}")

@@ -26,8 +26,9 @@ iterate X itself.
 
 Memory: no n x n array exists before the energy.  The initial guess reads F
 in dense strips of whole block rows, at most ``quadtree._SCRATCH_ELEMENTS``
-elements each, for its Gershgorin sums, and builds X0 from F's blocks; the
-sweeps are tree algebra.  The McWeeny steps run in four n x n buffers,
+elements each, for its Gershgorin sums, then reads F's strips again and
+turns each, in place, into a strip of X0 for the tree builder; the sweeps
+are tree algebra.  The McWeeny steps run in four n x n buffers,
 updated in place, one of them ``to_dense`` of X, and F is made dense
 only after the other three are released, for the final trace, so at most
 four n x n arrays are alive at once.  Every output has the bits of the
@@ -43,9 +44,8 @@ import numpy as np
 
 from .multiply import SpammConfig, spamm
 from .quadtree import (
-    _bitwise_symmetric,
     _check_tau,
-    _from_blocks,
+    _from_row_strips,
     _row_strips,
     add,
     distance,
@@ -115,12 +115,12 @@ def tc2_initial_guess(f):
 
     No n x n array is made.  The Gershgorin centres and radii come from
     dense strips of whole block rows of F (``_row_strips``), each row's
-    absolute values summed as numpy sums a row of the whole array; X0 is
-    then made block by block from F's stored blocks and the logical
-    diagonal blocks, with its padding +0.0.  Its bits, and its
+    absolute values summed as numpy sums a row of the whole array; a second
+    pass turns each strip of F, in its own buffer, into that strip of X0,
+    which ``_from_row_strips`` builds the tree from.  So X0's bits, and its
     ``symmetric`` flag, are those of ``from_dense`` on the dense X0.
     """
-    n, b, nb = f.logical_dim, f.leaf_size, f.block_grid
+    n = f.logical_dim
     centers, abs_sums = np.empty(n), np.empty(n)
     with np.errstate(over="ignore"):
         for lo, rows in _row_strips(f):
@@ -129,6 +129,7 @@ def tc2_initial_guess(f):
                 raise ValueError("F must be finite: it holds NaN or inf")
             centers[lo:lo + rows.shape[0]] = rows.diagonal(lo)
             abs_sums[lo:lo + rows.shape[0]] = rows_abs.sum(axis=1)
+        rows = rows_abs = None  # the strip buffer goes before the next pass
         radii = abs_sums - np.abs(centers)
         eps_min = float((centers - radii).min())
         eps_max = float((centers + radii).max())
@@ -136,32 +137,22 @@ def tc2_initial_guess(f):
     if not math.isfinite(width):
         raise ValueError(f"the Gershgorin bounds [{eps_min}, {eps_max}] of F "
                          "overflow: their width is not finite")
-    diagonal = np.arange(-(-n // b)) * (nb + 1)
-    if width == 0:
-        keys = diagonal
-    else:
-        stored = f._occupied[f.depth].reshape(-1).copy()
-        stored[diagonal] = True
-        keys = np.flatnonzero(stored)
-    x0 = np.zeros((keys.size, b, b))
-    x0.reshape(keys.size, -1)[np.searchsorted(keys, diagonal), ::b + 1] = 1.0
-    if width == 0:
-        x0 *= 0.5
-    else:
-        x0 *= eps_max
-        x0[np.searchsorted(keys, f._keys)] -= f._stack
-        x0 /= width
-    # The blocks crossing the edge of the logical matrix get +0.0 padding.
-    i, j = np.divmod(keys, nb)
-    edge = np.flatnonzero(((i + 1) * b > n) | ((j + 1) * b > n))
-    r = np.arange(b)
-    inside = (((i[edge, None] * b + r) < n)[:, :, None]
-              & ((j[edge, None] * b + r) < n)[:, None, :])
-    x0[edge] = np.where(inside, x0[edge], 0.0)
-    kept = (x0 != 0).any(axis=(1, 2))
-    if not kept.all():
-        keys, x0 = keys[kept], x0[kept]
-    return _from_blocks(keys, x0, n, b, _bitwise_symmetric(keys, x0, nb))
+
+    def x0_strips():
+        for lo, rows in _row_strips(f):
+            r = np.arange(rows.shape[0])
+            if width == 0:
+                diagonal = 0.5
+                rows.fill(0.0)
+            else:
+                diagonal = (eps_max - rows[r, lo + r]) / width
+                # off the diagonal, eps_max I holds eps_max * 0.0, -0.0 if < 0
+                np.subtract(eps_max * 0.0, rows, out=rows)
+                rows /= width
+            rows[r, lo + r] = diagonal
+            yield lo, rows
+
+    return _from_row_strips(x0_strips(), n, f.leaf_size)
 
 
 # Fixed-point floor of a sweep's displacement, in units of (machine epsilon
@@ -245,6 +236,12 @@ def _projector_energy(x, f):
     return float(np.einsum("ij,ji->", best, f.to_dense())), x_gap
 
 
+def _check_max_iter(max_iter):
+    """Reject a sweep count below one."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     """Run a fixed number of TC2 sweeps under the given truncation mode.
 
@@ -268,8 +265,7 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     ``f`` whose ``symmetric`` flag is unset, even when it is symmetric in
     value (-0.0 facing +0.0, or a product ``spamm(a, b)``).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_max_iter(max_iter)
     _check_tau(mode.tau)
     if not f.symmetric:
         raise ValueError("purification requires f flagged symmetric: equal "

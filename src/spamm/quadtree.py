@@ -27,11 +27,12 @@ same bits whichever operation produced it, and on a tree flagged ``symmetric``
 
 Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
 O(stored blocks) in block data plus O(nb**2) for the pyramids and the
-index; no operation on trees allocates an n x n array.  ``from_dense``,
-``to_dense`` and ``_row_strips`` are the only O(n**2) steps: ``to_dense``
-is the only writer of a tree's dense array, and ``_row_strips`` (dense
-strips of bounded size, which ``to_dense`` and the purification driver
-read) its only bounded reader.
+index; no operation on trees allocates an n x n array.  Dense values
+move in and out of trees only through row strips of bounded size, the
+O(n**2) steps: ``_row_strips`` is the bounded way out of a tree (which
+``to_dense``, the only writer of a tree's dense array, and the
+purification driver read), and ``_from_row_strips`` the bounded way in
+(which ``from_dense`` and the purification driver's initial guess feed).
 
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
@@ -45,8 +46,8 @@ import math
 import numpy as np
 
 # The one cap, in float64 elements (512 KiB), on the scratch of every
-# bounded pass, read when the pass runs: from_dense's nonzero scan,
-# _row_strips, and the multiply's whole-subcube batches and merge slices.
+# bounded pass, read when the pass runs: the row strips into and out of
+# trees, and the multiply's whole-subcube batches and merge slices.
 _SCRATCH_ELEMENTS = 1 << 16
 
 
@@ -217,8 +218,9 @@ def from_dense(dense, leaf_size=4):
 
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
     depth that fits; padding lives in unstored blocks and costs nothing later.
-    Only the nonzero blocks are copied out of the input; a zero-padded copy
-    of the whole array is made only when n is not already the padded size.
+    The array is read in row strips (``_from_row_strips``): beside the
+    input, one padded strip, the nonzero blocks and the tree's pyramids
+    are allocated, never a padded copy of the whole array.
 
     Parameters
     ----------
@@ -239,21 +241,9 @@ def from_dense(dense, leaf_size=4):
     n = arr.shape[0]
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    padded_dim = leaf_size << _depth_for(n, leaf_size)
-    if n < padded_dim:
-        padded = np.zeros((padded_dim, padded_dim))
-        padded[:n, :n] = arr
-        arr = padded
-    nb = padded_dim // leaf_size
-    mask = _nonzero_blocks(arr, leaf_size)
-    keys = np.flatnonzero(mask)
-    grid = arr.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
-    if keys.size == nb * nb:  # a plain copy is about twice as fast as the gather
-        stack = grid.copy().reshape(keys.size, leaf_size, leaf_size)
-    else:
-        stack = grid[keys // nb, keys % nb]
-    symmetric = _bitwise_symmetric(keys, stack, nb)
-    return _from_blocks(keys, stack, n, leaf_size, symmetric)
+    step = _strip_block_rows(n, leaf_size) * leaf_size
+    return _from_row_strips(((lo, arr[lo:lo + step]) for lo in range(0, n, step)),
+                            n, leaf_size)
 
 
 def _bitwise_symmetric(keys, stack, nb):
@@ -274,41 +264,58 @@ def _bitwise_symmetric(keys, stack, nb):
                           np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 
-def _nonzero_blocks(arr, b):
-    """(nb, nb) mask of the b x b blocks of ``arr`` holding a nonzero,
-    scanned in strips of block rows of about ``_SCRATCH_ELEMENTS`` elements
-    so the scratch is one boolean per strip element, not per array element."""
-    nb = arr.shape[0] // b
-    mask = np.empty((nb, nb), dtype=bool)
-    step = max(1, _SCRATCH_ELEMENTS // (b * arr.shape[1]))
-    for lo in range(0, nb, step):
-        rows = np.logical_or.reduce(
-            (arr[lo * b:(lo + step) * b] != 0).reshape(-1, b, nb, b), axis=1)
-        # column by column: a reduction over the short last axis is slower
-        strip = rows[..., 0].copy()
-        for c in range(1, b):
-            strip |= rows[..., c]
-        mask[lo:lo + step] = strip
-    return mask
+def _strip_block_rows(n, b):
+    """Block rows per dense row strip of an n x n matrix with b x b leaves:
+    as many as span ``_SCRATCH_ELEMENTS`` padded elements, at least one, and
+    no more than the block rows holding logical rows."""
+    padded_dim = b << _depth_for(n, b)
+    return min(-(-n // b), max(1, _SCRATCH_ELEMENTS // (b * padded_dim)))
 
 
 def _row_strips(m):
     """Yield ``(row, strip)`` down the dense logical rows of ``m``: each
-    strip holds the rows of whole block rows from ``row`` on, as a
-    (rows, logical_dim) view, and spans at most ``_SCRATCH_ELEMENTS``
-    padded elements (one block row if that is larger).  Every strip is a
-    view of one buffer, which the next strip overwrites."""
+    strip holds the rows of ``_strip_block_rows`` whole block rows from
+    ``row`` on (the last strip may hold fewer), as a (rows, logical_dim)
+    view.  Every strip is a view of one padded buffer, which the next strip
+    overwrites; a caller may write to a strip."""
     n, b, nb = m.logical_dim, m.leaf_size, m.block_grid
-    block_rows = -(-n // b)  # those holding logical rows
-    step = min(block_rows, max(1, _SCRATCH_ELEMENTS // (b * m.padded_dim)))
+    step = _strip_block_rows(n, b)
     buf = np.empty((step * b, m.padded_dim))
     grid = buf.reshape(step, b, nb, b).swapaxes(1, 2)
     bounds = np.searchsorted(m._keys, np.arange(0, nb + step, step) * nb)
-    for s, lo in enumerate(range(0, block_rows, step)):
+    for s, lo in enumerate(range(0, -(-n // b), step)):
         keys = m._keys[bounds[s]:bounds[s + 1]]
         buf.fill(0.0)
         grid[keys // nb - lo, keys % nb] = m._stack[bounds[s]:bounds[s + 1]]
         yield lo * b, buf[:min(step * b, n - lo * b), :n]
+
+
+def _from_row_strips(strips, n, leaf_size):
+    """Internal: the tree of the n x n matrix given as ``(row, rows)``
+    strips in order, ``rows`` being the logical rows of whole block rows
+    from ``row`` on, at most ``_strip_block_rows`` of them (the inverse of
+    ``_row_strips``).  Each strip is zero-padded in one strip buffer and
+    its blocks holding a nonzero (-0.0 counts as zero) are gathered in key
+    order; the ``symmetric`` flag is exact."""
+    b = leaf_size
+    nb = 1 << _depth_for(n, b)
+    pad = np.zeros((_strip_block_rows(n, b) * b, nb * b))
+    grid = pad.reshape(-1, b, nb, b)
+    keys, stack = [], []
+    for row, rows in strips:
+        pad[:rows.shape[0], :n] = rows
+        pad[rows.shape[0]:] = 0.0
+        hit = np.logical_or.reduce(grid != 0, axis=1)
+        # column by column: a reduction over the short last axis is slower
+        mask = hit[..., 0].copy()
+        for c in range(1, b):
+            mask |= hit[..., c]
+        i, j = np.nonzero(mask)
+        keys.append((row // b + i) * nb + j)
+        stack.append(grid.swapaxes(1, 2)[i, j])
+    rows = pad = grid = None  # the strips' buffers go before the build
+    keys, stack = np.concatenate(keys), np.concatenate(stack)
+    return _from_blocks(keys, stack, n, b, _bitwise_symmetric(keys, stack, nb))
 
 
 def _from_blocks(keys, stack, logical_dim, leaf_size, symmetric):

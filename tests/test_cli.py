@@ -324,12 +324,14 @@ def test_generate_rejects_non_finite_parameters(tmp_path, capsys, flags, message
     (["--modes", "spamm,bogus", "--taus", "1e-6"], "unknown mode 'bogus'"),
     (["--taus", "-1"], "finite and >= 0"),
     (["--taus", "1e-6,inf"], "finite and >= 0"),
+    (["--sizes", "16,1", "--taus", "1e-6", "--modes", "spamm"], "n must be >= 2"),
+    (["--taus", "1e-6", "--max-iter", "0"], "max_iter must be >= 1"),
 ])
 def test_sweep_rejects_bad_input_before_any_purification(tmp_path, capsys,
                                                          monkeypatch, flags, message):
-    """A bad mode name, tau or match target is rejected before the tau=0
-    reference run and every --taus row: exit status 1, an error line, and
-    no purification."""
+    """A bad mode name, tau, match target, size (one after a good size) or
+    sweep count is rejected before the tau=0 reference run and every --taus
+    row: exit status 1, an error line, and no purification."""
     def no_purify(*args, **kwargs):
         raise AssertionError("purify ran before the sweep's inputs were checked")
 

@@ -24,6 +24,7 @@ def _tricky_matrix():
 @pytest.mark.parametrize("fmt", ["array", "coordinate"])
 def test_roundtrip_bit_exact(fmt, tmp_path):
     m = _tricky_matrix()
+    m[6, 0] = -0.0  # a coordinate file must list it, and read it as -0.0
     path = tmp_path / f"m.{fmt}.mtx"
     write_matrix_market(m, path, fmt=fmt)
     back = read_matrix_market(path)

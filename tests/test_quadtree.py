@@ -308,10 +308,10 @@ def test_from_dense_copies_a_fully_stored_input():
 
 
 def test_from_dense_strips_keep_every_block(monkeypatch):
-    """The nonzero-block scan of from_dense runs in strips of block rows;
-    with several strips (the last one partial) every nonzero block is
-    stored with its exact bytes, -0.0 elements included, for leaf sizes
-    1..8, padded and unpadded sides."""
+    """from_dense reads its input in strips of block rows; with several
+    strips (the last one partial) every nonzero block is stored with its
+    exact bytes, -0.0 elements included, for leaf sizes 1..8, padded and
+    unpadded sides, from a C-ordered and a Fortran-ordered input."""
     for n, leaf in ((45, 4), (64, 4), (33, 1), (24, 8), (20, 2)):
         rng = np.random.default_rng(n)
         i, j = np.indices((n, n))
@@ -323,14 +323,31 @@ def test_from_dense_strips_keep_every_block(monkeypatch):
         # three block rows per strip, so the last strip is partial
         monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS",
                             3 * leaf * m.padded_dim)
-        m = from_dense(d, leaf_size=leaf)
-        assert m.block_grid % 3 != 0
-        _assert_matches_full_rebuild(m)
         pad = np.zeros((m.padded_dim, m.padded_dim))
         pad[:n, :n] = d
-        assert _stored_padded(m).tobytes() == pad.tobytes()
-        assert np.signbit(m.to_dense()[0, 1]) == (leaf > 1)
+        for order in (d, np.asfortranarray(d)):
+            m = from_dense(order, leaf_size=leaf)
+            assert m.block_grid % 3 != 0
+            _assert_matches_full_rebuild(m)
+            assert _stored_padded(m).tobytes() == pad.tobytes()
+            assert np.signbit(m.to_dense()[0, 1]) == (leaf > 1)
         monkeypatch.undo()
+
+
+def test_from_dense_makes_no_padded_copy():
+    """from_dense of a tridiagonal n=1025 input at leaf 4 (padded to 2048)
+    peaks below one n x n float64 array beyond the input: it pads one
+    strip at a time.  Padding the whole input first peaks at 4.7."""
+    n = 1025
+    d = np.diag(np.full(n, 2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    tracemalloc.start()
+    try:
+        m = from_dense(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.padded_dim == 2048
+    assert peak < n * n * 8, peak / (n * n * 8)
 
 
 def test_from_dense_allocates_no_dense_copy():
