@@ -22,9 +22,16 @@ import numpy as np
 from .quadtree import from_dense
 
 
+def _check_n(n):
+    """Reject a matrix size that is not an integer (numpy integers pass)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+
+
 def gen_exponential(n, alpha, leaf_size=4):
-    """Quadtree matrix with entries exp(-alpha * |i - j|); alpha > 0 and
-    finite."""
+    """Quadtree matrix with entries exp(-alpha * |i - j|); n an integer,
+    alpha > 0 and finite."""
+    _check_n(n)
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     idx = np.arange(n)
@@ -34,7 +41,8 @@ def gen_exponential(n, alpha, leaf_size=4):
 
 def gen_algebraic(n, p, leaf_size=4):
     """Quadtree matrix with entries 1/|i - j|**p off the diagonal, 0 on it;
-    p > 0 and finite."""
+    n an integer, p > 0 and finite."""
+    _check_n(n)
     if not math.isfinite(p) or p <= 0:
         raise ValueError(f"p must be finite and > 0, got {p}")
     idx = np.arange(n)
@@ -62,6 +70,7 @@ class ModelHamiltonian:
     hopping: float = 1.0
 
     def __post_init__(self):
+        _check_n(self.n)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.kind not in ("gapped", "gapless"):

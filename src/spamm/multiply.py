@@ -20,6 +20,9 @@ fixed order "first sub-product, then second", which over the inner index k
 amounts to summing contributions pairwise over aligned binary intervals with
 absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
+Each call builds ``quadtree._grids`` once per distinct operand; the norm
+and occupancy pyramids feed the tier tests and are freed before the leaf
+stage allocates its scratch, as its gathers read the block index alone.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
 as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
@@ -81,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadtree
-from .quadtree import _check_tau, _from_blocks, _require_conformable
+from .quadtree import _check_tau, _from_blocks, _grids, _require_conformable
 
 # Child offset enumeration for one tier of expansion: (di, dj, dk).
 _DI = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.intp)
@@ -202,6 +205,8 @@ def spamm(a, b, config=None):
     blocks = np.zeros((0, a.leaf_size, a.leaf_size))
     cubes = []  # (level, i, j, k) of the whole subcubes, per tier
     lows = None  # smallest leaf squared norms under each tile, per level
+    index_a, norm_a, occ_a = _grids(a)
+    index_b, norm_b, occ_b = (index_a, norm_a, occ_a) if b is a else _grids(b)
 
     ia = ja = ka = np.zeros(1, dtype=np.intp)
 
@@ -212,9 +217,9 @@ def spamm(a, b, config=None):
         # the leaf tier they also locate the blocks' stack rows.
         fa = (ia << tier) + ka
         fb = (ka << tier) + ja
-        alive = np.take(a._occupied[tier], fa) & np.take(b._occupied[tier], fb)
-        norm_prod = (np.sqrt(np.take(a._norm_sq[tier], fa))
-                     * np.sqrt(np.take(b._norm_sq[tier], fb)))
+        alive = np.take(occ_a[tier], fa) & np.take(occ_b[tier], fb)
+        norm_prod = (np.sqrt(np.take(norm_a[tier], fa))
+                     * np.sqrt(np.take(norm_b[tier], fb)))
         pruned = alive & (norm_prod < tau)
         active = alive & ~pruned
         # A strict-upper triple of a symmetric square also stands for (j, i, k).
@@ -239,10 +244,11 @@ def spamm(a, b, config=None):
         if tier == depth:
             stats.leaf_matmuls += int(weight[active].sum())
             if active.any() or cubes:
+                norm_a = norm_b = occ_a = occ_b = lows = None
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
-                    np.take(a._index, fa[active]), np.take(b._index, fb[active]),
-                    cubes, depth, symmetric)
+                    np.take(index_a, fa[active]), np.take(index_b, fb[active]),
+                    cubes, depth, symmetric, (index_a, index_b))
             break
 
         level = depth - tier
@@ -255,8 +261,8 @@ def spamm(a, b, config=None):
             # A diagonal triple of a symmetric square stands for its leaf
             # triples with i <= j alone, weight 1 for the whole cube.
             if lows is None:
-                low_a = _tile_min_norm_sq(a)
-                lows = (low_a, low_a if b is a else _tile_min_norm_sq(b))
+                low_a = _tile_min_norm_sq(norm_a)
+                lows = (low_a, low_a if b is a else _tile_min_norm_sq(norm_b))
             low = (np.sqrt(np.take(lows[0][level], fa))
                    * np.sqrt(np.take(lows[1][level], fb)))
             whole = active & (low >= tau) & (low > 0)
@@ -278,13 +284,13 @@ def spamm(a, b, config=None):
     return c, stats
 
 
-def _tile_min_norm_sq(m):
-    """Smallest leaf squared norm under each node of tier depth - L, for
-    each L of ``_CUBE_LEVELS`` up to the depth, keyed by L: an unstored
-    leaf counts as 0.  One pass up from the leaves."""
-    f = m._norm_sq[m.depth]
+def _tile_min_norm_sq(norm_sq):
+    """Smallest leaf squared norm under each node of tier depth - L of a
+    norm pyramid, for each L of ``_CUBE_LEVELS`` up to the depth, keyed by
+    L: an unstored leaf counts as 0.  One pass up from the leaves."""
+    f = norm_sq[-1]
     grids = {}
-    for level in range(1, min(max(_CUBE_LEVELS), m.depth) + 1):
+    for level in range(1, min(max(_CUBE_LEVELS), len(norm_sq) - 1) + 1):
         f = np.minimum(np.minimum(f[0::2, 0::2], f[0::2, 1::2]),
                        np.minimum(f[1::2, 0::2], f[1::2, 1::2]))
         grids[level] = f
@@ -303,16 +309,17 @@ def _mirror(keys, blocks, nb):
     return full[order], np.take(stack, order, axis=0)
 
 
-def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
+def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric, indexes):
     """Compute the surviving leaf products and the whole subcubes and merge
     them per C block.  ``keys`` are the leaf triples' keys
     ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the stack rows of their
     operand blocks; ``cubes`` lists the whole subcubes of each tier as
-    ``(level, i, j, k)``, see ``_subcube_sums``.  One entry list holds the
-    leaf triples and the cube sums, sorted once by key, and one buffer
-    holds [cube sums | one chunk's leaf products]: the sums, the leaf
-    products of a chunk, at most ``_CHUNK_ELEMENTS + nb * leaf**2``
-    elements, and the merged output are the leaf stage's scratch.
+    ``(level, i, j, k)``, see ``_subcube_sums``; ``indexes`` are the
+    operands' block indexes.  One entry list holds the leaf triples and
+    the cube sums, sorted once by key, and one buffer holds [cube sums |
+    one chunk's leaf products]: the sums, the leaf products of a chunk, at
+    most ``_CHUNK_ELEMENTS + nb * leaf**2`` elements, and the merged
+    output are the leaf stage's scratch.
     Returns the C block keys ``i * nb + j`` in increasing order and the
     (m, b, b) stack of merged blocks in that order."""
     leaf, m = a.leaf_size, keys.size
@@ -324,7 +331,7 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
     sizes = [cube[1].size << 2 * cube[0] for cube in cubes]
     head = sum(sizes)
     buf = np.empty((head + min(m, chunk_entries + a.block_grid), leaf, leaf))
-    made = [_subcube_sums(a, b, *cube, depth, symmetric, buf, offset)
+    made = [_subcube_sums(a, b, *cube, depth, symmetric, indexes, buf, offset)
             for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
     # Entry e < m is leaf triple e, entry m + c is cube sum c, at buffer
     # row sum_at[c].  The keys are unique (a cube covers its k-window), so
@@ -345,26 +352,27 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, sums, start):
+def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, start):
     """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
-    each of edge e = 2**level leaf blocks, and write the sums over k of
-    their leaf blocks to ``sums`` from block ``start`` on: cube c's block
-    (i, j) is block ``start + c*e*e + i*e + j``.  Each inner block k takes
-    one GEMM of A's block column by B's block row.  The sum over k then
-    follows the merge's pairwise tree, which on a complete aligned window
-    has no lone nodes.  Cubes run in batches whose e**3 leaf products per
-    cube total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if
-    that is larger: a batch's scratch is those products plus A's and B's
-    gathered blocks, 1/e of them each.  Returns the keys
-    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made and
-    each one's block in ``sums``.  On a ``symmetric`` square, a diagonal
-    subcube (ci == cj) makes nodes of its blocks with i <= j alone."""
+    each of edge e = 2**level leaf blocks found by the operands' block
+    ``indexes``, and write the sums over k of their leaf blocks to
+    ``sums`` from block ``start`` on: cube c's block (i, j) is block
+    ``start + c*e*e + i*e + j``.  Each inner block k takes one GEMM of A's
+    block column by B's block row.  The sum over k then follows the
+    merge's pairwise tree, which on a complete aligned window has no lone
+    nodes.  Cubes run in batches whose e**3 leaf products per cube total
+    at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is larger:
+    a batch's scratch is those products plus A's and B's gathered blocks,
+    1/e of them each.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
+    level-``level`` merge nodes made and each one's block in ``sums``.  On
+    a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes of
+    its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     r = np.arange(leaf, dtype=np.intp)
     inner = (ck[:, None] * e + span).T[:, :, None]                     # [k, cube, 1]
-    flat_a = np.take(a._index, (ci[:, None] * e + span) * nb + inner)  # [k, cube, i]
-    flat_b = np.take(b._index, inner * nb + (cj[:, None] * e + span))  # [k, cube, j]
+    flat_a = np.take(indexes[0], (ci[:, None] * e + span) * nb + inner)  # [k, cube, i]
+    flat_b = np.take(indexes[1], inner * nb + (cj[:, None] * e + span))  # [k, cube, j]
     # B's block row gathered one leaf row t at a time
     flat_b = flat_b[:, :, None, :] * leaf + r[:, None]                 # [k, cube, t, j]
     rows_b = b._stack.reshape(-1, leaf)

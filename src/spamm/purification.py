@@ -69,6 +69,14 @@ class DroppingMode:
     tau: float
 
 
+def _check_mode(mode):
+    """Reject a mode that is not a SpammMode or DroppingMode (TypeError),
+    then one whose tau is negative or not finite (ValueError)."""
+    if not isinstance(mode, (SpammMode, DroppingMode)):
+        raise TypeError(f"mode must be SpammMode or DroppingMode, got {mode!r}")
+    _check_tau(mode.tau)
+
+
 class ThresholdMatchError(RuntimeError):
     """No truncation threshold can reach the requested energy error."""
 
@@ -166,14 +174,13 @@ def tc2_step(x, n_occ, mode):
     with X**2 computed once under the truncation of ``mode``.  Returns
     (next_x, multiply_stats); deciding when to stop sweeping is left to
     ``purify``."""
+    _check_mode(mode)
     tr = trace(x)
     if isinstance(mode, DroppingMode):
         x2, stats = spamm(x, x, SpammConfig(tau=0.0))
         x2 = filter_drop(x2, mode.tau)
-    elif isinstance(mode, SpammMode):
-        x2, stats = spamm(x, x, SpammConfig(tau=mode.tau))
     else:
-        raise TypeError(f"mode must be SpammMode or DroppingMode, got {mode!r}")
+        x2, stats = spamm(x, x, SpammConfig(tau=mode.tau))
     if tr >= n_occ:
         return x2, stats
     return add(scale(x, 2.0), scale(x2, -1.0)), stats
@@ -263,10 +270,11 @@ def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
     to reuse one across a sweep); it is 0 for a tau = 0 run with a finite
     energy and NaN for one without.  Rejects out-of-range ``n_occ``, and an
     ``f`` whose ``symmetric`` flag is unset, even when it is symmetric in
-    value (-0.0 facing +0.0, or a product ``spamm(a, b)``).
+    value (-0.0 facing +0.0, or a product ``spamm(a, b)``), and a ``mode``
+    that is not a SpammMode or DroppingMode (TypeError).
     """
     _check_max_iter(max_iter)
-    _check_tau(mode.tau)
+    _check_mode(mode)
     if not f.symmetric:
         raise ValueError("purification requires f flagged symmetric: equal "
                          "to its transpose bit for bit, -0.0 unequal to +0.0")
@@ -376,9 +384,10 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
 
     Bisection on log tau over [_TAU_LO, _TAU_HI] = [1e-14, 1e-1], accepting
     any tau whose delta_e_rel falls in [target/2, target*2], for the
-    truncation family of ``mode`` (its own tau is ignored); at most
-    ``max_steps`` bisection steps.  A target that is not finite and > 0
-    raises ValueError before any purification runs.  Boundary outcomes:
+    truncation family of ``mode`` (a mode ``purify`` accepts, whose own
+    tau is ignored); at most ``max_steps`` bisection steps.  A target that
+    is not finite and > 0 raises ValueError, and a mode ``purify`` rejects
+    raises as there, before any purification runs.  Boundary outcomes:
 
     * error at _TAU_HI still below the target band: returns _TAU_HI with
       ``hit_boundary`` set (the target is too coarse to reach);
@@ -395,6 +404,7 @@ def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
     shared across a sweep).
     """
     _check_target(target_delta_e)
+    _check_mode(mode)
     mode_type = type(mode)
     reference = reference_energy
     lo_band = target_delta_e / _BAND_FACTOR

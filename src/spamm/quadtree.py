@@ -1,21 +1,18 @@
-"""Quadtree matrices with hierarchically cached Frobenius norms.
+"""Quadtree matrices with hierarchically summed Frobenius norms.
 
 A matrix is stored over a zero-padded square whose side is
 ``leaf_size * 2**depth``, cut into ``nb x nb`` leaf blocks
-(``nb = 2**depth``).  Only the nonzero leaf blocks are stored, in two
-arrays:
+(``nb = 2**depth``).  A tree is its nonzero leaf blocks, in three arrays:
 
 * ``_keys``: the sorted row-major block keys ``i * nb + j``;
 * ``_stack``: one read-only, C-contiguous ``(m, leaf_size, leaf_size)``
-  stack of those blocks, in key order.
+  stack of those blocks, in key order;
+* ``_block_norm_sq``: each block's *squared* Frobenius norm, in key order.
 
-Every tier of the tree caches the *squared* Frobenius norm and the
-occupancy of each of its nodes in a dense pyramid (``_norm_sq[k]`` and
-``_occupied[k]``, shape ``(2**k, 2**k)``), so norms aggregate exactly
-additively up the tree; square roots are taken only when a norm is
-actually compared or reported.  An ``(nb, nb)`` index maps each block to
-its stack row for the multiply's gathers.  Exactly zero submatrices are
-unoccupied nodes, which short-circuit all arithmetic.
+No array in a tree is sized by ``nb**2``.  For the multiply's pruning,
+``_grids`` builds an ``(nb, nb)`` block index and pyramids of each tier's
+squared norms, which add exactly up the tree, and occupancy; unoccupied
+nodes (exactly zero submatrices) short-circuit all arithmetic.
 
 Canonical form: a stored block has at least one nonzero element.  There is
 one construction path: it takes keys and a stack, drops the blocks that
@@ -25,11 +22,12 @@ pairs; a node's children as (11 + 22) + (12 + 21).  So a block's norm has the
 same bits whichever operation produced it, and on a tree flagged ``symmetric``
 (equal to its transpose bit for bit) each norm has its mirror's.
 
-Cost model: a derived tree (a product, sum, scaling or filtered tree) costs
-O(stored blocks) in block data plus O(nb**2) for the pyramids and the
-index; no operation on trees allocates an n x n array.  Dense values
-move in and out of trees only through row strips of bounded size, the
-O(n**2) steps: ``_row_strips`` is the bounded way out of a tree (which
+Cost model: building a tree (a product, sum, scaling or filtered tree),
+``trace`` and ``distance`` cost O(stored blocks); ``_grids`` costs O(nb**2)
+and keeps nothing: ``spamm`` calls it once per distinct operand, ``norm()``
+on every call.  No operation on trees allocates an n x n array.  Dense
+values move in and out of trees only through row strips of bounded size,
+the O(n**2) steps: ``_row_strips`` is the bounded way out of a tree (which
 ``to_dense``, the only writer of a tree's dense array, and the
 purification driver read), and ``_from_row_strips`` the bounded way in
 (which ``from_dense`` and the purification driver's initial guess feed).
@@ -78,11 +76,6 @@ def _leaf_norm_sq(blocks):
     return acc
 
 
-def _aggregate_norm_sq(fine):
-    """One tier of norm aggregation: children summed as (11 + 22) + (12 + 21)."""
-    return (fine[0::2, 0::2] + fine[1::2, 1::2]) + (fine[0::2, 1::2] + fine[1::2, 0::2])
-
-
 def _depth_for(logical_dim, leaf_size):
     """Smallest depth with leaf_size * 2**depth >= logical_dim."""
     depth = 0
@@ -109,15 +102,13 @@ class QuadTreeMatrix:
     """
 
     __slots__ = ("logical_dim", "leaf_size", "depth", "padded_dim", "dtype",
-                 "_keys", "_stack", "_index", "_norm_sq", "_occupied", "_symmetric")
+                 "_keys", "_stack", "_block_norm_sq", "_symmetric")
 
     def __init__(self, keys, stack, logical_dim, leaf_size, symmetric, _internal=False):
         if not _internal:
             raise TypeError("use from_dense() to construct a QuadTreeMatrix")
         # ``keys`` are strictly increasing row-major block keys and ``stack``
         # the C-contiguous (m, b, b) blocks in that order, owned by the tree.
-        depth = _depth_for(logical_dim, leaf_size)
-        nb = 1 << depth
         # A block with a positive squared norm holds a nonzero, so only the
         # blocks whose squares sum to 0 (or underflow to it) are tested.
         # Squares of finite entries near 1e308 give inf norms, silently.
@@ -129,39 +120,17 @@ class QuadTreeMatrix:
             kept[maybe] = (np.take(stack, maybe, axis=0) != 0).any(axis=(1, 2))
             if not kept.all():
                 keys, stack, norms = keys[kept], stack[kept], norms[kept]
-        keys.flags.writeable = False
-        stack.flags.writeable = False
-        m = keys.size
-
-        leaf_norm_sq = np.zeros(nb * nb, dtype=np.float64)
-        leaf_norm_sq[keys] = norms
-        leaf_nonzero = np.zeros(nb * nb, dtype=bool)
-        leaf_nonzero[keys] = True
-        # An absent block maps past the end of the stack, so gathering one
-        # raises instead of reading another block.
-        index = np.full(nb * nb, m, dtype=np.intp)
-        index[keys] = np.arange(m, dtype=np.intp)
-
-        norm_sq = [None] * (depth + 1)
-        occupied = [None] * (depth + 1)
-        norm_sq[depth] = leaf_norm_sq.reshape(nb, nb)
-        occupied[depth] = leaf_nonzero.reshape(nb, nb)
-        with np.errstate(over="ignore"):
-            for k in range(depth - 1, -1, -1):
-                norm_sq[k] = _aggregate_norm_sq(norm_sq[k + 1])
-                f = occupied[k + 1]
-                occupied[k] = f[0::2, 0::2] | f[0::2, 1::2] | f[1::2, 0::2] | f[1::2, 1::2]
+        for arr in (keys, stack, norms):
+            arr.flags.writeable = False
 
         self.logical_dim = logical_dim
         self.leaf_size = leaf_size
-        self.depth = depth
-        self.padded_dim = leaf_size << depth
+        self.depth = _depth_for(logical_dim, leaf_size)
+        self.padded_dim = leaf_size << self.depth
         self.dtype = stack.dtype
         self._keys = keys
         self._stack = stack
-        self._index = index.reshape(nb, nb)
-        self._norm_sq = norm_sq
-        self._occupied = occupied
+        self._block_norm_sq = norms
         self._symmetric = symmetric
 
     # -- structure ---------------------------------------------------------
@@ -188,8 +157,8 @@ class QuadTreeMatrix:
         return out
 
     def norm(self):
-        """Frobenius norm of the whole matrix."""
-        return float(np.sqrt(self._norm_sq[0][0, 0]))
+        """Frobenius norm of the whole matrix, from ``_grids``' root."""
+        return float(np.sqrt(_grids(self)[1][0][0, 0]))
 
     def structurally_equal(self, other):
         """True iff the two trees have identical shape, the same stored
@@ -206,6 +175,27 @@ class QuadTreeMatrix:
                 f"depth={self.depth}, norm={self.norm():.6g})")
 
 
+def _grids(m):
+    """The multiply's dense view of ``m``, O(nb**2) and never kept:
+    ``(index, norm_sq, occupied)``.  ``index`` maps block (i, j) to its
+    stack row, an absent one past the end of the stack so gathering it
+    raises; ``norm_sq[k]`` and ``occupied[k]`` hold tier k's squared norms
+    (children summed as (11 + 22) + (12 + 21)) and occupancy."""
+    nb, count = m.block_grid, m._keys.size
+    index = np.full(nb * nb, count, dtype=np.intp)
+    index[m._keys] = np.arange(count)
+    leaf = np.zeros(nb * nb)
+    leaf[m._keys] = m._block_norm_sq
+    norm_sq, occupied = [leaf.reshape(nb, nb)], [index.reshape(nb, nb) < count]
+    with np.errstate(over="ignore"):
+        while len(norm_sq) <= m.depth:
+            f, o = norm_sq[-1], occupied[-1]
+            norm_sq.append((f[0::2, 0::2] + f[1::2, 1::2])
+                           + (f[0::2, 1::2] + f[1::2, 0::2]))
+            occupied.append(o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2])
+    return index.reshape(nb, nb), norm_sq[::-1], occupied[::-1]
+
+
 def _require_conformable(a, b):
     if a.logical_dim != b.logical_dim or a.leaf_size != b.leaf_size:
         raise DimensionMismatchError(
@@ -219,8 +209,8 @@ def from_dense(dense, leaf_size=4):
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
     depth that fits; padding lives in unstored blocks and costs nothing later.
     The array is read in row strips (``_from_row_strips``): beside the
-    input, one padded strip, the nonzero blocks and the tree's pyramids
-    are allocated, never a padded copy of the whole array.
+    input, one padded strip and the nonzero blocks are allocated, never a
+    padded copy of the whole array.
 
     Parameters
     ----------
@@ -248,19 +238,16 @@ def from_dense(dense, leaf_size=4):
 
 def _bitwise_symmetric(keys, stack, nb):
     """The ``symmetric`` flag of a tree built from the nonzero blocks at
-    strictly increasing ``keys``: True iff the block pattern is symmetric
+    strictly increasing ``keys``: True iff every block's mirror is stored
     and each block with i <= j is its mirror's transpose bit for bit
     (-0.0 is not +0.0)."""
-    mask = np.zeros(nb * nb, dtype=bool)
-    mask[keys] = True
-    mask = mask.reshape(nb, nb)
-    if not np.array_equal(mask, mask.T):
-        return False
     i, j = np.divmod(keys, nb)
+    mirror = np.minimum(np.searchsorted(keys, j * nb + i), keys.size - 1)
+    if not np.array_equal(np.take(keys, mirror), j * nb + i):
+        return False
     rows = np.flatnonzero(i <= j)
-    mirror = (np.cumsum(mask) - 1).reshape(nb, nb)[j[rows], i[rows]]
     bits = stack.view(np.uint64)
-    return np.array_equal(np.take(bits, mirror, axis=0),
+    return np.array_equal(np.take(bits, mirror[rows], axis=0),
                           np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 
@@ -332,19 +319,26 @@ def trace(m):
 
     The diagonal of the padded matrix is filled from the stored diagonal
     blocks and reduced over its logical part in one fixed order."""
-    nb, b = m.block_grid, m.leaf_size
-    diag = np.zeros((nb, b))
-    rows = m._index.diagonal()
-    present = rows < m._keys.size
-    diag[present] = m._stack[rows[present]].diagonal(axis1=1, axis2=2)
+    nb = m.block_grid
+    want = np.arange(nb) * (nb + 1)  # the keys i * nb + i
+    rows = np.searchsorted(m._keys, want)
+    on = rows < m._keys.size
+    on[on] = m._keys[rows[on]] == want[on]
+    diag = np.zeros((nb, m.leaf_size))
+    diag[on] = m._stack[rows[on]].diagonal(axis1=1, axis2=2)
     return float(np.add.reduce(diag.reshape(-1)[:m.logical_dim]))
 
 
 def _union(a, b):
     """Sorted union of the two trees' block keys, and the positions of each
-    tree's blocks in it."""
-    keys = np.flatnonzero(a._occupied[a.depth] | b._occupied[b.depth])
-    return keys, np.searchsorted(keys, a._keys), np.searchsorted(keys, b._keys)
+    tree's blocks in it, from one stable merge of the two key lists."""
+    both = np.concatenate((a._keys, b._keys))
+    order = np.argsort(both, kind="stable")
+    ranked = both[order]
+    new = np.diff(ranked, prepend=-1) != 0
+    where = np.empty(both.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return ranked[new], where[:a._keys.size], where[a._keys.size:]
 
 
 def distance(a, b):
@@ -364,16 +358,14 @@ def add(a, b):
     """Tree sum a + b.
 
     A block stored in only one operand is passed through bit-identically
-    (0 + X = X without touching X); a block stored in both is a + b
-    element-wise.  Blocks that cancel to exact zero are not stored.
+    (-0.0 + X = X for every X, -0.0 included); a block stored in both is
+    a + b element-wise.  Blocks that cancel to exact zero are not stored.
     """
     _require_conformable(a, b)
     keys, pa, pb = _union(a, b)
-    out = np.empty((keys.size, a.leaf_size, a.leaf_size))
-    shared = a._occupied[a.depth].reshape(-1)[b._keys]
+    out = np.full((keys.size, a.leaf_size, a.leaf_size), -0.0)
     out[pa] = a._stack
-    out[pb[~shared]] = b._stack[~shared]
-    out[pb[shared]] += b._stack[shared]
+    out[pb] += b._stack
     return _from_blocks(keys, out, a.logical_dim, a.leaf_size,
                         a.symmetric and b.symmetric)
 
@@ -389,12 +381,12 @@ def scale(m, s):
 def filter_drop(m, tau):
     """Drop every leaf whose Frobenius norm is < tau (element dropping).
 
-    Returns a new tree without the dropped leaves and with interior norms
-    re-aggregated; every surviving leaf is bit-identical to its source.
-    Idempotent for a fixed tau.  A negative or non-finite tau is rejected.
+    Returns a new tree without the dropped leaves; every surviving leaf
+    is bit-identical to its source.  Idempotent for a fixed tau.  A
+    negative or non-finite tau is rejected.
     """
     _check_tau(tau)
-    drop = np.sqrt(m._norm_sq[m.depth].reshape(-1)[m._keys]) < tau
+    drop = np.sqrt(m._block_norm_sq) < tau
     if not drop.any():
         return m
     keep = ~drop

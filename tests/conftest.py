@@ -19,7 +19,7 @@ from spamm import purification
 from spamm.generators import ModelHamiltonian, gen_model_hamiltonian
 from spamm.multiply import spamm
 from spamm.purification import SpammMode, purify
-from spamm.quadtree import distance, trace
+from spamm.quadtree import _grids, distance, trace
 
 
 def oracle_matmul(a, b):
@@ -52,8 +52,8 @@ def norm_submultiplicativity_check(a, b):
     if nc > a.norm() * b.norm() * slack:
         return False
     if a.depth >= 1:
-        an = np.sqrt(a._norm_sq[1])
-        bn = np.sqrt(b._norm_sq[1])
+        an = np.sqrt(_grids(a)[1][1])
+        bn = np.sqrt(_grids(b)[1][1])
         expansion = 0.0
         for i in range(2):
             for j in range(2):
@@ -86,7 +86,8 @@ def mirrored_child_sum(fine):
 
 
 def audit_norm_cache(m):
-    """Recompute every cached norm of ``m`` from its stored blocks, summing
+    """Recompute every norm of ``m``'s pyramid (``_grids``, built from the
+    tree's per-block squared norms) from its stored blocks, summing
     each block's squares and each node's children in the library's one
     order (``mirrored_sum_of_squares``, ``mirrored_child_sum``); return the
     largest relative discrepancy over all nodes.  The norm-cache invariant
@@ -98,8 +99,9 @@ def audit_norm_cache(m):
     fresh[m._keys] = leaf
     fresh = fresh.reshape(nb, nb)
     worst = 0.0
+    norm_sq = _grids(m)[1]
     for k in range(m.depth, -1, -1):
-        stored = m._norm_sq[k]
+        stored = norm_sq[k]
         rel = np.abs(fresh - stored) / np.where(stored > 0, stored, 1.0)
         worst = max(worst, float(rel.max()))
         if k > 0:
@@ -111,13 +113,14 @@ def is_bitwise_symmetric(m):
     """True iff the tree ``m`` equals its transpose bit for bit (so -0.0 is
     not +0.0): a symmetric block pattern, each block with i <= j its
     mirror's transpose."""
-    occ = m._occupied[m.depth]
+    index, _, occupied = _grids(m)
+    occ = occupied[m.depth]
     if not np.array_equal(occ, occ.T):
         return False
     i, j = np.divmod(m._keys, m.block_grid)
     rows = np.flatnonzero(i <= j)
     bits = m._stack.view(f"u{m.dtype.itemsize}")
-    return np.array_equal(np.take(bits, m._index[j[rows], i[rows]], axis=0),
+    return np.array_equal(np.take(bits, index[j[rows], i[rows]], axis=0),
                           np.take(bits, rows, axis=0).swapaxes(1, 2))
 
 

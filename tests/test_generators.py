@@ -48,6 +48,11 @@ def test_exponential_rejects_bad_alpha():
     for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="alpha must be finite and > 0"):
             gen_exponential(16, alpha)
+    # a size that is not an integer is named; a numpy integer is a size
+    for n in (3.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_exponential(n, 1.0)
+    assert gen_exponential(np.int64(5), 1.0).logical_dim == 5
 
 
 # --------------------------------------------------------------- algebraic
@@ -70,6 +75,10 @@ def test_algebraic_rejects_bad_p():
     for p in (0.0, -2.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="p must be finite and > 0"):
             gen_algebraic(16, p)
+    for n in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_algebraic(n, 1.0)
+    assert gen_algebraic(np.int64(5), 1.0).logical_dim == 5
 
 
 def test_generators_symmetric_bitexact():
@@ -133,6 +142,10 @@ def test_hamiltonian_validation():
                 ModelHamiltonian(8, kind, gap=bad)
             with pytest.raises(ValueError, match="hopping must be finite"):
                 ModelHamiltonian(8, kind, hopping=bad)
+    for n in (4.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ModelHamiltonian(n)
+    assert gen_model_hamiltonian(ModelHamiltonian(np.int64(6))).logical_dim == 6
     assert ModelHamiltonian(8, "gapless", gap=-1.0).gap == -1.0  # unused there
     assert ModelHamiltonian(8).n_occ == 4  # half filling default
 

@@ -27,7 +27,7 @@ from spamm.multiply import (
     write_box_log,
 )
 from spamm.purification import DroppingMode, SpammMode, purify
-from spamm.quadtree import DimensionMismatchError, from_dense
+from spamm.quadtree import DimensionMismatchError, _grids, from_dense
 
 from conftest import (is_bitwise_symmetric, mirrored_child_sum,
                       mirrored_sum_of_squares, norm_submultiplicativity_check,
@@ -50,7 +50,7 @@ def test_tau_above_total_norm_prunes_root():
     b = from_dense(rng.standard_normal((16, 16)))
     budget = a.norm() * b.norm()
     c, stats = spamm(a, b, SpammConfig(tau=budget * 1.5, collect_boxes=True))
-    assert not c._occupied[0][0, 0]
+    assert not _grids(c)[2][0][0, 0]
     assert stats.leaf_matmuls == 0
     assert stats.omitted_budget == budget
     assert stats.boxes == [PrunedBox(0, 0, 0, a.padded_dim, 0)]
@@ -79,9 +79,9 @@ def test_zero_operand_gives_empty():
     z = from_dense(np.zeros((24, 24)))
     m = from_dense(rng.standard_normal((24, 24)))
     c = spamm(z, m)[0]
-    assert not c._occupied[0][0, 0]
+    assert not _grids(c)[2][0][0, 0]
     c2, stats = spamm(m, z, SpammConfig(tau=0.0))
-    assert not c2._occupied[0][0, 0]
+    assert not _grids(c2)[2][0][0, 0]
     assert stats.leaf_matmuls == 0
     assert stats.pruned_calls == 1  # the root Empty skip
     assert stats.empty_skip_volume == m.padded_dim ** 3
@@ -774,7 +774,7 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
             if tau:
                 assert len({bx.tier for bx in stats.boxes}) >= 2
             if band is not None:
-                assert not c._occupied[c.depth].all()
+                assert not _grids(c)[2][c.depth].all()
 
 
 def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
@@ -807,7 +807,7 @@ def test_symmetric_square_at_a_tied_tau(monkeypatch):
     for tier, i, j, k in ((x.depth, 3, 5, 4), (x.depth, 10, 12, 11),
                           (x.depth, 20, 23, 21), (x.depth - 1, 4, 6, 5),
                           (x.depth - 2, 1, 3, 2)):
-        norms = x._norm_sq[tier]
+        norms = _grids(x)[1][tier]
         tau = float(np.sqrt(norms[i, k]) * np.sqrt(norms[k, j]))
         assert tau == float(np.sqrt(norms[j, k]) * np.sqrt(norms[k, i]))
         sym, full, mirrored = _square_with_twin(monkeypatch, d, 4, tau)

@@ -19,7 +19,7 @@ from spamm.purification import (
     tc2_step,
     write_purify_report,
 )
-from spamm.quadtree import add, filter_drop, from_dense, scale, trace
+from spamm.quadtree import _grids, add, filter_drop, from_dense, scale, trace
 
 from conftest import (
     dense_initial_guess,
@@ -572,6 +572,12 @@ def test_purify_validation():
         tc2_step(tc2_initial_guess(h), 4, "spamm")
     with pytest.raises(ValueError):
         match_error_threshold(h, 4, 0.0, SpammMode(0.0))
+    # a mode that is not a mode is a TypeError, before any work
+    for mode in ("spamm", None):
+        with pytest.raises(TypeError, match="mode must be SpammMode or DroppingMode"):
+            purify(h, 4, mode)
+    with pytest.raises(TypeError, match="mode must be SpammMode or DroppingMode"):
+        match_error_threshold(h, 4, 1e-6, "spamm")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -602,7 +608,7 @@ def test_purify_requires_symmetric_flag():
     d = h.to_dense()
     d[0, 2], d[2, 0] = -0.0, 0.0
     signed = from_dense(d)
-    assert np.array_equal(d, d.T) and signed._occupied[signed.depth][0, 0]
+    assert np.array_equal(d, d.T) and _grids(signed)[2][signed.depth][0, 0]
     product = spamm(h, from_dense(np.eye(8)))[0]
     assert is_bitwise_symmetric(product)
     for f in (signed, product):

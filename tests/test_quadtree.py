@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spamm import quadtree
-from spamm.quadtree import (DimensionMismatchError, add, distance, filter_drop,
-                            from_dense, scale, trace)
+from spamm.quadtree import (DimensionMismatchError, _grids, add, distance,
+                            filter_drop, from_dense, scale, trace)
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
 
@@ -29,26 +29,26 @@ def _stored_padded(m):
 
 def test_identity4_single_leaf():
     m = from_dense(np.eye(4), leaf_size=4)
-    assert m.depth == 0 and m._occupied[0][0, 0]  # the root is a leaf
-    assert m._norm_sq[0][0, 0] == 4.0
+    assert m.depth == 0 and _grids(m)[2][0][0, 0]  # the root is a leaf
+    assert _grids(m)[1][0][0, 0] == 4.0
     assert m.padded_dim == 4 and m.depth == 0
 
 
 def test_zero8_empty_root():
     m = from_dense(np.zeros((8, 8)), leaf_size=4)
-    assert not m._occupied[0][0, 0]
+    assert not _grids(m)[2][0][0, 0]
     assert m.depth == 1
-    assert m._norm_sq[0][0, 0] == 0.0
+    assert _grids(m)[1][0][0, 0] == 0.0
 
 
 def test_ones5_padding_and_quadrants():
     m = from_dense(np.ones((5, 5)), leaf_size=4)
     assert m.padded_dim == 8
     assert m.depth == 1
-    assert m._norm_sq[0][0, 0] == 25.0
+    assert _grids(m)[1][0][0, 0] == 25.0
     # quadrant 22 covers rows/cols 4..7; only element (4,4) is inside the
     # logical region, so its subtree norm is exactly 1
-    assert m._norm_sq[1][1, 1] == 1.0
+    assert _grids(m)[1][1][1, 1] == 1.0
 
 
 def test_padding_region_exact_zero():
@@ -83,7 +83,7 @@ def test_roundtrip_rebuild_identical_tree():
     again = from_dense(m.to_dense())
     assert np.array_equal(again.to_dense(), data)
     assert again.padded_dim == m.padded_dim and again.depth == m.depth
-    assert again._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
+    assert _grids(again)[1][0][0, 0] == _grids(m)[1][0][0, 0]
 
 
 def test_to_dense_empty_is_zeros():
@@ -150,13 +150,13 @@ def test_filter_tau0_is_identity():
     m = from_dense(rng.standard_normal((20, 20)))
     f = filter_drop(m, 0.0)
     assert np.array_equal(f.to_dense(), m.to_dense())
-    assert f._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
+    assert _grids(f)[1][0][0, 0] == _grids(m)[1][0][0, 0]
 
 
 def test_filter_above_total_norm_empties():
     m = from_dense(np.ones((8, 8)))
     f = filter_drop(m, m.norm() * 1.01)
-    assert not f._occupied[0][0, 0]
+    assert not _grids(f)[2][0][0, 0]
 
 
 def test_filter_matches_flat_scan():
@@ -175,7 +175,7 @@ def test_filter_matches_flat_scan():
     flat = expect.swapaxes(1, 2).reshape(pad, pad)[:512, :512]
     assert np.array_equal(filtered.to_dense(), flat)
     # every kept block has norm >= tau > 0, so survivor counts agree exactly
-    assert int(filtered._occupied[filtered.depth].sum()) == int(keep.sum())
+    assert int(_grids(filtered)[2][filtered.depth].sum()) == int(keep.sum())
 
 
 def test_filter_rejects_bad_tau():
@@ -192,7 +192,7 @@ def test_filter_idempotent():
     once = filter_drop(m, tau)
     twice = filter_drop(once, tau)
     assert np.array_equal(once.to_dense(), twice.to_dense())
-    assert once._norm_sq[0][0, 0] == twice._norm_sq[0][0, 0]
+    assert _grids(once)[1][0][0, 0] == _grids(twice)[1][0][0, 0]
 
 
 # ------------------------------------------------------------------ algebra
@@ -203,7 +203,7 @@ def test_add_empty_passthrough():
     e = from_dense(np.zeros((12, 12)))
     s = add(m, e)
     assert np.array_equal(s.to_dense(), m.to_dense())
-    assert s._norm_sq[0][0, 0] == m._norm_sq[0][0, 0]
+    assert _grids(s)[1][0][0, 0] == _grids(m)[1][0][0, 0]
 
 
 def test_add_scale_vs_dense():
@@ -254,16 +254,18 @@ def _assert_matches_full_rebuild(m):
     assert np.all(np.diff(keys) > 0)
     assert (stack != 0).any(axis=(1, 2)).all()  # no stored block is all zero
     assert stack.flags.c_contiguous and not stack.flags.writeable
+    assert m._block_norm_sq.shape == keys.shape and not m._block_norm_sq.flags.writeable
     stored = _stored_padded(m)
     padded, nonzero, norms, occ = _full_rebuild(stored, m.leaf_size)
     assert stored.tobytes() == padded.tobytes()
     n = m.logical_dim
     assert m.to_dense().tobytes() == padded[:n, :n].tobytes()
-    assert np.array_equal(m._occupied[m.depth], nonzero)
-    assert len(m._norm_sq) == len(m._occupied) == len(norms) == m.depth + 1
+    _, norm_sq, occupied = _grids(m)
+    assert np.array_equal(occupied[m.depth], nonzero)
+    assert len(norm_sq) == len(occupied) == len(norms) == m.depth + 1
     for k in range(m.depth + 1):
-        assert m._norm_sq[k].tobytes() == norms[k].tobytes(), k
-        assert np.array_equal(m._occupied[k], occ[k]), k
+        assert norm_sq[k].tobytes() == norms[k].tobytes(), k
+        assert np.array_equal(occupied[k], occ[k]), k
     assert audit_norm_cache(m) == 0.0
 
 
@@ -289,7 +291,7 @@ def test_from_dense_matches_full_rebuild():
     d[:4, 4:] = 1e-200
     m = from_dense(d)
     assert m._keys.tolist() == [0, 1, 2, 3]
-    assert m._norm_sq[m.depth][0, 1] == 0.0
+    assert _grids(m)[1][m.depth][0, 1] == 0.0
     _assert_matches_full_rebuild(m)
 
 
@@ -377,7 +379,7 @@ def test_spamm_output_matches_full_rebuild():
     z = np.zeros((4, 4))
     c, _ = spamm(from_dense(np.block([[eye, eye], [z, z]])),
                  from_dense(np.block([[eye, z], [-eye, z]])))
-    assert not c._occupied[c.depth].any()
+    assert not _grids(c)[2][c.depth].any()
     _assert_matches_full_rebuild(c)
 
 
@@ -389,7 +391,8 @@ def test_add_output_matches_full_rebuild():
     d = a.to_dense()
     half = np.where(np.indices(d.shape)[0] < 35, -d, 0.0)
     s = add(a, from_dense(half))
-    assert not s._occupied[s.depth][:8].any() and s._occupied[s.depth][9:].any()
+    occupied = _grids(s)[2][s.depth]
+    assert not occupied[:8].any() and occupied[9:].any()
     _assert_matches_full_rebuild(s)
 
 
@@ -397,12 +400,12 @@ def test_scale_output_matches_full_rebuild():
     m = _banded(50, 7, 24)
     for s in (2.0, -1.0, 0.0):
         _assert_matches_full_rebuild(scale(m, s))
-    assert not scale(m, 0.0)._occupied[m.depth].any()
+    assert not _grids(scale(m, 0.0))[2][m.depth].any()
     # a negative scale keeps empty blocks at +0.0, not -0.0
     neg = scale(m, -1.0)
     nb, b = neg.block_grid, neg.leaf_size
     blocks = padded_dense(neg).reshape(nb, b, nb, b).swapaxes(1, 2)
-    empty = blocks[~neg._occupied[neg.depth]]
+    empty = blocks[~_grids(neg)[2][neg.depth]]
     assert empty.size and empty.tobytes() == np.zeros_like(empty).tobytes()
 
 
@@ -449,11 +452,13 @@ def _banded_dense(n, seed):
 def test_derived_tree_ops_allocate_no_dense_array():
     """No operation on a tree allocates an n x n array: on a banded n=4096
     tree, the peak allocation of each stays below a quarter of one n x n
-    float64 array (what is left is the dense pyramids and the block index)."""
+    float64 array (what is left is the multiply's operand grids: the block
+    index and the norm and occupancy pyramids that ``_grids`` builds)."""
     n = 4096
     m = from_dense(_banded_dense(n, 31))
     other = scale(m, 2.0)
-    norms = np.sqrt(m._norm_sq[m.depth][m._occupied[m.depth]])
+    _, norm_sq, occupied = _grids(m)
+    norms = np.sqrt(norm_sq[m.depth][occupied[m.depth]])
     tau = float(np.median(norms))
     ops = {
         "spamm": lambda: spamm(m, m, SpammConfig(tau=1e-10)),
@@ -473,6 +478,37 @@ def test_derived_tree_ops_allocate_no_dense_array():
             tracemalloc.stop()
         assert peak < limit, (name, peak / (n * n * 8))
         del result
+
+
+def test_trees_hold_only_their_blocks():
+    """A tree holds no array sized by the block grid squared, whichever
+    operation made it, and a sum, a scaling or a filtered tree is built in
+    O(stored blocks): on the banded n=4096 tree above, the peak allocation
+    of each stays below 1/16 of one n x n float64 array."""
+    n = 4096
+    m = from_dense(_banded_dense(n, 31))
+    other = scale(m, 2.0)
+    tau = float(np.median(np.linalg.norm(m._stack, axis=(1, 2))))
+    ops = {
+        "add": lambda: add(m, other),
+        "scale": lambda: scale(m, -1.0),
+        "filter_drop": lambda: filter_drop(m, tau),
+    }
+    trees = [m, spamm(m, m, SpammConfig(tau=1e-10))[0]]
+    for name, op in ops.items():
+        tracemalloc.start()
+        try:
+            trees.append(op())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 16, (name, peak / (n * n * 8))
+    for tree in trees:
+        arrays = [getattr(tree, slot) for slot in type(tree).__slots__
+                  if isinstance(getattr(tree, slot), np.ndarray)]
+        assert len(arrays) >= 3
+        for arr in arrays:
+            assert arr.size < tree.block_grid ** 2, arr.shape
 
 
 # ------------------------------------------------------------------ symmetry
@@ -496,8 +532,9 @@ def test_mirrored_norms_are_bit_equal(n, leaf, dtype):
     c, stats = spamm(x, x, SpammConfig(tau=1e-2))
     assert stats.pruned_calls > 0
     for m in (x, c):
-        assert len(m._norm_sq) == m.depth + 1
-        for k, norms in enumerate(m._norm_sq):
+        norm_sq = _grids(m)[1]
+        assert len(norm_sq) == m.depth + 1
+        for k, norms in enumerate(norm_sq):
             bits = norms.view(np.uint64)
             assert np.array_equal(bits, bits.T), k
         assert m.symmetric and is_bitwise_symmetric(m)

@@ -24,8 +24,10 @@ benchmark runs it.  The lines are:
 - ``cli-recipe``: the files and standard output of the README's command
   line recipes, run in a fresh directory.
 
-Floats are hashed by their bytes, so ``omitted_budget`` and energies must
-match to the last bit.
+A tree is hashed by its shape, ``symmetric`` flag, keys, block stack and
+``norm()``, so the order in which norms are summed counts too.  Floats are
+hashed by their bytes, so ``omitted_budget`` and energies must match to the
+last bit.
 """
 
 import argparse
@@ -74,7 +76,7 @@ def feed(h, value):
     if isinstance(value, QuadTreeMatrix):
         h.update(b"tree")
         feed(h, (value.logical_dim, value.leaf_size, value.symmetric,
-                 value._keys, value._stack))
+                 value._keys, value._stack, value.norm()))
     elif isinstance(value, np.ndarray):
         h.update(f"array {value.dtype.str} {value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
