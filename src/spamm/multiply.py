@@ -20,9 +20,11 @@ fixed order "first sub-product, then second", which over the inner index k
 amounts to summing contributions pairwise over aligned binary intervals with
 absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
-Each call builds ``quadtree._grids`` once per distinct operand; the norm
-and occupancy pyramids feed the tier tests and are freed before the leaf
-stage allocates its scratch, as its gathers read the block index alone.
+Each call builds ``quadtree._grids`` once per distinct operand: the block
+index and the pyramids of squared norms, occupancy and smallest leaf
+squared norms.  The pyramids feed the tier tests and are freed before the
+leaf stage allocates its scratch.  The leaf stage finds every operand
+block, a leaf triple's or a whole subcube's, through the block index.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
 as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
@@ -185,7 +187,8 @@ def spamm(a, b, config=None):
     a, b : QuadTreeMatrix
         Conformable operands (same logical_dim and leaf_size).
     config : SpammConfig, optional
-        Defaults to an exact multiply (tau = 0).
+        Defaults to an exact multiply (tau = 0); anything else, a bare tau
+        included, is a TypeError.
 
     Returns
     -------
@@ -194,6 +197,8 @@ def spamm(a, b, config=None):
     _require_conformable(a, b)
     if config is None:
         config = SpammConfig()
+    elif not isinstance(config, SpammConfig):
+        raise TypeError(f"config must be a SpammConfig or None, got {config!r}")
     tau = float(config.tau)
     symmetric = a is b and a.symmetric
 
@@ -204,17 +209,16 @@ def spamm(a, b, config=None):
     keys = np.zeros(0, dtype=np.intp)
     blocks = np.zeros((0, a.leaf_size, a.leaf_size))
     cubes = []  # (level, i, j, k) of the whole subcubes, per tier
-    lows = None  # smallest leaf squared norms under each tile, per level
-    index_a, norm_a, occ_a = _grids(a)
-    index_b, norm_b, occ_b = (index_a, norm_a, occ_a) if b is a else _grids(b)
+    index_a, norm_a, occ_a, low_a = _grids(a)
+    index_b, norm_b, occ_b, low_b = (_grids(b) if b is not a
+                                     else (index_a, norm_a, occ_a, low_a))
 
     ia = ja = ka = np.zeros(1, dtype=np.intp)
 
     for tier in range(depth + 1):
         edge = a.padded_dim >> tier
 
-        # Flat positions of the operand blocks in this tier's pyramids; at
-        # the leaf tier they also locate the blocks' stack rows.
+        # Flat positions of the operand blocks in this tier's pyramids.
         fa = (ia << tier) + ka
         fb = (ka << tier) + ja
         alive = np.take(occ_a[tier], fa) & np.take(occ_b[tier], fb)
@@ -244,10 +248,9 @@ def spamm(a, b, config=None):
         if tier == depth:
             stats.leaf_matmuls += int(weight[active].sum())
             if active.any() or cubes:
-                norm_a = norm_b = occ_a = occ_b = lows = None
+                norm_a = norm_b = occ_a = occ_b = low_a = low_b = None
                 keys, blocks = _leaf_stage(
                     a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
-                    np.take(index_a, fa[active]), np.take(index_b, fb[active]),
                     cubes, depth, symmetric, (index_a, index_b))
             break
 
@@ -260,11 +263,8 @@ def spamm(a, b, config=None):
             # is computed: a node's norm is never below one of its leaves'.
             # A diagonal triple of a symmetric square stands for its leaf
             # triples with i <= j alone, weight 1 for the whole cube.
-            if lows is None:
-                low_a = _tile_min_norm_sq(norm_a)
-                lows = (low_a, low_a if b is a else _tile_min_norm_sq(norm_b))
-            low = (np.sqrt(np.take(lows[0][level], fa))
-                   * np.sqrt(np.take(lows[1][level], fb)))
+            low = (np.sqrt(np.take(low_a[tier], fa))
+                   * np.sqrt(np.take(low_b[tier], fb)))
             whole = active & (low >= tau) & (low > 0)
             stats.leaf_matmuls += (1 << 3 * level) * int(weight[whole].sum())
             if whole.any():
@@ -284,19 +284,6 @@ def spamm(a, b, config=None):
     return c, stats
 
 
-def _tile_min_norm_sq(norm_sq):
-    """Smallest leaf squared norm under each node of tier depth - L of a
-    norm pyramid, for each L of ``_CUBE_LEVELS`` up to the depth, keyed by
-    L: an unstored leaf counts as 0.  One pass up from the leaves."""
-    f = norm_sq[-1]
-    grids = {}
-    for level in range(1, min(max(_CUBE_LEVELS), len(norm_sq) - 1) + 1):
-        f = np.minimum(np.minimum(f[0::2, 0::2], f[0::2, 1::2]),
-                       np.minimum(f[1::2, 0::2], f[1::2, 1::2]))
-        grids[level] = f
-    return grids
-
-
 def _mirror(keys, blocks, nb):
     """The whole product of a symmetric square from its blocks with i <= j,
     keys ``i * nb + j`` increasing: each strict-upper block's transpose is
@@ -309,17 +296,16 @@ def _mirror(keys, blocks, nb):
     return full[order], np.take(stack, order, axis=0)
 
 
-def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric, indexes):
+def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     """Compute the surviving leaf products and the whole subcubes and merge
     them per C block.  ``keys`` are the leaf triples' keys
-    ``(i*nb + j)*nb + k``, ``rows_a`` and ``rows_b`` the stack rows of their
-    operand blocks; ``cubes`` lists the whole subcubes of each tier as
-    ``(level, i, j, k)``, see ``_subcube_sums``; ``indexes`` are the
-    operands' block indexes.  One entry list holds the leaf triples and
-    the cube sums, sorted once by key, and one buffer holds [cube sums |
-    one chunk's leaf products]: the sums, the leaf products of a chunk, at
-    most ``_CHUNK_ELEMENTS + nb * leaf**2`` elements, and the merged
-    output are the leaf stage's scratch.
+    ``(i*nb + j)*nb + k``; ``cubes`` lists the whole subcubes of each tier
+    as ``(level, i, j, k)``, see ``_subcube_sums``; ``indexes`` are the
+    operands' block indexes, which find the blocks of both.  One entry
+    list holds the leaf triples and the cube sums, sorted once by key, and
+    one buffer holds [cube sums | one chunk's leaf products]: the sums, the
+    leaf products of a chunk, at most ``_CHUNK_ELEMENTS + nb * leaf**2``
+    elements, and the merged output are the leaf stage's scratch.
     Returns the C block keys ``i * nb + j`` in increasing order and the
     (m, b, b) stack of merged blocks in that order."""
     leaf, m = a.leaf_size, keys.size
@@ -333,19 +319,18 @@ def _leaf_stage(a, b, keys, rows_a, rows_b, cubes, depth, symmetric, indexes):
     buf = np.empty((head + min(m, chunk_entries + a.block_grid), leaf, leaf))
     made = [_subcube_sums(a, b, *cube, depth, symmetric, indexes, buf, offset)
             for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
-    # Entry e < m is leaf triple e, entry m + c is cube sum c, at buffer
-    # row sum_at[c].  The keys are unique (a cube covers its k-window), so
-    # any sort gives the same order; nb**3 fits in intp for any nb whose
-    # operands fit in memory.
+    # Each entry, a leaf triple or a cube sum, has a key and the buffer row
+    # ``at`` of its sum (-1 for a leaf triple).  The keys are unique (a cube
+    # covers its k-window), so any sort gives the same order; nb**3 fits in
+    # intp for any nb whose operands fit in memory.
     keys = np.concatenate([keys] + [node_keys for node_keys, _ in made])
-    sum_at = np.concatenate([np.zeros(0, dtype=np.intp)] + [at for _, at in made])
-    entries = np.argsort(keys)
-    keys = keys[entries]
+    at = np.concatenate([np.full(m, -1, dtype=np.intp)] + [rows for _, rows in made])
+    order = np.argsort(keys)
+    keys, at = keys[order], at[order]
     group_starts = np.flatnonzero(np.diff(keys >> depth, prepend=-1))
     cuts = group_starts[np.diff(group_starts // chunk_entries, prepend=-1) > 0]
     cuts = np.append(cuts, keys.size)
-    parts = [_merge_chunk(a, b, keys[s:e], entries[s:e], rows_a, rows_b,
-                          sum_at, buf, head, depth)
+    parts = [_merge_chunk(a, b, keys[s:e], at[s:e], buf, head, depth, indexes)
              for s, e in zip(cuts, cuts[1:])]
     if len(parts) == 1:
         return parts[0]
@@ -400,17 +385,18 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
     return keys.reshape(-1)[node], start + node
 
 
-def _merge_chunk(a, b, keys, entries, rows_a, rows_b, sum_at, buf, head, depth):
+def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
     """Multiply and merge one chunk of whole groups: the entries of
-    ``_leaf_stage`` at sorted ``keys``.  The chunk's leaf products go to
-    ``buf`` from row ``head`` on, and every merge adds rows of ``buf`` in
-    place.  At merge level l, nodes whose keys agree above bit l are
-    siblings, and the first (lower k) absorbs the second; the sum of a
-    subcube of edge 2**L is a node from level L on.  A cube's k-window is
-    aligned and at least 2 wide, so level-0 siblings are two adjacent leaf
-    triples, and the nodes left after each level stay in key order."""
-    m = rows_a.size
-    triple = entries < m
+    ``_leaf_stage`` at sorted ``keys``, a cube sum's at buffer row ``at``.
+    The chunk's leaf products, of blocks found by the operands' block
+    ``indexes``, go to ``buf`` from row ``head`` on, and every merge adds
+    rows of ``buf`` in place.  At merge level l, nodes whose keys agree
+    above bit l are siblings, and the first (lower k) absorbs the second;
+    the sum of a subcube of edge 2**L is a node from level L on.  A cube's
+    k-window is aligned and at least 2 wide, so level-0 siblings are two
+    adjacent leaf triples, and the nodes left after each level stay in key
+    order."""
+    triple = at < 0
     same = keys[:-1] >> 1 == keys[1:] >> 1
     first = np.flatnonzero(same)
     p = first.size
@@ -420,16 +406,17 @@ def _merge_chunk(a, b, keys, entries, rows_a, rows_b, sum_at, buf, head, depth):
     lone = keep & triple
     lone[:-1] &= ~same
     perm = np.concatenate((first, first + 1, np.flatnonzero(lone)))
-    triples = entries[perm]
+    # Leaf triple (i, j, k), key (i*nb + j)*nb + k, multiplies A_ik by B_kj.
+    i, j, k = np.unravel_index(keys[perm], (a.block_grid,) * 3)
     prod = buf[head:head + perm.size]
-    np.matmul(np.take(a._stack, rows_a[triples], axis=0),
-              np.take(b._stack, rows_b[triples], axis=0), out=prod)
+    np.matmul(np.take(a._stack, indexes[0][i, k], axis=0),
+              np.take(b._stack, indexes[1][k, j], axis=0), out=prod)
     np.add(prod[:p], prod[p:2 * p], out=prod[:p])
 
     # Each node lives in the buffer row of its lowest-k member.
     row = np.empty(keys.size, dtype=np.intp)
     row[perm] = np.arange(head, head + perm.size, dtype=np.intp)
-    row[~triple] = sum_at[entries[~triple] - m]
+    row[~triple] = at[~triple]
     node_keys, node_rows = keys[keep], row[keep]
     n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
     # The pairs of a level are added in slices, so the gathered blocks and

@@ -9,10 +9,11 @@ A matrix is stored over a zero-padded square whose side is
   stack of those blocks, in key order;
 * ``_block_norm_sq``: each block's *squared* Frobenius norm, in key order.
 
-No array in a tree is sized by ``nb**2``.  For the multiply's pruning,
-``_grids`` builds an ``(nb, nb)`` block index and pyramids of each tier's
-squared norms, which add exactly up the tree, and occupancy; unoccupied
-nodes (exactly zero submatrices) short-circuit all arithmetic.
+No array in a tree is sized by ``nb**2``.  For the multiply, ``_grids``
+builds an ``(nb, nb)`` block index and pyramids of each tier's squared
+norms, which add exactly up the tree, occupancy, and smallest leaf squared
+norms; unoccupied nodes (exactly zero submatrices) short-circuit all
+arithmetic, and the minima admit whole subcubes.
 
 Canonical form: a stored block has at least one nonzero element.  There is
 one construction path: it takes keys and a stack, drops the blocks that
@@ -23,14 +24,15 @@ same bits whichever operation produced it, and on a tree flagged ``symmetric``
 (equal to its transpose bit for bit) each norm has its mirror's.
 
 Cost model: building a tree (a product, sum, scaling or filtered tree),
-``trace`` and ``distance`` cost O(stored blocks); ``_grids`` costs O(nb**2)
-and keeps nothing: ``spamm`` calls it once per distinct operand, ``norm()``
-on every call.  No operation on trees allocates an n x n array.  Dense
-values move in and out of trees only through row strips of bounded size,
-the O(n**2) steps: ``_row_strips`` is the bounded way out of a tree (which
-``to_dense``, the only writer of a tree's dense array, and the
-purification driver read), and ``_from_row_strips`` the bounded way in
-(which ``from_dense`` and the purification driver's initial guess feed).
+``trace`` and ``distance`` cost O(stored blocks); ``_grids``, all that a
+multiply reads about an operand, costs O(nb**2) and keeps nothing:
+``spamm`` calls it once per distinct operand, ``norm()`` on every call.
+No operation on trees allocates an n x n array.  Dense values move in and
+out of trees only through row strips of bounded size, the O(n**2) steps:
+``_row_strips`` is the bounded way out of a tree (which ``to_dense``, the
+only writer of a tree's dense array, and the purification driver read),
+and ``_from_row_strips`` the bounded way in (which ``from_dense`` and the
+purification driver's initial guess feed).
 
 Trees are immutable after construction and may be shared freely between
 operations; every operation returns a new tree (or the same object when the
@@ -176,24 +178,29 @@ class QuadTreeMatrix:
 
 
 def _grids(m):
-    """The multiply's dense view of ``m``, O(nb**2) and never kept:
-    ``(index, norm_sq, occupied)``.  ``index`` maps block (i, j) to its
-    stack row, an absent one past the end of the stack so gathering it
-    raises; ``norm_sq[k]`` and ``occupied[k]`` hold tier k's squared norms
-    (children summed as (11 + 22) + (12 + 21)) and occupancy."""
+    """Everything the multiply reads about ``m``, O(nb**2) and never kept:
+    ``(index, norm_sq, occupied, low_sq)``.  ``index`` maps block (i, j)
+    to its stack row, an absent one past the end of the stack so
+    gathering it raises; ``norm_sq[k]``, ``occupied[k]`` and ``low_sq[k]``
+    hold tier k's squared norms (children summed as (11 + 22) + (12 +
+    21)), occupancy, and smallest leaf squared norm under each node (an
+    unstored leaf counts as 0), built up from the leaves in one pass."""
     nb, count = m.block_grid, m._keys.size
     index = np.full(nb * nb, count, dtype=np.intp)
     index[m._keys] = np.arange(count)
     leaf = np.zeros(nb * nb)
     leaf[m._keys] = m._block_norm_sq
     norm_sq, occupied = [leaf.reshape(nb, nb)], [index.reshape(nb, nb) < count]
+    low_sq = norm_sq[:]
     with np.errstate(over="ignore"):
         while len(norm_sq) <= m.depth:
-            f, o = norm_sq[-1], occupied[-1]
+            f, o, w = norm_sq[-1], occupied[-1], low_sq[-1]
             norm_sq.append((f[0::2, 0::2] + f[1::2, 1::2])
                            + (f[0::2, 1::2] + f[1::2, 0::2]))
             occupied.append(o[0::2, 0::2] | o[0::2, 1::2] | o[1::2, 0::2] | o[1::2, 1::2])
-    return index.reshape(nb, nb), norm_sq[::-1], occupied[::-1]
+            low_sq.append(np.minimum(np.minimum(w[0::2, 0::2], w[0::2, 1::2]),
+                                     np.minimum(w[1::2, 0::2], w[1::2, 1::2])))
+    return index.reshape(nb, nb), norm_sq[::-1], occupied[::-1], low_sq[::-1]
 
 
 def _require_conformable(a, b):
@@ -218,9 +225,10 @@ def from_dense(dense, leaf_size=4):
         Real square matrix, n >= 1, stored as float64; complex input is
         rejected.
     leaf_size : int
-        Dense block side, a power of two >= 1 (default 4).
+        Dense block side, an integer power of two >= 1 (default 4).
     """
-    if leaf_size < 1 or (leaf_size & (leaf_size - 1)) != 0:
+    if (not isinstance(leaf_size, (int, np.integer)) or leaf_size < 1
+            or (leaf_size & (leaf_size - 1)) != 0):
         raise ValueError(f"leaf_size must be a power of two >= 1, got {leaf_size}")
     if np.iscomplexobj(dense):
         raise ValueError("expected a real array, got a complex one")

@@ -113,7 +113,7 @@ def is_bitwise_symmetric(m):
     """True iff the tree ``m`` equals its transpose bit for bit (so -0.0 is
     not +0.0): a symmetric block pattern, each block with i <= j its
     mirror's transpose."""
-    index, _, occupied = _grids(m)
+    index, _, occupied, _ = _grids(m)
     occ = occupied[m.depth]
     if not np.array_equal(occ, occ.T):
         return False

@@ -1001,6 +1001,10 @@ def test_config_rejects_bad_tau():
         SpammConfig(tau=float("nan"))
     with pytest.raises(ValueError):
         SpammConfig(tau=float("inf"))
+    # a bare tau is not a config; None is the exact multiply
+    a = from_dense(np.eye(4))
+    with pytest.raises(TypeError, match="config must be a SpammConfig or None"):
+        spamm(a, a, 1e-8)
 
 
 def test_dimension_mismatch_rejected():

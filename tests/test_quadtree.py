@@ -124,6 +124,8 @@ def test_bad_leaf_size_rejected():
         from_dense(np.eye(4), leaf_size=3)
     with pytest.raises(ValueError):
         from_dense(np.eye(4), leaf_size=0)
+    with pytest.raises(ValueError, match="leaf_size must be a power of two"):
+        from_dense(np.eye(4), leaf_size=4.0)
 
 
 def test_from_dense_stores_float64():
@@ -260,7 +262,7 @@ def _assert_matches_full_rebuild(m):
     assert stored.tobytes() == padded.tobytes()
     n = m.logical_dim
     assert m.to_dense().tobytes() == padded[:n, :n].tobytes()
-    _, norm_sq, occupied = _grids(m)
+    _, norm_sq, occupied, _ = _grids(m)
     assert np.array_equal(occupied[m.depth], nonzero)
     assert len(norm_sq) == len(occupied) == len(norms) == m.depth + 1
     for k in range(m.depth + 1):
@@ -293,6 +295,39 @@ def test_from_dense_matches_full_rebuild():
     assert m._keys.tolist() == [0, 1, 2, 3]
     assert _grids(m)[1][m.depth][0, 1] == 0.0
     _assert_matches_full_rebuild(m)
+
+
+def test_grids_low_sq_is_each_node_smallest_leaf_norm():
+    """``_grids(m)[3][t]`` holds, for every tier t, the smallest leaf
+    squared norm under each node, an unstored leaf counting as 0: against
+    a brute-force minimum over each node's leaves, on trees with unstored
+    leaves and a stored block of 1e-200 (its squared norm underflows to
+    0), at n that pad and at leaf sizes 1, 4 and 16."""
+    rng = np.random.default_rng(24)
+    positive_above_leaves = False
+    for n in (37, 64, 100):
+        i, j = np.indices((n, n))
+        for leaf in (1, 4, 16):
+            for width in (n, 5):
+                d = rng.standard_normal((n, n)) * np.exp(-0.3 * np.abs(i - j))
+                d[np.abs(i - j) > width] = 0.0
+                d[:leaf, leaf:2 * leaf] = 1e-200
+                m = from_dense(d, leaf_size=leaf)
+                assert 1 in m._keys.tolist()
+                nb = m.block_grid
+                padded = np.zeros((m.padded_dim, m.padded_dim))
+                padded[:n, :n] = d
+                leaf_sq = mirrored_sum_of_squares(
+                    padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2))
+                assert leaf_sq[0, 1] == 0.0
+                low_sq = _grids(m)[3]
+                assert len(low_sq) == m.depth + 1
+                for t in range(m.depth + 1):
+                    s = nb >> t
+                    want = leaf_sq.reshape(1 << t, s, 1 << t, s).min(axis=(1, 3))
+                    assert low_sq[t].tobytes() == want.tobytes(), (n, leaf, width, t)
+                    positive_above_leaves |= t < m.depth and bool(low_sq[t].any())
+    assert positive_above_leaves
 
 
 def test_from_dense_copies_a_fully_stored_input():
@@ -457,7 +492,7 @@ def test_derived_tree_ops_allocate_no_dense_array():
     n = 4096
     m = from_dense(_banded_dense(n, 31))
     other = scale(m, 2.0)
-    _, norm_sq, occupied = _grids(m)
+    _, norm_sq, occupied, _ = _grids(m)
     norms = np.sqrt(norm_sq[m.depth][occupied[m.depth]])
     tau = float(np.median(norms))
     ops = {
