@@ -52,19 +52,19 @@ order.
 
 The leaf stage sorts one entry list, the leaf triples and the cube sums,
 once by the key ``(i*nb + j)*nb + k`` (a cube's lowest k) and merges it in
-chunks of whole C-block groups.  One buffer per multiply holds [cube sums
-| one chunk's leaf products], the latter at most ``_CHUNK_ELEMENTS + nb *
-leaf**2`` elements; beside it are the output and the adds' temporaries,
-each at most ``_SCRATCH_ELEMENTS`` elements, since a merge level adds its
-pairs in slices.  A cube's k-window is aligned and at least 2 wide,
-so level-0 siblings (keys equal but for bit 0) are adjacent leaf
-triples.  The operand gathers put them first, as [first members |
-second members | the rest], so the GEMM output holds each level-0 pair p
-rows apart and level 0, half of all merges, is one contiguous in-place
-add.  Later levels add buffer rows by index; the nodes left stay in key
-order, so no level sorts, and the merge stops once every C block has one
-node.  A final gather puts the merged blocks in key order.  Nothing copies
-the product stack or a cube sum.
+chunks of whole C-block groups.  Every leaf product comes from one GEMM
+path: a leaf triple that no whole subcube holds is a subcube of edge 1,
+whose product is its sum.  One buffer per multiply holds [cube sums | one
+chunk's leaf products], the latter at most ``_CHUNK_ELEMENTS + nb *
+leaf**2`` elements.  Beside it are the output, one GEMM batch (at edge 1
+only its two gathered operand stacks, each at most ``_SCRATCH_ELEMENTS``
+elements, as its products go straight to the buffer) and one add's
+slice, at most ``_SCRATCH_ELEMENTS`` elements, since each merge level,
+level 0 included, adds its pairs in slices.  Every level adds buffer
+rows by index; the nodes left stay in key order, so no level sorts, and
+the merge stops once every C block has one node.  A final gather puts
+the merged blocks in key order.  Nothing copies the product stack or a
+cube sum.
 
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
@@ -96,8 +96,8 @@ _DK = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.intp)
 # Leaf products are multiplied and merged in chunks of about this many
 # elements, a cap apart from quadtree._SCRATCH_ELEMENTS since each chunk
 # pays a fixed merge overhead: chunks of 2**16 ran the gapped n=1024 purify
-# 1.02x and the n=1024 multiply 1.11x as long, with equal outputs (calls
-# alternated in one process, 2-core x86-64, BLAS on 1 thread).
+# 1.02-1.06x and the n=1024 multiply 1.08x as long, with equal outputs
+# (calls alternated in one process, 2-core x86-64, BLAS on 1 thread).
 _CHUNK_ELEMENTS = 1 << 23
 
 # A triple at tier depth - L, for each L here, may leave the traversal as a
@@ -305,7 +305,10 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     list holds the leaf triples and the cube sums, sorted once by key, and
     one buffer holds [cube sums | one chunk's leaf products]: the sums, the
     leaf products of a chunk, at most ``_CHUNK_ELEMENTS + nb * leaf**2``
-    elements, and the merged output are the leaf stage's scratch.
+    elements, and the merged output are the leaf stage's scratch beside
+    the GEMM batches and merge slices of ``_SCRATCH_ELEMENTS``.  Every
+    leaf product, a cube's or a leaf triple's (an edge-1 cube), is made
+    by ``_subcube_sums``.
     Returns the C block keys ``i * nb + j`` in increasing order and the
     (m, b, b) stack of merged blocks in that order."""
     leaf, m = a.leaf_size, keys.size
@@ -345,13 +348,15 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
     ``start + c*e*e + i*e + j``.  Each inner block k takes one GEMM of A's
     block column by B's block row.  The sum over k then follows the
     merge's pairwise tree, which on a complete aligned window has no lone
-    nodes.  Cubes run in batches whose e**3 leaf products per cube total
-    at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is larger:
-    a batch's scratch is those products plus A's and B's gathered blocks,
-    1/e of them each.  Returns the keys ``(i*nb + j)*nb + k_lo`` of the
-    level-``level`` merge nodes made and each one's block in ``sums``.  On
-    a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes of
-    its blocks with i <= j alone."""
+    nodes.  An edge-1 cube (level 0) is one leaf triple, whose GEMM is
+    its stacked leaf GEMM and whose product is its sum, written straight
+    to ``sums``.  Cubes run in batches whose e**3 leaf products per cube
+    total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is
+    larger: a batch's scratch is those products (none at edge 1) plus
+    A's and B's gathered blocks, 1/e of them each.  Returns the keys
+    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made and
+    each one's block in ``sums``.  On a ``symmetric`` square, a diagonal
+    subcube (ci == cj) makes nodes of its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     r = np.arange(leaf, dtype=np.intp)
@@ -361,17 +366,20 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
     # B's block row gathered one leaf row t at a time
     flat_b = flat_b[:, :, None, :] * leaf + r[:, None]                 # [k, cube, t, j]
     rows_b = b._stack.reshape(-1, leaf)
+    blocks = sums[start:start + ci.size * e * e]
     # The GEMM leaves each cube as (i, r, j, c); the last add writes it as
     # (i, j, r, c), one block per (i, j).
-    out = sums[start:start + ci.size * e * e].reshape(-1, e, e, leaf, leaf)
-    out = out.swapaxes(2, 3)
+    out = blocks.reshape(-1, e, e, leaf, leaf).swapaxes(2, 3)
     batch = max(1, quadtree._SCRATCH_ELEMENTS // (e ** 3 * leaf * leaf))
     for lo in range(0, ci.size, batch):
         tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
         tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]
-        prod = np.matmul(tile_a.reshape(e, -1, e * leaf, leaf),
-                         tile_b.reshape(e, -1, leaf, e * leaf))
-        prod = prod.reshape(e, -1, e, leaf, e, leaf)
+        tile_a = tile_a.reshape(e, -1, e * leaf, leaf)
+        tile_b = tile_b.reshape(e, -1, leaf, e * leaf)
+        if e == 1:  # a lone leaf triple: its product is its sum
+            np.matmul(tile_a, tile_b, out=blocks[None, lo:lo + batch])
+            continue
+        prod = np.matmul(tile_a, tile_b).reshape(e, -1, e, leaf, e, leaf)
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
         step = 1
         while step < e // 2:
@@ -388,41 +396,23 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
 def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
     """Multiply and merge one chunk of whole groups: the entries of
     ``_leaf_stage`` at sorted ``keys``, a cube sum's at buffer row ``at``.
-    The chunk's leaf products, of blocks found by the operands' block
-    ``indexes``, go to ``buf`` from row ``head`` on, and every merge adds
+    The chunk's leaf triples are edge-1 subcubes: ``_subcube_sums`` writes
+    their products to ``buf`` from row ``head`` on, and every merge adds
     rows of ``buf`` in place.  At merge level l, nodes whose keys agree
     above bit l are siblings, and the first (lower k) absorbs the second;
-    the sum of a subcube of edge 2**L is a node from level L on.  A cube's
-    k-window is aligned and at least 2 wide, so level-0 siblings are two
-    adjacent leaf triples, and the nodes left after each level stay in key
-    order."""
-    triple = at < 0
-    same = keys[:-1] >> 1 == keys[1:] >> 1
-    first = np.flatnonzero(same)
-    p = first.size
-    # The nodes left after level 0 (second members go), and the lone triples.
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = ~same
-    lone = keep & triple
-    lone[:-1] &= ~same
-    perm = np.concatenate((first, first + 1, np.flatnonzero(lone)))
-    # Leaf triple (i, j, k), key (i*nb + j)*nb + k, multiplies A_ik by B_kj.
-    i, j, k = np.unravel_index(keys[perm], (a.block_grid,) * 3)
-    prod = buf[head:head + perm.size]
-    np.matmul(np.take(a._stack, indexes[0][i, k], axis=0),
-              np.take(b._stack, indexes[1][k, j], axis=0), out=prod)
-    np.add(prod[:p], prod[p:2 * p], out=prod[:p])
-
-    # Each node lives in the buffer row of its lowest-k member.
-    row = np.empty(keys.size, dtype=np.intp)
-    row[perm] = np.arange(head, head + perm.size, dtype=np.intp)
-    row[~triple] = at[~triple]
-    node_keys, node_rows = keys[keep], row[keep]
-    n_groups = 1 + int(np.count_nonzero(np.diff(node_keys >> depth)))
+    the sum of a subcube of edge 2**L is a node from level L on.  The nodes
+    left after each level stay in key order."""
+    node_keys, node_rows = keys, at.copy()
+    lone = np.flatnonzero(at < 0)
+    # Leaf triple (i, j, k), key (i*nb + j)*nb + k, multiplies A_ik by B_kj;
+    # an edge-1 cube keeps its one block on any square.
+    i, j, k = np.unravel_index(keys[lone], (a.block_grid,) * 3)
+    node_rows[lone] = _subcube_sums(a, b, 0, i, j, k, depth, False, indexes, buf, head)[1]
+    n_groups = 1 + int(np.count_nonzero(np.diff(keys >> depth)))
     # The pairs of a level are added in slices, so the gathered blocks and
     # their sum are bounded by the scratch cap, not by the level.
     pairs = max(1, quadtree._SCRATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
-    for level in range(1, depth):
+    for level in range(depth):
         if node_keys.size == n_groups:
             break
         up = node_keys >> (level + 1)

@@ -298,12 +298,14 @@ _SUBCUBE_SUMS = multiply._subcube_sums
 def _spy_subcubes(monkeypatch):
     """Record every subcube that ``spamm`` multiplies whole, as ``(edge, i,
     j, k, diagonal)`` with (i, j, k) in tiles of edge x edge leaf blocks,
-    in a list this returns."""
+    in a list this returns.  Edge-1 calls are the lone leaf triples, not
+    whole subcubes, and are not recorded."""
     cubes = []
 
     def spy(a, b, level, ci, cj, ck, depth, symmetric, *rest):
-        cubes.extend((1 << level, i, j, k, symmetric and i == j)
-                     for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
+        if level >= 1:
+            cubes.extend((1 << level, i, j, k, symmetric and i == j)
+                         for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
         return _SUBCUBE_SUMS(a, b, level, ci, cj, ck, depth, symmetric, *rest)
 
     monkeypatch.setattr(multiply, "_subcube_sums", spy)
@@ -526,8 +528,11 @@ def test_one_scratch_cap_moves_every_bounded_pass(monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("n, square", [(256, True), (256, False), (512, False)])
-def test_cube_scratch_is_bounded(monkeypatch, n, square):
+@pytest.mark.parametrize("n, square, cube_tier",
+                         [(256, True, True), (256, False, True), (512, False, True),
+                          (256, False, False)],
+                         ids=["256-True", "256-False", "512-False", "256-False-no-cubes"])
+def test_cube_scratch_is_bounded(monkeypatch, n, square, cube_tier):
     """The traced allocation peak of an exact leaf-4 product that whole
     subcubes of edge 16 cover, as the symmetric square and as the product
     of two trees, stays within a bound stated from its buffers: the cube
@@ -541,23 +546,38 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square):
     the multiply (24 and 39 MiB at n=256) exceeds it several times over; a
     merge that copies the sums to a second buffer peaks at 60 MiB for two
     trees at n=512, and one that adds a whole merge level at once at 43
-    MiB, both over its 30 MiB (the measured peak is 28 MiB)."""
+    MiB, both over its 30 MiB (the measured peak is 28 MiB).
+
+    With no cube tier (``_CUBE_LEVELS = ()``) every leaf product of two
+    trees is a lone leaf triple, an edge-1 cube, and the bound adds the
+    chunk's leaf products in the buffer and 24 + leaf index words per lone
+    triple: the traversal's last tier, the sorted entry list, the chunk's
+    buffer rows and block coordinates, and the GEMM's gather indexes (leaf
+    of them per triple for B's rows).  It has no term for operand gathers
+    of a whole chunk: those peaked at 129 MiB at n=256, over its 91 MiB
+    (the measured peak is 84 MiB)."""
     x = gen_exponential(n, 0.05)
     other = x if square else gen_exponential(n, 0.05)
     cubes = _spy_subcubes(monkeypatch)
+    if not cube_tier:
+        monkeypatch.setattr(multiply, "_CUBE_LEVELS", ())
     tracemalloc.start()
     try:
-        c, _ = spamm(x, other)
+        c, stats = spamm(x, other)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     leaf, item, out = x.leaf_size, c._stack.itemsize, c._stack.nbytes
-    assert {edge for edge, *_ in cubes} == {16}
+    assert {edge for edge, *_ in cubes} == ({16} if cube_tier else set())
     nodes = sum(edge * edge for edge, *_ in cubes)
-    sums = nodes * leaf * leaf * item
+    # The cubes cover the product; with none, two trees mirror no triple.
+    lone = 0 if cube_tier else stats.leaf_matmuls
+    chunk = min(lone, multiply._CHUNK_ELEMENTS // (leaf * leaf) + x.block_grid)
+    buffer = (nodes + chunk) * leaf * leaf * item  # [cube sums | leaf products]
     batch = max(quadtree._SCRATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
     merge = quadtree._SCRATCH_ELEMENTS * item
-    assert peak <= sums + 2 * out + 2 * batch + 2 * merge + 8 * 8 * nodes
+    index = 8 * (8 * nodes + (24 + leaf) * lone)
+    assert peak <= buffer + 2 * out + 2 * batch + 2 * merge + index
 
 
 def test_block_column_gemm_matches_leaf_gemms():

@@ -17,6 +17,10 @@ benchmark runs it.  The lines are:
   its ``ProductStats``, boxes collected;
 - ``multiply-density-leaves``: the same product of (first seed, instance
   0) at leaf sizes 1 to 64;
+- ``multiply-density-no-cubes``: those products again with no whole
+  subcube tier (``multiply._CUBE_LEVELS = ()``), so every leaf product
+  is a lone leaf triple; it equals the line above as long as whole
+  subcubes keep the bits of the leaf triples they stand for;
 - ``initial-guess``: ``tc2_initial_guess`` (keys, block stack and
   ``symmetric`` flag of X0) over symmetric trees drawn from the first
   seed (see ``guess_inputs``), at n that pad and n that do not, and leaf
@@ -50,7 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import harness  # noqa: E402
-from spamm import cli, purification  # noqa: E402
+from spamm import cli, multiply, purification  # noqa: E402
 from spamm.multiply import SpammConfig, spamm  # noqa: E402
 from spamm.quadtree import QuadTreeMatrix, from_dense  # noqa: E402
 
@@ -134,12 +138,19 @@ def workload_digest(w, seeds):
     return h.hexdigest()
 
 
-def leaf_digest(seed):
+def leaf_digest(seed, cube_levels):
+    """The multiply-density product of (``seed``, instance 0) at every leaf
+    size, with ``multiply._CUBE_LEVELS`` set to ``cube_levels``."""
     w = harness.WORKLOADS["multiply-density"]
     p = harness.build_instance(w, seed, 0).matrix.to_dense()
     h = hashlib.sha256()
-    for leaf in LEAF_SIZES:
-        feed(h, multiply_outputs(w, from_dense(p, leaf_size=leaf)))
+    default = multiply._CUBE_LEVELS
+    multiply._CUBE_LEVELS = cube_levels
+    try:
+        for leaf in LEAF_SIZES:
+            feed(h, multiply_outputs(w, from_dense(p, leaf_size=leaf)))
+    finally:
+        multiply._CUBE_LEVELS = default
     return h.hexdigest()
 
 
@@ -197,7 +208,9 @@ def main(argv=None):
     seeds = [int(s) for s in args.seeds.split(",") if s]
     for name, w in harness.WORKLOADS.items():
         print(f"{workload_digest(w, seeds)}  {name}", flush=True)
-    print(f"{leaf_digest(seeds[0])}  multiply-density-leaves", flush=True)
+    print(f"{leaf_digest(seeds[0], multiply._CUBE_LEVELS)}  multiply-density-leaves",
+          flush=True)
+    print(f"{leaf_digest(seeds[0], ())}  multiply-density-no-cubes", flush=True)
     print(f"{initial_guess_digest(seeds[0])}  initial-guess", flush=True)
     print(f"{cli_digest()}  cli-recipe", flush=True)
 
