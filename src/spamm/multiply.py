@@ -22,9 +22,20 @@ absent contributions passed through untouched.  The leaf stage reproduces
 exactly that summation tree, so results are bit-reproducible run to run.
 Each call builds ``quadtree._grids`` once per distinct operand: the block
 index and the pyramids of squared norms, occupancy and smallest leaf
-squared norms.  The pyramids feed the tier tests and are freed before the
-leaf stage allocates its scratch.  The leaf stage finds every operand
-block, a leaf triple's or a whole subcube's, through the block index.
+squared norms.  The traversal (``_traverse``) reads the pyramids; they
+and its last tier's arrays are freed before the leaf stage allocates its
+scratch.  The leaf stage finds every operand block, a leaf triple's or a
+whole subcube's, through the block index.
+
+Flagged operands: a tree flagged ``symmetric`` stores its blocks with
+i <= j alone, and its block index maps each block below the diagonal to
+its stored mirror, marked as transposed.  Every gather (``_gather``), A's
+or B's, of a lone triple or a whole subcube, writes such a block into its
+batch tile as the transpose of the stored one, so each GEMM sees the
+values and layout a fully stored operand would give it and keeps its
+bits.  No multiply copies a whole operand into a mirrored form: the
+transposes are made per batch, a tile wholly below the diagonal in one
+transposing copy.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
 as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
@@ -68,15 +79,16 @@ cube sum.
 
 Symmetric square: when ``a is b`` has the ``symmetric`` flag, the traversal
 keeps only triples with i <= j (the children of a strict-upper triple are
-all strict-upper) and writes C_ji as a transposed copy of C_ij.  A
-diagonal triple (i == j) that is whole runs the same full GEMMs and
-merges only its leaf blocks with i <= j, for every k.  Triple (j, i, k)
-multiplies the transposes of the blocks of (i, j, k) in swapped order;
-each C element is summed over the inner index in order, as the leaf GEMMs
-do, so its leaf product is that product's transpose, merged in the same
-order.  Cached norms are transpose-invariant, so the pruning test of
-(i, j, k) is that of (j, i, k): the product is the full one by
-construction.
+all strict-upper), and the product is the flagged tree of the C blocks
+with i <= j, stored as every flagged tree is.  A diagonal triple (i == j)
+that is whole runs the same full GEMMs and merges only its leaf blocks
+with i <= j, for every k.  Triple (j, i, k) multiplies the transposes of
+the blocks of (i, j, k) in swapped order; each C element is summed over
+the inner index in order, as the leaf GEMMs do, so its leaf product is
+that product's transpose, merged in the same order: each C_ji that the
+product stands for is C_ij transposed, bit for bit.  Cached norms are
+transpose-invariant, so the pruning test of (i, j, k) is that of
+(j, i, k): the product is the full one by construction.
 """
 
 from __future__ import annotations
@@ -199,15 +211,27 @@ def spamm(a, b, config=None):
         config = SpammConfig()
     elif not isinstance(config, SpammConfig):
         raise TypeError(f"config must be a SpammConfig or None, got {config!r}")
-    tau = float(config.tau)
     symmetric = a is b and a.symmetric
+    stats = ProductStats(boxes=[] if config.collect_boxes else None)
+    # The traversal's arrays and the operands' pyramids are gone by the
+    # time the leaf stage allocates its scratch.
+    leaves, cubes, indexes = _traverse(a, b, float(config.tau), symmetric, stats)
+    if leaves.size or cubes:
+        keys, blocks = _leaf_stage(a, b, leaves, cubes, a.depth, symmetric, indexes)
+    else:
+        keys, blocks = leaves, np.zeros((0, a.leaf_size, a.leaf_size))
+    # The product of a symmetric square is its blocks with i <= j.
+    return _from_blocks(keys, blocks, a.logical_dim, a.leaf_size, symmetric), stats
 
+
+def _traverse(a, b, tau, symmetric, stats):
+    """Walk the tiers of the product space from the root, counting every
+    skipped, pruned and computed triple in ``stats``.  Returns the keys
+    ``(i*nb + j)*nb + k`` of the leaf triples left at the leaf tier, the
+    whole subcubes as ``(level, i, j, k)`` per tier, and the operands'
+    block indexes from ``_grids`` (the pyramids are dropped here)."""
     depth = a.depth
     nb = a.block_grid
-    stats = ProductStats(boxes=[] if config.collect_boxes else None)
-
-    keys = np.zeros(0, dtype=np.intp)
-    blocks = np.zeros((0, a.leaf_size, a.leaf_size))
     cubes = []  # (level, i, j, k) of the whole subcubes, per tier
     index_a, norm_a, occ_a, low_a = _grids(a)
     index_b, norm_b, occ_b, low_b = (_grids(b) if b is not a
@@ -237,7 +261,7 @@ def spamm(a, b, config=None):
         stats.pruned_volume += n_pruned * edge ** 3
         if n_pruned:
             stats.omitted_budget += float((norm_prod * weight)[pruned].sum())
-        if config.collect_boxes and n_pruned:
+        if stats.boxes is not None and n_pruned:
             back = pruned & mirrored
             stats.boxes.extend(
                 PrunedBox(int(x) * edge, int(y) * edge, int(z) * edge, edge, tier)
@@ -247,12 +271,8 @@ def spamm(a, b, config=None):
 
         if tier == depth:
             stats.leaf_matmuls += int(weight[active].sum())
-            if active.any() or cubes:
-                norm_a = norm_b = occ_a = occ_b = low_a = low_b = None
-                keys, blocks = _leaf_stage(
-                    a, b, ((ia[active] * nb + ja[active]) << depth) + ka[active],
-                    cubes, depth, symmetric, (index_a, index_b))
-            break
+            leaves = ((ia[active] * nb + ja[active]) << depth) + ka[active]
+            return leaves, cubes, (index_a, index_b)
 
         level = depth - tier
         # A tier is tried only if its block-column GEMM fits its cap.
@@ -277,23 +297,6 @@ def spamm(a, b, config=None):
         if symmetric:
             upper = ia <= ja
             ia, ja, ka = ia[upper], ja[upper], ka[upper]
-
-    if symmetric:
-        keys, blocks = _mirror(keys, blocks, nb)
-    c = _from_blocks(keys, blocks, a.logical_dim, a.leaf_size, symmetric)
-    return c, stats
-
-
-def _mirror(keys, blocks, nb):
-    """The whole product of a symmetric square from its blocks with i <= j,
-    keys ``i * nb + j`` increasing: each strict-upper block's transpose is
-    copied to key ``j * nb + i``.  Returns the keys and stack of both."""
-    i, j = np.divmod(keys, nb)
-    upper = np.flatnonzero(i < j)
-    full = np.concatenate((keys, j[upper] * nb + i[upper]))
-    stack = np.concatenate((blocks, np.take(blocks, upper, axis=0).swapaxes(1, 2)))
-    order = np.argsort(full)
-    return full[order], np.take(stack, order, axis=0)
 
 
 def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
@@ -353,31 +356,42 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
     to ``sums``.  Cubes run in batches whose e**3 leaf products per cube
     total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is
     larger: a batch's scratch is those products (none at edge 1) plus
-    A's and B's gathered blocks, 1/e of them each.  Returns the keys
-    ``(i*nb + j)*nb + k_lo`` of the level-``level`` merge nodes made and
-    each one's block in ``sums``.  On a ``symmetric`` square, a diagonal
-    subcube (ci == cj) makes nodes of its blocks with i <= j alone."""
+    A's and B's gathered blocks (``_gather``, which puts a flagged
+    operand's lower blocks in transposed), 1/e of them each, their
+    gather indexes and the leaf-row order that lays out B's block rows.
+    Returns the keys ``(i*nb + j)*nb + k_lo`` of the
+    level-``level`` merge nodes made and each one's block in ``sums``.
+    On a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes
+    of its blocks with i <= j alone."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
-    r = np.arange(leaf, dtype=np.intp)
-    inner = (ck[:, None] * e + span).T[:, :, None]                     # [k, cube, 1]
-    flat_a = np.take(indexes[0], (ci[:, None] * e + span) * nb + inner)  # [k, cube, i]
-    flat_b = np.take(indexes[1], inner * nb + (cj[:, None] * e + span))  # [k, cube, j]
-    # B's block row gathered one leaf row t at a time
-    flat_b = flat_b[:, :, None, :] * leaf + r[:, None]                 # [k, cube, t, j]
-    rows_b = b._stack.reshape(-1, leaf)
+    # From a cube's corner blocks of A and B in the block grid, the
+    # [k, 1, i] and [k, 1, j] offsets of its tiles' blocks
+    offsets_a = (span * nb + span[:, None])[:, None, :]
+    offsets_b = (span[:, None] * nb + span)[:, None, :]
     blocks = sums[start:start + ci.size * e * e]
     # The GEMM leaves each cube as (i, r, j, c); the last add writes it as
     # (i, j, r, c), one block per (i, j).
     out = blocks.reshape(-1, e, e, leaf, leaf).swapaxes(2, 3)
     batch = max(1, quadtree._SCRATCH_ELEMENTS // (e ** 3 * leaf * leaf))
+    b_rows = None
     for lo in range(0, ci.size, batch):
-        tile_a = np.take(a._stack, flat_a[:, lo:lo + batch], axis=0)  # [k, cube, i, r, t]
-        tile_b = np.take(rows_b, flat_b[:, lo:lo + batch], axis=0)    # [k, cube, t, j, c]
+        run = slice(lo, lo + batch)
+        corner_a = ((ci[run] * nb + ck[run]) * e)[:, None]
+        corner_b = ((ck[run] * nb + cj[run]) * e)[:, None]
+        tile_a = _gather(a._stack, np.take(indexes[0], corner_a + offsets_a))  # [k, cube, i, r, t]
+        tile_b = _gather(b._stack, np.take(indexes[1], corner_b + offsets_b))  # [k, cube, j, t, c]
+        if e > 1:
+            # B's block row: leaf row t of every block j, one after another,
+            # taken as leaf rows in [k, cube, t, j] order
+            if b_rows is None or b_rows.size != tile_b.size // leaf:
+                b_rows = ((np.arange(tile_b.size // (e * leaf * leaf))[:, None, None] * e
+                           + span) * leaf + np.arange(leaf)[:, None]).ravel()
+            tile_b = np.take(tile_b.reshape(-1, leaf), b_rows, axis=0)   # [k, cube, t, j, c]
         tile_a = tile_a.reshape(e, -1, e * leaf, leaf)
         tile_b = tile_b.reshape(e, -1, leaf, e * leaf)
         if e == 1:  # a lone leaf triple: its product is its sum
-            np.matmul(tile_a, tile_b, out=blocks[None, lo:lo + batch])
+            np.matmul(tile_a, tile_b, out=blocks[None, run])
             continue
         prod = np.matmul(tile_a, tile_b).reshape(e, -1, e, leaf, e, leaf)
         # Merge level l: each node at k = 0 mod 2**(l + 1) absorbs k + 2**l.
@@ -385,12 +399,29 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
         while step < e // 2:
             np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
             step *= 2
-        np.add(prod[0], prod[step], out=out[lo:lo + batch])
+        np.add(prod[0], prod[step], out=out[run])
     pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
     keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
             + ((pi * nb + pj) << depth))
     node = np.flatnonzero((ci != cj)[:, None] | (pi <= pj) | (not symmetric))
     return keys.reshape(-1)[node], start + node
+
+
+def _gather(stack, rows):
+    """The blocks at block-index entries ``rows`` (see ``_grids``), in a
+    new C-contiguous array: row r of ``stack`` as it is, and a negative
+    entry, a strict-lower block of a flagged operand, as its row
+    transposed; entries all negative in one transposing copy, a mix block
+    by block."""
+    tiles = np.take(stack, rows, axis=0)
+    if rows.min() < 0:
+        lower = rows < 0
+        if lower.all():
+            return np.ascontiguousarray(tiles.swapaxes(-1, -2))
+        at = np.flatnonzero(lower)
+        flat = tiles.reshape(-1, *stack.shape[1:])
+        flat[at] = np.ascontiguousarray(np.take(flat, at, axis=0).swapaxes(1, 2))
+    return tiles
 
 
 def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):

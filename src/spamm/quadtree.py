@@ -9,6 +9,16 @@ A matrix is stored over a zero-padded square whose side is
   stack of those blocks, in key order;
 * ``_block_norm_sq``: each block's *squared* Frobenius norm, in key order.
 
+A tree flagged ``symmetric`` stores only its blocks with i <= j: each
+strict-upper block (i, j) also stands for its transpose at (j, i), the
+upper-triangle storage of symmetric matrices in the hierarchic matrix
+library of Rubensson, Rudberg & Salek (J. Comput. Chem. 28, 2531, 2007).
+Every operation reads and writes that half; the lower blocks appear only
+where a caller needs them: in the dense rows of ``_row_strips``, in
+``_grids`` (which maps (j, i) to the transpose of the stored (i, j)), and
+in ``_full_blocks`` (when ``add``, ``distance`` or ``structurally_equal``
+meets a flagged tree and an unflagged one).
+
 No array in a tree is sized by ``nb**2``.  For the multiply, ``_grids``
 builds an ``(nb, nb)`` block index and pyramids of each tier's squared
 norms, which add exactly up the tree, occupancy, and smallest leaf squared
@@ -20,11 +30,12 @@ one construction path: it takes keys and a stack, drops the blocks that
 are all zero (including blocks of -0.0), and sums norms in one order that a
 matrix and its transpose share: a block's diagonal squares, then its mirrored
 pairs; a node's children as (11 + 22) + (12 + 21).  So a block's norm has the
-same bits whichever operation produced it, and on a tree flagged ``symmetric``
-(equal to its transpose bit for bit) each norm has its mirror's.
+same bits whichever operation produced it, and a mirrored block's norm is
+its stored mirror's.
 
 Cost model: building a tree (a product, sum, scaling or filtered tree),
-``trace`` and ``distance`` cost O(stored blocks); ``_grids``, all that a
+``trace`` and ``distance`` cost O(stored blocks), about half the nonzero
+blocks on a flagged tree; ``_grids``, all that a
 multiply reads about an operand, costs O(nb**2) and keeps nothing:
 ``spamm`` calls it once per distinct operand, ``norm()`` on every call.
 No operation on trees allocates an n x n array.  Dense values move in and
@@ -140,7 +151,8 @@ class QuadTreeMatrix:
     @property
     def symmetric(self):
         """True only if the matrix equals its transpose bit for bit; read-only,
-        exact from ``from_dense``, and a derived tree may miss a symmetry."""
+        exact from ``from_dense``, and a derived tree may miss a symmetry.
+        A flagged tree stores its blocks with i <= j alone."""
         return self._symmetric
 
     @property
@@ -163,14 +175,17 @@ class QuadTreeMatrix:
         return float(np.sqrt(_grids(self)[1][0][0, 0]))
 
     def structurally_equal(self, other):
-        """True iff the two trees have identical shape, the same stored
-        blocks and bit-identical leaf contents."""
+        """True iff the two trees have identical shape and represent the
+        same blocks with bit-identical leaf contents, whatever each stores:
+        a flagged tree's half is expanded only against an unflagged tree."""
         if not isinstance(other, QuadTreeMatrix):
             return False
-        return (self.logical_dim == other.logical_dim
-                and self.leaf_size == other.leaf_size
-                and np.array_equal(self._keys, other._keys)
-                and self._stack.tobytes() == other._stack.tobytes())
+        if (self.logical_dim != other.logical_dim
+                or self.leaf_size != other.leaf_size):
+            return False
+        _, (keys, stack), (other_keys, other_stack) = _alike(self, other)
+        return (np.array_equal(keys, other_keys)
+                and np.array_equal(stack.view(np.uint64), other_stack.view(np.uint64)))
 
     def __repr__(self):
         return (f"QuadTreeMatrix(n={self.logical_dim}, leaf={self.leaf_size}, "
@@ -180,16 +195,26 @@ class QuadTreeMatrix:
 def _grids(m):
     """Everything the multiply reads about ``m``, O(nb**2) and never kept:
     ``(index, norm_sq, occupied, low_sq)``.  ``index`` maps block (i, j)
-    to its stack row, an absent one past the end of the stack so
-    gathering it raises; ``norm_sq[k]``, ``occupied[k]`` and ``low_sq[k]``
-    hold tier k's squared norms (children summed as (11 + 22) + (12 +
-    21)), occupancy, and smallest leaf squared norm under each node (an
-    unstored leaf counts as 0), built up from the leaves in one pass."""
+    to its stack row r, or, when the block is the transpose of row r (a
+    strict-lower block of a flagged tree), to the negative r - count
+    (count the stored blocks), which ``np.take`` reads as row r; and an
+    absent one past the end of the stack so gathering it raises;
+    ``norm_sq[k]``, ``occupied[k]`` and ``low_sq[k]`` hold tier k's
+    squared norms (children summed as (11 + 22) + (12 + 21)), occupancy,
+    and smallest leaf squared norm under each node (an unstored leaf
+    counts as 0), built up from the leaves in one pass.  A mirrored leaf
+    takes its stored mirror's norm, which has the bits of its own."""
     nb, count = m.block_grid, m._keys.size
     index = np.full(nb * nb, count, dtype=np.intp)
     index[m._keys] = np.arange(count)
     leaf = np.zeros(nb * nb)
     leaf[m._keys] = m._block_norm_sq
+    if m.symmetric:
+        mirrors = _mirror_keys(m._keys, m.depth)
+        strict = np.flatnonzero(mirrors > m._keys)
+        mirrors = mirrors[strict]
+        index[mirrors] = strict - count
+        leaf[mirrors] = m._block_norm_sq[strict]
     norm_sq, occupied = [leaf.reshape(nb, nb)], [index.reshape(nb, nb) < count]
     low_sq = norm_sq[:]
     with np.errstate(over="ignore"):
@@ -272,16 +297,34 @@ def _row_strips(m):
     strip holds the rows of ``_strip_block_rows`` whole block rows from
     ``row`` on (the last strip may hold fewer), as a (rows, logical_dim)
     view.  Every strip is a view of one padded buffer, which the next strip
-    overwrites; a caller may write to a strip."""
+    overwrites; a caller may write to a strip.  On a flagged tree each
+    strict-lower block is written as the transpose of its stored mirror,
+    gathered at most one block row's worth of blocks at a time."""
     n, b, nb = m.logical_dim, m.leaf_size, m.block_grid
     step = _strip_block_rows(n, b)
     buf = np.empty((step * b, m.padded_dim))
     grid = buf.reshape(step, b, nb, b).swapaxes(1, 2)
-    bounds = np.searchsorted(m._keys, np.arange(0, nb + step, step) * nb)
+    starts = np.arange(0, nb + step, step) * nb
+    bounds = np.searchsorted(m._keys, starts)
+    if m.symmetric:
+        # The stored rows in the key order of their mirrors, those with
+        # i >= j (a mirror key not above their own) last.
+        mirrors = _mirror_keys(m._keys, m.depth)
+        mirrors[mirrors <= m._keys] = nb * nb
+        order = np.argsort(mirrors, kind="stable")
+        mirror_bounds = np.searchsorted(mirrors, starts, sorter=order)
+        mirrors = None
     for s, lo in enumerate(range(0, -(-n // b), step)):
         keys = m._keys[bounds[s]:bounds[s + 1]]
         buf.fill(0.0)
         grid[keys // nb - lo, keys % nb] = m._stack[bounds[s]:bounds[s + 1]]
+        if m.symmetric:
+            end = mirror_bounds[s + 1]
+            for p in range(mirror_bounds[s], end, nb):
+                rows = order[p:min(p + nb, end)]
+                keys = m._keys[rows]
+                grid[keys % nb - lo, keys // nb] = np.take(
+                    m._stack, rows, axis=0).swapaxes(1, 2)
         yield lo * b, buf[:min(step * b, n - lo * b), :n]
 
 
@@ -291,7 +334,8 @@ def _from_row_strips(strips, n, leaf_size):
     from ``row`` on, at most ``_strip_block_rows`` of them (the inverse of
     ``_row_strips``).  Each strip is zero-padded in one strip buffer and
     its blocks holding a nonzero (-0.0 counts as zero) are gathered in key
-    order; the ``symmetric`` flag is exact."""
+    order; the ``symmetric`` flag is exact, and a flagged tree keeps the
+    blocks with i <= j."""
     b = leaf_size
     nb = 1 << _depth_for(n, b)
     pad = np.zeros((_strip_block_rows(n, b) * b, nb * b))
@@ -310,7 +354,11 @@ def _from_row_strips(strips, n, leaf_size):
         stack.append(grid.swapaxes(1, 2)[i, j])
     rows = pad = grid = None  # the strips' buffers go before the build
     keys, stack = np.concatenate(keys), np.concatenate(stack)
-    return _from_blocks(keys, stack, n, b, _bitwise_symmetric(keys, stack, nb))
+    symmetric = _bitwise_symmetric(keys, stack, nb)
+    if symmetric:
+        upper = keys // nb <= keys % nb
+        keys, stack = keys[upper], stack[upper]
+    return _from_blocks(keys, stack, n, b, symmetric)
 
 
 def _from_blocks(keys, stack, logical_dim, leaf_size, symmetric):
@@ -318,7 +366,8 @@ def _from_blocks(keys, stack, logical_dim, leaf_size, symmetric):
     C-contiguous (m, b, b) stack.  All-zero blocks are dropped.  The tree
     takes both arrays and makes them read-only (do not reuse a writable one);
     another tree's read-only keys may be passed as they are.  ``symmetric``
-    is stored unchecked: the caller vouches for it."""
+    is stored unchecked: the caller vouches for it, and that the keys are
+    those of the blocks with i <= j alone."""
     return QuadTreeMatrix(keys, stack, logical_dim, leaf_size, symmetric, _internal=True)
 
 
@@ -326,7 +375,8 @@ def trace(m):
     """Sum of the logical diagonal (padding is exactly zero and excluded).
 
     The diagonal of the padded matrix is filled from the stored diagonal
-    blocks and reduced over its logical part in one fixed order."""
+    blocks (a flagged tree stores them all) and reduced over its logical
+    part in one fixed order."""
     nb = m.block_grid
     want = np.arange(nb) * (nb + 1)  # the keys i * nb + i
     rows = np.searchsorted(m._keys, want)
@@ -337,29 +387,69 @@ def trace(m):
     return float(np.add.reduce(diag.reshape(-1)[:m.logical_dim]))
 
 
-def _union(a, b):
-    """Sorted union of the two trees' block keys, and the positions of each
-    tree's blocks in it, from one stable merge of the two key lists."""
-    both = np.concatenate((a._keys, b._keys))
+def _mirror_keys(keys, depth):
+    """The key j * nb + i of each block (i, j) at ``keys`` on a grid of
+    nb = 2**depth blocks a side."""
+    return ((keys & ((1 << depth) - 1)) << depth) | (keys >> depth)
+
+
+def _full_blocks(keys, stack, depth):
+    """The keys and stack of every block that the blocks with i <= j at
+    increasing ``keys`` stand for on a symmetric matrix of nb = 2**depth
+    blocks a side: the stored ones and, at key ``j * nb + i``, the
+    transpose of each strict-upper one, in key order."""
+    mirrors = _mirror_keys(keys, depth)
+    strict = np.flatnonzero(mirrors > keys)
+    full = np.concatenate((keys, mirrors[strict]))
+    order = np.argsort(full, kind="stable")
+    at = np.empty(full.size, dtype=np.intp)
+    at[order] = np.arange(full.size)
+    out = np.empty((full.size,) + stack.shape[1:])
+    out[at[:keys.size]] = stack
+    out[at[keys.size:]] = np.take(stack, strict, axis=0).swapaxes(1, 2)
+    return full[order], out
+
+
+def _alike(a, b):
+    """``(symmetric, (keys, stack) of a, (keys, stack) of b)`` in one
+    storage: the stored halves when both trees are flagged, every block
+    each represents otherwise (a flagged tree's half expanded)."""
+    if a.symmetric and b.symmetric:
+        return True, (a._keys, a._stack), (b._keys, b._stack)
+    return False, *((_full_blocks(m._keys, m._stack, m.depth) if m.symmetric
+                     else (m._keys, m._stack)) for m in (a, b))
+
+
+def _union(keys_a, keys_b):
+    """Sorted union of two sorted key lists, and the positions of each
+    list's keys in it, from one stable merge."""
+    both = np.concatenate((keys_a, keys_b))
     order = np.argsort(both, kind="stable")
     ranked = both[order]
     new = np.diff(ranked, prepend=-1) != 0
     where = np.empty(both.size, dtype=np.intp)
     where[order] = np.cumsum(new) - 1
-    return ranked[new], where[:a._keys.size], where[a._keys.size:]
+    return ranked[new], where[:keys_a.size], where[keys_a.size:]
 
 
 def distance(a, b):
     """Frobenius norm of a - b, summed over the union of both trees' stored
     blocks without building a tree (unstored blocks are exactly zero in
-    both).  The squares are summed in one fixed order, so equal inputs give
+    both).  Two flagged trees are subtracted on their stored halves, the
+    squares of each strict-upper block counted twice, once for its mirror;
+    a flagged tree and an unflagged one, on every block each represents.
+    The squares are summed in one fixed order, so equal inputs give
     bit-identical results, and distance(a, b) == distance(b, a)."""
     _require_conformable(a, b)
-    keys, pa, pb = _union(a, b)
+    symmetric, (keys_a, stack_a), (keys_b, stack_b) = _alike(a, b)
+    keys, pa, pb = _union(keys_a, keys_b)
     d = np.zeros((keys.size, a.leaf_size, a.leaf_size))
-    d[pa] = a._stack
-    d[pb] -= b._stack
-    return float(np.sqrt(np.add.reduce((d * d).reshape(-1))))
+    d[pa] = stack_a
+    d[pb] -= stack_b
+    sq = np.square(d, out=d)
+    if symmetric:  # a strict-upper block stands for its mirror too
+        sq[_mirror_keys(keys, a.depth) > keys] *= 2.0
+    return float(np.sqrt(np.add.reduce(sq.reshape(-1))))
 
 
 def add(a, b):
@@ -368,20 +458,23 @@ def add(a, b):
     A block stored in only one operand is passed through bit-identically
     (-0.0 + X = X for every X, -0.0 included); a block stored in both is
     a + b element-wise.  Blocks that cancel to exact zero are not stored.
+    Two flagged trees are added on their halves; a flagged tree and an
+    unflagged one, on every block each represents.
     """
     _require_conformable(a, b)
-    keys, pa, pb = _union(a, b)
+    symmetric, (keys_a, stack_a), (keys_b, stack_b) = _alike(a, b)
+    keys, pa, pb = _union(keys_a, keys_b)
     out = np.full((keys.size, a.leaf_size, a.leaf_size), -0.0)
-    out[pa] = a._stack
-    out[pb] += b._stack
-    return _from_blocks(keys, out, a.logical_dim, a.leaf_size,
-                        a.symmetric and b.symmetric)
+    out[pa] = stack_a
+    out[pb] += stack_b
+    return _from_blocks(keys, out, a.logical_dim, a.leaf_size, symmetric)
 
 
 def scale(m, s):
     """Tree scaled by a scalar; scaling by 0 yields the empty tree.
 
-    Only the stored blocks are scaled; unstored blocks stay exact +0.0."""
+    Only the stored blocks are scaled (a flagged tree's half); unstored
+    blocks stay exact +0.0."""
     return _from_blocks(m._keys, m._stack * float(s), m.logical_dim,
                         m.leaf_size, m.symmetric)
 
@@ -391,7 +484,8 @@ def filter_drop(m, tau):
 
     Returns a new tree without the dropped leaves; every surviving leaf
     is bit-identical to its source.  Idempotent for a fixed tau.  A
-    negative or non-finite tau is rejected.
+    negative or non-finite tau is rejected.  A flagged tree is filtered on
+    its half: a block's norm is its mirror's, so both go or both stay.
     """
     _check_tau(tau)
     drop = np.sqrt(m._block_norm_sq) < tau

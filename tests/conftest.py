@@ -85,6 +85,23 @@ def mirrored_child_sum(fine):
             + (fine[0::2, 1::2] + fine[1::2, 0::2]))
 
 
+def full_blocks(m):
+    """Keys and stack of every nonzero block the tree ``m`` represents, in
+    key order, whatever it stores.  A tree flagged ``symmetric`` stores
+    its blocks with i <= j alone (asserted here), each strict-upper block
+    (i, j) also standing for its transpose at (j, i)."""
+    keys, stack = m._keys, m._stack
+    if not m.symmetric:
+        return keys, stack
+    nb = m.block_grid
+    i, j = np.divmod(keys, nb)
+    assert (i <= j).all(), "a tree flagged symmetric stores a block with i > j"
+    strict = i < j
+    full = np.concatenate((keys, j[strict] * nb + i[strict]))
+    order = np.argsort(full)
+    return full[order], np.concatenate((stack, stack[strict].swapaxes(1, 2)))[order]
+
+
 def audit_norm_cache(m):
     """Recompute every norm of ``m``'s pyramid (``_grids``, built from the
     tree's per-block squared norms) from its stored blocks, summing
@@ -92,11 +109,12 @@ def audit_norm_cache(m):
     order (``mirrored_sum_of_squares``, ``mirrored_child_sum``); return the
     largest relative discrepancy over all nodes.  The norm-cache invariant
     requires at most 4 * machine epsilon; a tree built along the library's
-    one construction path gives 0.0."""
+    one construction path gives 0.0.  A flagged tree's mirrored blocks are
+    summed from their transposes (``full_blocks``)."""
     nb = m.block_grid
-    leaf = mirrored_sum_of_squares(m._stack)
+    keys, stack = full_blocks(m)
     fresh = np.zeros(nb * nb)
-    fresh[m._keys] = leaf
+    fresh[keys] = mirrored_sum_of_squares(stack)
     fresh = fresh.reshape(nb, nb)
     worst = 0.0
     norm_sq = _grids(m)[1]
@@ -111,17 +129,15 @@ def audit_norm_cache(m):
 
 def is_bitwise_symmetric(m):
     """True iff the tree ``m`` equals its transpose bit for bit (so -0.0 is
-    not +0.0): a symmetric block pattern, each block with i <= j its
-    mirror's transpose."""
-    index, _, occupied, _ = _grids(m)
-    occ = occupied[m.depth]
-    if not np.array_equal(occ, occ.T):
+    not +0.0): a symmetric pattern of the blocks it represents
+    (``full_blocks``), each its mirror's transpose."""
+    keys, stack = full_blocks(m)
+    i, j = np.divmod(keys, m.block_grid)
+    mirror = np.searchsorted(keys, j * m.block_grid + i)
+    if not np.array_equal(keys[np.minimum(mirror, keys.size - 1)], j * m.block_grid + i):
         return False
-    i, j = np.divmod(m._keys, m.block_grid)
-    rows = np.flatnonzero(i <= j)
-    bits = m._stack.view(f"u{m.dtype.itemsize}")
-    return np.array_equal(np.take(bits, index[j[rows], i[rows]], axis=0),
-                          np.take(bits, rows, axis=0).swapaxes(1, 2))
+    bits = stack.view(f"u{m.dtype.itemsize}")
+    return np.array_equal(np.take(bits, mirror, axis=0), bits.swapaxes(1, 2))
 
 
 def jittered_grid_positions(count, spacing=1.0, jitter=0.25, seed=0):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spamm import cli, multiply, purification
+from spamm import cli, purification
 from spamm.cli import main
 from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
@@ -120,36 +120,48 @@ def test_multiply_deterministic_outputs(tmp_path):
 
 def test_one_file_for_both_operands_is_squared_symmetrically(tmp_path, monkeypatch):
     """--a and --b naming one file (by the same path or through a link) load
-    one tree, so multiply and boxes each run the symmetric square, one
-    _mirror call; a copy under a second name loads two trees and runs the
-    full traversal.  Both give the same bytes but for omitted_budget, which
-    the square sums with off-diagonal norm products doubled."""
+    one tree, so multiply and boxes each run the symmetric square, whose
+    product is flagged and stores its blocks with i <= j alone; a copy
+    under a second name loads two trees and runs the full traversal, whose
+    product stores every block.  Both give the same bytes but for
+    omitted_budget, which the square sums with off-diagonal norm products
+    doubled."""
     a = gen_exponential(64, 0.5)
     path, copy, link = (tmp_path / f"{name}.mtx" for name in ("a", "copy", "link"))
     write_matrix_market(a, path, fmt="array")
     write_matrix_market(a, copy, fmt="array")
     os.symlink(path, link)
-    mirror, calls = multiply._mirror, []
+    products = []
 
-    def counted(*args):
-        calls.append(None)
-        return mirror(*args)
+    def recorded(*args):
+        c, stats = spamm(*args)
+        products.append(c)
+        return c, stats
 
-    monkeypatch.setattr(multiply, "_mirror", counted)
+    def storage():
+        """How the one product made since the last call stores its blocks:
+        "half" if flagged with i <= j alone, "full" if unflagged with blocks
+        below the diagonal too."""
+        (c,) = products
+        del products[:]
+        i, j = np.divmod(c._keys, c.block_grid)
+        if c.symmetric and (i <= j).all():
+            return "half"
+        return "full" if not c.symmetric and (i > j).any() else None
+
+    monkeypatch.setattr(cli, "spamm", recorded)
     outputs = {}
-    for tag, other, mirrors in (("same", path, 1), ("link", link, 1),
-                                ("copy", copy, 0)):
+    for tag, other, kind in (("same", path, "half"), ("link", link, "half"),
+                             ("copy", copy, "full")):
         files = [tmp_path / f"out-{tag}.{ext}"
                  for ext in ("csv", "mtx", "boxes", "log", "txt")]
         operands = ["--a", str(path), "--b", str(other), "--tau", "1e-6"]
-        del calls[:]
         assert main(["multiply", *operands, "--stats", str(files[0]),
                      "--out-c", str(files[1]), "--boxes", str(files[2])]) == 0
-        assert len(calls) == mirrors
-        del calls[:]
+        assert storage() == kind
         assert main(["boxes", *operands, "--out", str(files[3]),
                      "--summary", str(files[4])]) == 0
-        assert len(calls) == mirrors
+        assert storage() == kind
         outputs[tag] = [f.read_bytes() for f in files[1:]]
         outputs[tag].append(_read_stats(files[0])[1])
     assert outputs["copy"][1] != b""  # the comparison covers pruned boxes

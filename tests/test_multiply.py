@@ -29,7 +29,7 @@ from spamm.multiply import (
 from spamm.purification import DroppingMode, SpammMode, purify
 from spamm.quadtree import DimensionMismatchError, _grids, from_dense
 
-from conftest import (is_bitwise_symmetric, mirrored_child_sum,
+from conftest import (full_blocks, is_bitwise_symmetric, mirrored_child_sum,
                       mirrored_sum_of_squares, norm_submultiplicativity_check,
                       oracle_matmul, padded_dense)
 
@@ -483,8 +483,9 @@ def test_whole_subcubes_follow_fixed_pairwise_tree(monkeypatch, n, leaf, band, d
                     assert max(stored) not in {edge for edge, *_ in cubes}
                 if not levels:
                     assert cubes == []
-                assert c._keys.tolist() == keys
-                assert c._stack.tobytes() == blocks.tobytes()
+                c_keys, c_stack = full_blocks(c)
+                assert c_keys.tolist() == keys
+                assert c_stack.tobytes() == blocks.tobytes()
                 assert stats == leaf_path
                 assert stats.leaf_matmuls == len(leaves)
                 assert {(bx.tier, bx.i_lo, bx.j_lo, bx.k_lo, bx.edge)
@@ -519,10 +520,10 @@ def test_one_scratch_cap_moves_every_bounded_pass(monkeypatch):
         strips = sum(1 for _ in quadtree._row_strips(x))
         c, stats = spamm(x, x)
         assert cubes
-        outputs.append((x._keys.tobytes(), x._stack.tobytes(),
-                        x.to_dense().tobytes(),
-                        purification.tc2_initial_guess(x)._stack.tobytes(),
-                        c._keys.tobytes(), c._stack.tobytes(), stats))
+        guess = purification.tc2_initial_guess(x)
+        outputs.append(tuple(arr.tobytes() for tree in (x, guess, c)
+                             for arr in full_blocks(tree))
+                       + (x.to_dense().tobytes(), stats))
         monkeypatch.undo()
     assert strips == -(-100 // x.leaf_size)
     assert outputs[0] == outputs[1]
@@ -550,12 +551,13 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square, cube_tier):
 
     With no cube tier (``_CUBE_LEVELS = ()``) every leaf product of two
     trees is a lone leaf triple, an edge-1 cube, and the bound adds the
-    chunk's leaf products in the buffer and 24 + leaf index words per lone
-    triple: the traversal's last tier, the sorted entry list, the chunk's
-    buffer rows and block coordinates, and the GEMM's gather indexes (leaf
-    of them per triple for B's rows).  It has no term for operand gathers
-    of a whole chunk: those peaked at 129 MiB at n=256, over its 91 MiB
-    (the measured peak is 84 MiB)."""
+    chunk's leaf products in the buffer and 16 index words per lone
+    triple: the sorted entry list and its sort order, the chunk's buffer
+    rows and block coordinates, and the keys and rows of the products
+    made.  It has no term for the traversal's last tier, which is freed
+    before the leaf stage, nor for gather indexes of a whole chunk, which
+    are made per batch: with both, the peak was 84 MiB at n=256, over its
+    67 MiB (the measured peak is 59 MiB)."""
     x = gen_exponential(n, 0.05)
     other = x if square else gen_exponential(n, 0.05)
     cubes = _spy_subcubes(monkeypatch)
@@ -576,7 +578,7 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square, cube_tier):
     buffer = (nodes + chunk) * leaf * leaf * item  # [cube sums | leaf products]
     batch = max(quadtree._SCRATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
     merge = quadtree._SCRATCH_ELEMENTS * item
-    index = 8 * (8 * nodes + (24 + leaf) * lone)
+    index = 8 * (8 * nodes + 16 * lone)
     assert peak <= buffer + 2 * out + 2 * batch + 2 * merge + index
 
 
@@ -636,7 +638,7 @@ def test_cubes_past_the_column_gemm_cap_keep_leaf_bits(monkeypatch, leaf):
         with monkeypatch.context() as patch:
             patch.setattr(multiply, "_CUBE_LEVELS", ())
             ref, ref_stats = spamm(a, b)
-        assert c._stack.tobytes() == ref._stack.tobytes()
+        assert full_blocks(c)[1].tobytes() == full_blocks(ref)[1].tobytes()
         assert stats == ref_stats
 
 
@@ -732,32 +734,37 @@ def _symmetric_decay(n, seed, band=None):
     return d + d.T
 
 
-_MIRROR = multiply._mirror
+def _halves(*trees):
+    """How many of ``trees`` are flagged symmetric and store their blocks
+    with i <= j alone."""
+    count = 0
+    for t in trees:
+        i, j = np.divmod(t._keys, t.block_grid)
+        count += t.symmetric and bool((i <= j).all())
+    return count
 
 
-def _square_with_twin(monkeypatch, d, leaf, tau):
+def _square_with_twin(d, leaf, tau):
     """Square ``from_dense(d)`` as ``spamm(x, x)`` and as ``spamm(x, twin)``
     with ``twin`` rebuilt from the same array: a different object, so the
-    second product takes the full traversal.  Returns both (tree, stats)
-    pairs and how many of the two calls mirrored blocks."""
-    calls = []
-
-    def spy(*args):
-        calls.append(1)
-        return _MIRROR(*args)
-
-    monkeypatch.setattr(multiply, "_mirror", spy)
+    second product takes the full traversal and stores every block.
+    Returns both (tree, stats) pairs and how many of the two products are
+    upper halves (``_halves``)."""
     x = from_dense(d, leaf_size=leaf)
     twin = from_dense(d, leaf_size=leaf)
     cfg = SpammConfig(tau=tau, collect_boxes=True)
-    return spamm(x, x, cfg), spamm(x, twin, cfg), len(calls)
+    sym, full = spamm(x, x, cfg), spamm(x, twin, cfg)
+    assert not full[0].symmetric
+    return sym, full, _halves(sym[0], full[0])
 
 
 def _assert_same_product(got, want):
-    """Equal product bytes and whole-cube stats; the budget to 8 ulp."""
+    """Equal represented product bytes (``full_blocks``) and whole-cube
+    stats; the budget to 8 ulp."""
     (c, s), (c_ref, s_ref) = got, want
-    assert c._keys.tobytes() == c_ref._keys.tobytes()
-    assert c._stack.tobytes() == c_ref._stack.tobytes()
+    (keys, stack), (ref_keys, ref_stack) = full_blocks(c), full_blocks(c_ref)
+    assert keys.tobytes() == ref_keys.tobytes()
+    assert stack.tobytes() == ref_stack.tobytes()
     for name in ("leaf_matmuls", "pruned_calls", "pruned_volume",
                  "empty_skip_volume"):
         assert getattr(s, name) == getattr(s_ref, name), name
@@ -785,8 +792,8 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
         for chunk, cube_batch in itertools.product(chunks, _CUBE_BATCHES):
             monkeypatch.setattr(multiply, "_CHUNK_ELEMENTS", chunk)
             monkeypatch.setattr(quadtree, "_SCRATCH_ELEMENTS", cube_batch)
-            sym, full, mirrored = _square_with_twin(monkeypatch, d, leaf, tau)
-            assert mirrored == 1
+            sym, full, halves = _square_with_twin(d, leaf, tau)
+            assert halves == 1
             _assert_same_product(sym, full)
             c, stats = sym
             assert c.dtype == dtype
@@ -797,7 +804,7 @@ def test_symmetric_square_matches_twin_tree(monkeypatch, n, leaf, band, dtype):
                 assert not _grids(c)[2][c.depth].all()
 
 
-def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
+def test_nearly_symmetric_trees_take_the_full_path():
     """A tree whose block pattern is asymmetric, or one element of which is
     1 ulp off its mirror, is squared by the full traversal."""
     d = _symmetric_decay(100, 3, band=30)
@@ -809,15 +816,15 @@ def test_nearly_symmetric_trees_take_the_full_path(monkeypatch):
         x = from_dense(case)
         assert not x.symmetric and not is_bitwise_symmetric(x)
         for tau in (0.0, 1e-2):
-            sym, full, mirrored = _square_with_twin(monkeypatch, case, 4, tau)
-            assert mirrored == 0
+            sym, full, halves = _square_with_twin(case, 4, tau)
+            assert halves == 0
             _assert_same_product(sym, full)
     c, _ = spamm(from_dense(off_by_ulp), from_dense(off_by_ulp))
     assert not np.array_equal(c.to_dense(), c.to_dense().T)
     assert not c.symmetric
 
 
-def test_symmetric_square_at_a_tied_tau(monkeypatch):
+def test_symmetric_square_at_a_tied_tau():
     """With tau exactly the norm product of one off-diagonal triple, which
     is computed (ties are), its mirrored triple ties too, so the symmetric
     square still has the bytes of the full traversal; at the leaf tier and
@@ -830,10 +837,46 @@ def test_symmetric_square_at_a_tied_tau(monkeypatch):
         norms = _grids(x)[1][tier]
         tau = float(np.sqrt(norms[i, k]) * np.sqrt(norms[k, j]))
         assert tau == float(np.sqrt(norms[j, k]) * np.sqrt(norms[k, i]))
-        sym, full, mirrored = _square_with_twin(monkeypatch, d, 4, tau)
-        assert mirrored == 1
+        sym, full, halves = _square_with_twin(d, 4, tau)
+        assert halves == 1
         _assert_same_product(sym, full)
         assert sym[1].pruned_calls > 0
+
+
+@pytest.mark.parametrize("n, leaf", [(128, 4), (100, 8)])
+def test_flagged_operands_match_pairwise_reference(monkeypatch, n, leaf):
+    """A flagged tree stores its blocks with i <= j, and ``spamm`` reads
+    each block below the diagonal as the transpose of its stored mirror
+    wherever a gather meets it.  The product of two distinct flagged
+    trees, and of a flagged tree with an unflagged one on either side, is
+    unflagged, stores every block, and has the bytes of the pure-Python
+    pairwise sum over the flat recursion's leaf products: at tau 0 (where
+    it also matches the triple-loop oracle) and at a pruning tau, with
+    whole subcubes whose A or B tiles lie below the diagonal, on it and
+    above it, and on the leaf path alone."""
+    sym_a = from_dense(_symmetric_decay(n, 1), leaf)
+    sym_b = from_dense(_symmetric_decay(n, 2), leaf)
+    general = from_dense(_decaying(n, 3), leaf)
+    assert sym_a.symmetric and sym_b.symmetric and not general.symmetric
+    cubes = _spy_subcubes(monkeypatch)
+    for a, b in ((sym_a, sym_b), (sym_a, general), (general, sym_b)):
+        pa, pb = padded_dense(a), padded_dense(b)
+        for tau in (0.0, 1e-2):
+            leaves, _, budget = _flat_reference(pa, pb, leaf, tau)
+            keys, blocks, _, _ = _pairwise_reference(pa, pb, leaf, leaves)
+            for levels in (multiply._CUBE_LEVELS, ()):
+                monkeypatch.setattr(multiply, "_CUBE_LEVELS", levels)
+                c, stats = spamm(a, b, SpammConfig(tau=tau))
+                assert not c.symmetric
+                assert c._keys.tolist() == keys
+                assert c._stack.tobytes() == blocks.tobytes()
+                assert stats.leaf_matmuls == len(leaves)
+                assert math.isclose(stats.omitted_budget, budget, rel_tol=1e-12)
+            if tau == 0.0:
+                want = oracle_matmul(a.to_dense().tolist(), b.to_dense().tolist())
+                assert np.allclose(c.to_dense(), want, rtol=1e-12, atol=1e-12)
+    lies = {(i > k, i == k, k > j, k == j) for _, i, j, k, _ in cubes}
+    assert all(any(lie[f] for lie in lies) for f in range(4))
 
 
 @pytest.mark.parametrize("kind, mode", [("gapped", SpammMode(1e-6)),

@@ -11,7 +11,9 @@ from spamm.quadtree import (DimensionMismatchError, _grids, add, distance,
 from spamm.generators import gen_exponential
 from spamm.multiply import SpammConfig, spamm
 
-from conftest import (audit_norm_cache, is_bitwise_symmetric,
+from spamm.purification import tc2_initial_guess
+
+from conftest import (audit_norm_cache, dense_initial_guess, is_bitwise_symmetric,
                       mirrored_child_sum, mirrored_sum_of_squares,
                       padded_dense)
 
@@ -474,6 +476,23 @@ def test_distance_matches_dense_norm():
     assert distance(a, a) == 0.0
 
 
+def test_distance_of_flagged_trees_matches_dense_norm():
+    """Two flagged trees are subtracted on their stored halves, each
+    strict-upper block counted for its mirror too; a flagged tree and an
+    unflagged one on every block.  Either way the distance is the dense
+    norm to rounding and symmetric in its arguments bit for bit."""
+    x = from_dense(_symmetric_dense(61, 31))
+    y = from_dense(_symmetric_dense(61, 32))
+    general = _banded(61, 9, 33)
+    assert x.symmetric and y.symmetric and not general.symmetric
+    for a, b in ((x, y), (x, general), (x, scale(x, -0.5))):
+        ref = float(np.linalg.norm(a.to_dense() - b.to_dense()))
+        got = distance(a, b)
+        assert abs(got - ref) <= 1e-13 * ref
+        assert distance(b, a) == got
+    assert distance(x, x) == 0.0
+
+
 def _banded_dense(n, seed):
     """Dense n x n array that is zero beyond 6 off the diagonal."""
     rng = np.random.default_rng(seed)
@@ -596,3 +615,66 @@ def test_from_dense_symmetric_flag_is_exact():
         for arr, want in cases:
             m = from_dense(arr, leaf_size=leaf)
             assert m.symmetric == is_bitwise_symmetric(m) == want, leaf
+
+
+def _upper_blocks(m, dense):
+    """Keys and stack of the blocks with i <= j holding a nonzero (-0.0
+    counts as zero) of ``dense`` zero-padded to ``m``'s square."""
+    nb, b = m.block_grid, m.leaf_size
+    padded = np.zeros((m.padded_dim, m.padded_dim))
+    padded[:m.logical_dim, :m.logical_dim] = dense
+    blocks = padded.reshape(nb, b, nb, b).swapaxes(1, 2).reshape(-1, b, b)
+    i, j = np.divmod(np.arange(nb * nb), nb)
+    keys = np.flatnonzero((blocks != 0).any(axis=(1, 2)) & (i <= j))
+    return keys, blocks[keys]
+
+
+@pytest.mark.parametrize("leaf", [1, 4, 8])
+def test_flagged_trees_store_their_upper_blocks(leaf):
+    """A tree flagged symmetric stores exactly its blocks with i <= j that
+    hold a nonzero, in key order, whichever operation made it: from_dense,
+    tc2_initial_guess, the symmetric square, add, scale and filter_drop.
+    Its to_dense writes both triangles and matches the dense result of
+    the operation: bit for bit for from_dense (a round trip, -0.0 entries
+    and padding included), the initial guess and the square (against the
+    same product of a second, equal tree, which stores every block), and
+    in value for the rest."""
+    n = 45
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    d, e = _symmetric_dense(n, 11), _symmetric_dense(n, 12)
+    d[dist > 12] = 0.0
+    e[dist > 20] = 0.0
+    rows, cols = np.indices((n, n))
+    if leaf > 1:  # inside stored blocks (a 1 x 1 block of -0.0 is not stored)
+        d[(dist == 1) & (np.minimum(rows, cols) % 7 == 0)] = -0.0
+    x, y = from_dense(d, leaf), from_dense(e, leaf)
+    assert x.symmetric and y.symmetric
+    norms = np.sort(np.sqrt(x._block_norm_sq))
+    tau = float(np.sqrt(norms[norms.size // 2] * norms[norms.size // 2 + 1]))
+    kept = _upper_blocks(x, d)[1]
+    dropped = d.copy()
+    for i in range(0, n, leaf):
+        for j in range(0, n, leaf):
+            if np.sqrt((d[i:i + leaf, j:j + leaf] ** 2).sum()) < tau:
+                dropped[i:i + leaf, j:j + leaf] = 0.0
+    assert 0 < np.count_nonzero(dropped) < np.count_nonzero(d) and kept.size
+    bitwise = {
+        "from_dense": (x, d),
+        "tc2_initial_guess": (tc2_initial_guess(x), dense_initial_guess(d)),
+        "square": (spamm(x, x)[0], spamm(x, from_dense(d, leaf))[0].to_dense()),
+    }
+    valued = {
+        "add": (add(x, y), d + e),
+        "scale": (scale(x, -2.0), -2.0 * d),
+        "filter_drop": (filter_drop(x, tau), dropped),
+    }
+    for name, (m, dense) in {**bitwise, **valued}.items():
+        assert m.symmetric, name
+        keys, stack = _upper_blocks(m, m.to_dense())
+        assert m._keys.tolist() == keys.tolist(), name
+        if name in bitwise:
+            assert m._stack.tobytes() == stack.tobytes(), name
+            assert m.to_dense().tobytes() == dense.tobytes(), name
+        else:  # a negative scale leaves -0.0 in the padding of a stored block
+            assert np.array_equal(m._stack, stack), name
+            assert np.array_equal(m.to_dense(), dense), name

@@ -28,8 +28,10 @@ benchmark runs it.  The lines are:
 - ``cli-recipe``: the files and standard output of the README's command
   line recipes, run in a fresh directory.
 
-A tree is hashed by its shape, ``symmetric`` flag, keys, block stack and
-``norm()``, so the order in which norms are summed counts too.  Floats are
+A tree is hashed by its shape, ``symmetric`` flag, ``norm()`` and the
+blocks it represents (``represented_blocks``: both triangles, in key
+order, however the tree stores them), so the order in which norms are
+summed counts too.  Floats are
 hashed by their bytes, so ``omitted_budget`` and energies must match to the
 last bit.
 """
@@ -74,13 +76,31 @@ CLI_RECIPE = (
 )
 
 
+def represented_blocks(m):
+    """The keys and block stack of every nonzero block the tree ``m``
+    represents, in key order.  A tree flagged ``symmetric`` equals its
+    transpose, so it is read from its stored blocks with i <= j alone: each
+    strict-upper block (i, j) stands for its transpose at (j, i) too."""
+    keys, stack = m._keys, m._stack
+    if not m.symmetric:
+        return keys, stack
+    nb = m.block_grid
+    i, j = np.divmod(keys, nb)
+    upper = np.flatnonzero(i <= j)
+    strict = upper[i[upper] < j[upper]]
+    full = np.concatenate((keys[upper], j[strict] * nb + i[strict]))
+    order = np.argsort(full)
+    blocks = np.concatenate((stack[upper], stack[strict].swapaxes(1, 2)))
+    return full[order], blocks[order]
+
+
 def feed(h, value):
     """Add ``value`` to hash ``h``, tagged by its kind so that no two
     different values feed the same bytes."""
     if isinstance(value, QuadTreeMatrix):
         h.update(b"tree")
         feed(h, (value.logical_dim, value.leaf_size, value.symmetric,
-                 value._keys, value._stack, value.norm()))
+                 *represented_blocks(value), value.norm()))
     elif isinstance(value, np.ndarray):
         h.update(f"array {value.dtype.str} {value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
