@@ -28,14 +28,9 @@ scratch.  The leaf stage finds every operand block, a leaf triple's or a
 whole subcube's, through the block index.
 
 Flagged operands: a tree flagged ``symmetric`` stores its blocks with
-i <= j alone, and its block index maps each block below the diagonal to
-its stored mirror, marked as transposed.  Every gather (``_gather``), A's
-or B's, of a lone triple or a whole subcube, writes such a block into its
-batch tile as the transpose of the stored one, so each GEMM sees the
-values and layout a fully stored operand would give it and keeps its
-bits.  No multiply copies a whole operand into a mirrored form: the
-transposes are made per batch, a tile wholly below the diagonal in one
-transposing copy.
+i <= j alone; every gather reads an operand's blocks through
+``quadtree._gather`` (see ``quadtree``), so each GEMM sees the values and
+layout a fully stored operand would give it and keeps its bits.
 
 A triple leaves the traversal in one of four ways: skipped (Empty), pruned,
 as a whole subcube, or at the leaf tier.  A tier depth - L, for L = 4, 3,
@@ -98,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadtree
-from .quadtree import _check_tau, _from_blocks, _grids, _require_conformable
+from .quadtree import _check_tau, _from_blocks, _gather, _grids, _require_conformable
 
 # Child offset enumeration for one tier of expansion: (di, dj, dk).
 _DI = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.intp)
@@ -314,7 +309,7 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     by ``_subcube_sums``.
     Returns the C block keys ``i * nb + j`` in increasing order and the
     (m, b, b) stack of merged blocks in that order."""
-    leaf, m = a.leaf_size, keys.size
+    leaf, m, nb = a.leaf_size, keys.size, a.block_grid
     # A chunk holds the groups that start within one span of chunk_entries
     # entries, so it never splits a group (the pairwise merge needs the
     # whole contribution set) and ends within one group, at most nb
@@ -322,15 +317,25 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     chunk_entries = max(1, _CHUNK_ELEMENTS // (leaf * leaf))
     sizes = [cube[1].size << 2 * cube[0] for cube in cubes]
     head = sum(sizes)
-    buf = np.empty((head + min(m, chunk_entries + a.block_grid), leaf, leaf))
-    made = [_subcube_sums(a, b, *cube, depth, symmetric, indexes, buf, offset)
-            for cube, offset in zip(cubes, np.cumsum([0] + sizes))]
-    # Each entry, a leaf triple or a cube sum, has a key and the buffer row
-    # ``at`` of its sum (-1 for a leaf triple).  The keys are unique (a cube
-    # covers its k-window), so any sort gives the same order; nb**3 fits in
-    # intp for any nb whose operands fit in memory.
-    keys = np.concatenate([keys] + [node_keys for node_keys, _ in made])
-    at = np.concatenate([np.full(m, -1, dtype=np.intp)] + [rows for _, rows in made])
+    buf = np.empty((head + min(m, chunk_entries + nb), leaf, leaf))
+    # Each entry, a leaf triple or a cube's merge node, has a key and the
+    # buffer row ``at`` of its sum (-1 for a leaf triple).  The keys are
+    # unique (a cube covers its k-window), so any sort gives the same
+    # order; nb**3 fits in intp for any nb whose operands fit in memory.
+    keys, at = [keys], [np.full(m, -1, dtype=np.intp)]
+    for (level, ci, cj, ck), start in zip(cubes, np.cumsum([0] + sizes)):
+        _subcube_sums(a, b, level, ci, cj, ck, indexes, buf, start)
+        # Cube c's block (i, j) is the level-``level`` node at key
+        # (i*nb + j)*nb + k_lo and buffer row start + c*e*e + i*e + j; a
+        # diagonal cube of a symmetric square keeps its blocks with i <= j.
+        e = 1 << level
+        pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
+        node_keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
+                     + ((pi * nb + pj) << depth))
+        node = np.flatnonzero((ci != cj)[:, None] | (pi <= pj) | (not symmetric))
+        keys.append(node_keys.reshape(-1)[node])
+        at.append(start + node)
+    keys, at = np.concatenate(keys), np.concatenate(at)
     order = np.argsort(keys)
     keys, at = keys[order], at[order]
     group_starts = np.flatnonzero(np.diff(keys >> depth, prepend=-1))
@@ -343,7 +348,7 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, start):
+def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
     """Multiply the whole subcubes at (ci, cj, ck) in tier depth - level,
     each of edge e = 2**level leaf blocks found by the operands' block
     ``indexes``, and write the sums over k of their leaf blocks to
@@ -356,13 +361,9 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
     to ``sums``.  Cubes run in batches whose e**3 leaf products per cube
     total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is
     larger: a batch's scratch is those products (none at edge 1) plus
-    A's and B's gathered blocks (``_gather``, which puts a flagged
-    operand's lower blocks in transposed), 1/e of them each, their
-    gather indexes and the leaf-row order that lays out B's block rows.
-    Returns the keys ``(i*nb + j)*nb + k_lo`` of the
-    level-``level`` merge nodes made and each one's block in ``sums``.
-    On a ``symmetric`` square, a diagonal subcube (ci == cj) makes nodes
-    of its blocks with i <= j alone."""
+    A's and B's gathered blocks (``quadtree._gather``), 1/e of them each,
+    their gather indexes and the leaf-row order that lays out B's block
+    rows."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     # From a cube's corner blocks of A and B in the block grid, the
@@ -400,28 +401,6 @@ def _subcube_sums(a, b, level, ci, cj, ck, depth, symmetric, indexes, sums, star
             np.add(prod[::2 * step], prod[step::2 * step], out=prod[::2 * step])
             step *= 2
         np.add(prod[0], prod[step], out=out[run])
-    pi, pj = np.divmod(np.arange(e * e, dtype=np.intp), e)
-    keys = ((((ci * e * nb + cj * e) << depth) + ck * e)[:, None]
-            + ((pi * nb + pj) << depth))
-    node = np.flatnonzero((ci != cj)[:, None] | (pi <= pj) | (not symmetric))
-    return keys.reshape(-1)[node], start + node
-
-
-def _gather(stack, rows):
-    """The blocks at block-index entries ``rows`` (see ``_grids``), in a
-    new C-contiguous array: row r of ``stack`` as it is, and a negative
-    entry, a strict-lower block of a flagged operand, as its row
-    transposed; entries all negative in one transposing copy, a mix block
-    by block."""
-    tiles = np.take(stack, rows, axis=0)
-    if rows.min() < 0:
-        lower = rows < 0
-        if lower.all():
-            return np.ascontiguousarray(tiles.swapaxes(-1, -2))
-        at = np.flatnonzero(lower)
-        flat = tiles.reshape(-1, *stack.shape[1:])
-        flat[at] = np.ascontiguousarray(np.take(flat, at, axis=0).swapaxes(1, 2))
-    return tiles
 
 
 def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
@@ -436,9 +415,10 @@ def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
     node_keys, node_rows = keys, at.copy()
     lone = np.flatnonzero(at < 0)
     # Leaf triple (i, j, k), key (i*nb + j)*nb + k, multiplies A_ik by B_kj;
-    # an edge-1 cube keeps its one block on any square.
-    i, j, k = np.unravel_index(keys[lone], (a.block_grid,) * 3)
-    node_rows[lone] = _subcube_sums(a, b, 0, i, j, k, depth, False, indexes, buf, head)[1]
+    # its coordinates are freed with the call.
+    _subcube_sums(a, b, 0, *np.unravel_index(keys[lone], (a.block_grid,) * 3),
+                  indexes, buf, head)
+    node_rows[lone] = np.arange(head, head + lone.size)
     n_groups = 1 + int(np.count_nonzero(np.diff(keys >> depth)))
     # The pairs of a level are added in slices, so the gathered blocks and
     # their sum are bounded by the scratch cap, not by the level.

@@ -206,7 +206,7 @@ def _projector_energy(x, f):
     (1 - 4g) g**2 above it.
 
     Memory: the steps run in four n x n buffers made up front, the current
-    P (first ``x.to_dense()``), the one before it, P**2 and a scratch;
+    P (``x.to_dense()``, made first), the one before it, P**2 and a scratch;
     each product is written with ``out=`` and each sum in place, so a step
     allocates no array and the P and previous-P roles swap from step to
     step.  The tree ``f`` is made dense only after the last step, once
@@ -217,8 +217,8 @@ def _projector_energy(x, f):
     Returns (energy, |X**2 - X|), the second being the gap of ``x`` itself
     that the first step measures."""
     n = x.logical_dim
+    p = x.to_dense()  # first, so its strip reader's index words are gone
     q, p2, scratch = (np.empty((n, n)) for _ in range(3))
-    p = x.to_dense()
     best, best_gap = p, math.inf
     x_gap = None
     while best_gap > 0:

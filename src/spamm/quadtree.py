@@ -13,11 +13,12 @@ A tree flagged ``symmetric`` stores only its blocks with i <= j: each
 strict-upper block (i, j) also stands for its transpose at (j, i), the
 upper-triangle storage of symmetric matrices in the hierarchic matrix
 library of Rubensson, Rudberg & Salek (J. Comput. Chem. 28, 2531, 2007).
-Every operation reads and writes that half; the lower blocks appear only
-where a caller needs them: in the dense rows of ``_row_strips``, in
-``_grids`` (which maps (j, i) to the transpose of the stored (i, j)), and
-in ``_full_blocks`` (when ``add``, ``distance`` or ``structurally_equal``
-meets a flagged tree and an unflagged one).
+Every operation reads and writes that half.  The lower half has one
+reader: ``_represented`` lists the blocks a tree represents by signed
+stack row, and ``_gather`` turns rows into blocks, for ``_row_strips``
+(dense rows), ``_grids`` (the multiply's block index) and ``_full_blocks``
+(when ``add``, ``distance`` or ``structurally_equal`` meets a flagged
+tree and an unflagged one).
 
 No array in a tree is sized by ``nb**2``.  For the multiply, ``_grids``
 builds an ``(nb, nb)`` block index and pyramids of each tier's squared
@@ -194,27 +195,23 @@ class QuadTreeMatrix:
 
 def _grids(m):
     """Everything the multiply reads about ``m``, O(nb**2) and never kept:
-    ``(index, norm_sq, occupied, low_sq)``.  ``index`` maps block (i, j)
-    to its stack row r, or, when the block is the transpose of row r (a
-    strict-lower block of a flagged tree), to the negative r - count
-    (count the stored blocks), which ``np.take`` reads as row r; and an
-    absent one past the end of the stack so gathering it raises;
-    ``norm_sq[k]``, ``occupied[k]`` and ``low_sq[k]`` hold tier k's
-    squared norms (children summed as (11 + 22) + (12 + 21)), occupancy,
-    and smallest leaf squared norm under each node (an unstored leaf
-    counts as 0), built up from the leaves in one pass.  A mirrored leaf
-    takes its stored mirror's norm, which has the bits of its own."""
+    ``(index, norm_sq, occupied, low_sq)``.  ``index`` maps each block
+    that ``m`` represents to its signed stack row from ``_represented``,
+    which ``_gather`` reads, and an absent one past the end of the stack
+    so gathering it raises; ``norm_sq[k]``, ``occupied[k]`` and
+    ``low_sq[k]`` hold tier k's squared norms (children summed as
+    (11 + 22) + (12 + 21)), occupancy, and smallest leaf squared norm
+    under each node (an unstored leaf counts as 0), built up from the
+    leaves in one pass.  A mirrored leaf takes its stored mirror's norm,
+    which has the bits of its own."""
     nb, count = m.block_grid, m._keys.size
+    keys, rows = _represented(m)
     index = np.full(nb * nb, count, dtype=np.intp)
-    index[m._keys] = np.arange(count)
-    leaf = np.zeros(nb * nb)
-    leaf[m._keys] = m._block_norm_sq
-    if m.symmetric:
-        mirrors = _mirror_keys(m._keys, m.depth)
-        strict = np.flatnonzero(mirrors > m._keys)
-        mirrors = mirrors[strict]
-        index[mirrors] = strict - count
-        leaf[mirrors] = m._block_norm_sq[strict]
+    index[keys] = rows
+    # [norms | 0 | norms] reads row r, count (absent) and r - count as the
+    # norm of stored row r, 0 and the norm of row r.
+    norms = m._block_norm_sq
+    leaf = np.take(np.concatenate((norms, [0.0], norms)), index)
     norm_sq, occupied = [leaf.reshape(nb, nb)], [index.reshape(nb, nb) < count]
     low_sq = norm_sq[:]
     with np.errstate(over="ignore"):
@@ -269,16 +266,16 @@ def from_dense(dense, leaf_size=4):
                             n, leaf_size)
 
 
-def _bitwise_symmetric(keys, stack, nb):
+def _bitwise_symmetric(keys, stack, depth):
     """The ``symmetric`` flag of a tree built from the nonzero blocks at
-    strictly increasing ``keys``: True iff every block's mirror is stored
-    and each block with i <= j is its mirror's transpose bit for bit
-    (-0.0 is not +0.0)."""
-    i, j = np.divmod(keys, nb)
-    mirror = np.minimum(np.searchsorted(keys, j * nb + i), keys.size - 1)
-    if not np.array_equal(np.take(keys, mirror), j * nb + i):
+    strictly increasing ``keys`` on a grid of 2**depth blocks a side: True
+    iff every block's mirror is stored and each block with i <= j is its
+    mirror's transpose bit for bit (-0.0 is not +0.0)."""
+    mirrors = _mirror_keys(keys, depth)
+    mirror = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+    if not np.array_equal(np.take(keys, mirror), mirrors):
         return False
-    rows = np.flatnonzero(i <= j)
+    rows = np.flatnonzero(keys <= mirrors)
     bits = stack.view(np.uint64)
     return np.array_equal(np.take(bits, mirror[rows], axis=0),
                           np.take(bits, rows, axis=0).swapaxes(1, 2))
@@ -297,34 +294,27 @@ def _row_strips(m):
     strip holds the rows of ``_strip_block_rows`` whole block rows from
     ``row`` on (the last strip may hold fewer), as a (rows, logical_dim)
     view.  Every strip is a view of one padded buffer, which the next strip
-    overwrites; a caller may write to a strip.  On a flagged tree each
-    strict-lower block is written as the transpose of its stored mirror,
-    gathered at most one block row's worth of blocks at a time."""
+    overwrites; a caller may write to a strip.  The blocks that ``m``
+    represents (``_represented``) are gathered (``_gather``) at most one
+    block row's worth at a time."""
     n, b, nb = m.logical_dim, m.leaf_size, m.block_grid
     step = _strip_block_rows(n, b)
     buf = np.empty((step * b, m.padded_dim))
     grid = buf.reshape(step, b, nb, b).swapaxes(1, 2)
-    starts = np.arange(0, nb + step, step) * nb
-    bounds = np.searchsorted(m._keys, starts)
-    if m.symmetric:
-        # The stored rows in the key order of their mirrors, those with
-        # i >= j (a mirror key not above their own) last.
-        mirrors = _mirror_keys(m._keys, m.depth)
-        mirrors[mirrors <= m._keys] = nb * nb
-        order = np.argsort(mirrors, kind="stable")
-        mirror_bounds = np.searchsorted(mirrors, starts, sorter=order)
-        mirrors = None
+    # The blocks grouped by strip, each group in ``_represented``'s order,
+    # so that most gathers are all stored blocks or all transposes.
+    keys, rows = _represented(m)
+    order = np.argsort(keys // (step * nb), kind="stable")
+    i, j = np.divmod(keys[order], nb)
+    rows = rows[order]
+    keys = order = None
+    # i // step is sorted, so a search for each strip's first row finds it.
+    bounds = np.searchsorted(i, np.arange(0, nb + step, step))
     for s, lo in enumerate(range(0, -(-n // b), step)):
-        keys = m._keys[bounds[s]:bounds[s + 1]]
         buf.fill(0.0)
-        grid[keys // nb - lo, keys % nb] = m._stack[bounds[s]:bounds[s + 1]]
-        if m.symmetric:
-            end = mirror_bounds[s + 1]
-            for p in range(mirror_bounds[s], end, nb):
-                rows = order[p:min(p + nb, end)]
-                keys = m._keys[rows]
-                grid[keys % nb - lo, keys // nb] = np.take(
-                    m._stack, rows, axis=0).swapaxes(1, 2)
+        for p in range(bounds[s], bounds[s + 1], nb):
+            at = slice(p, min(p + nb, bounds[s + 1]))
+            grid[i[at] - lo, j[at]] = _gather(m._stack, rows[at])
         yield lo * b, buf[:min(step * b, n - lo * b), :n]
 
 
@@ -337,7 +327,8 @@ def _from_row_strips(strips, n, leaf_size):
     order; the ``symmetric`` flag is exact, and a flagged tree keeps the
     blocks with i <= j."""
     b = leaf_size
-    nb = 1 << _depth_for(n, b)
+    depth = _depth_for(n, b)
+    nb = 1 << depth
     pad = np.zeros((_strip_block_rows(n, b) * b, nb * b))
     grid = pad.reshape(-1, b, nb, b)
     keys, stack = [], []
@@ -354,7 +345,7 @@ def _from_row_strips(strips, n, leaf_size):
         stack.append(grid.swapaxes(1, 2)[i, j])
     rows = pad = grid = None  # the strips' buffers go before the build
     keys, stack = np.concatenate(keys), np.concatenate(stack)
-    symmetric = _bitwise_symmetric(keys, stack, nb)
+    symmetric = _bitwise_symmetric(keys, stack, depth)
     if symmetric:
         upper = keys // nb <= keys % nb
         keys, stack = keys[upper], stack[upper]
@@ -393,21 +384,45 @@ def _mirror_keys(keys, depth):
     return ((keys & ((1 << depth) - 1)) << depth) | (keys >> depth)
 
 
-def _full_blocks(keys, stack, depth):
-    """The keys and stack of every block that the blocks with i <= j at
-    increasing ``keys`` stand for on a symmetric matrix of nb = 2**depth
-    blocks a side: the stored ones and, at key ``j * nb + i``, the
-    transpose of each strict-upper one, in key order."""
-    mirrors = _mirror_keys(keys, depth)
-    strict = np.flatnonzero(mirrors > keys)
-    full = np.concatenate((keys, mirrors[strict]))
-    order = np.argsort(full, kind="stable")
-    at = np.empty(full.size, dtype=np.intp)
-    at[order] = np.arange(full.size)
-    out = np.empty((full.size,) + stack.shape[1:])
-    out[at[:keys.size]] = stack
-    out[at[keys.size:]] = np.take(stack, strict, axis=0).swapaxes(1, 2)
-    return full[order], out
+def _represented(m):
+    """Every block that ``m`` represents, as ``(keys, rows)``: its key and
+    signed stack row, r for stored row r and r - count (which ``np.take``
+    reads as row r) for the transpose of row r, a strict-lower block of a
+    flagged tree.  The stored blocks come first, in key order, then the
+    strict-lower ones in their mirrors' order; ``_gather`` reads the rows."""
+    count = m._keys.size
+    rows = np.arange(count)
+    if not m.symmetric:
+        return m._keys, rows
+    mirrors = _mirror_keys(m._keys, m.depth)
+    strict = np.flatnonzero(mirrors > m._keys)
+    return (np.concatenate((m._keys, mirrors[strict])),
+            np.concatenate((rows, strict - count)))
+
+
+def _gather(stack, rows):
+    """The blocks at signed stack rows ``rows``, an array of any shape
+    (see ``_represented``), in a new C-contiguous array of shape
+    ``rows.shape + (b, b)``: row r of ``stack`` as it is, and a negative
+    row as its row transposed; rows all negative in one transposing copy,
+    a mix block by block."""
+    tiles = np.take(stack, rows, axis=0)
+    if rows.size and rows.min() < 0:
+        lower = rows < 0
+        if lower.all():
+            return np.ascontiguousarray(tiles.swapaxes(-1, -2))
+        at = np.flatnonzero(lower)
+        flat = tiles.reshape(-1, *stack.shape[1:])
+        flat[at] = np.ascontiguousarray(np.take(flat, at, axis=0).swapaxes(1, 2))
+    return tiles
+
+
+def _full_blocks(m):
+    """The keys and stack of every block that ``m`` represents, in key
+    order (``_represented``, ``_gather``)."""
+    keys, rows = _represented(m)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], _gather(m._stack, rows[order])
 
 
 def _alike(a, b):
@@ -416,8 +431,8 @@ def _alike(a, b):
     each represents otherwise (a flagged tree's half expanded)."""
     if a.symmetric and b.symmetric:
         return True, (a._keys, a._stack), (b._keys, b._stack)
-    return False, *((_full_blocks(m._keys, m._stack, m.depth) if m.symmetric
-                     else (m._keys, m._stack)) for m in (a, b))
+    return False, *((_full_blocks(m) if m.symmetric else (m._keys, m._stack))
+                     for m in (a, b))
 
 
 def _union(keys_a, keys_b):

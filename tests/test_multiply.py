@@ -302,11 +302,12 @@ def _spy_subcubes(monkeypatch):
     whole subcubes, and are not recorded."""
     cubes = []
 
-    def spy(a, b, level, ci, cj, ck, depth, symmetric, *rest):
+    def spy(a, b, level, ci, cj, ck, *rest):
         if level >= 1:
+            symmetric = a is b and a.symmetric  # a symmetric square
             cubes.extend((1 << level, i, j, k, symmetric and i == j)
                          for i, j, k in zip(ci.tolist(), cj.tolist(), ck.tolist()))
-        return _SUBCUBE_SUMS(a, b, level, ci, cj, ck, depth, symmetric, *rest)
+        return _SUBCUBE_SUMS(a, b, level, ci, cj, ck, *rest)
 
     monkeypatch.setattr(multiply, "_subcube_sums", spy)
     return cubes
@@ -551,13 +552,16 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square, cube_tier):
 
     With no cube tier (``_CUBE_LEVELS = ()``) every leaf product of two
     trees is a lone leaf triple, an edge-1 cube, and the bound adds the
-    chunk's leaf products in the buffer and 16 index words per lone
-    triple: the sorted entry list and its sort order, the chunk's buffer
-    rows and block coordinates, and the keys and rows of the products
-    made.  It has no term for the traversal's last tier, which is freed
-    before the leaf stage, nor for gather indexes of a whole chunk, which
-    are made per batch: with both, the peak was 84 MiB at n=256, over its
-    67 MiB (the measured peak is 59 MiB)."""
+    chunk's leaf products in the buffer and 10 index words per lone
+    triple: the traversal's leaf keys, the sorted entry list (keys and
+    buffer rows) and its sort order, the chunk's buffer rows, lone-triple
+    positions and three block coordinates, nine words, and one to spare.
+    It has no term for the traversal's last tier, which is freed before
+    the leaf stage, for gather indexes of a whole chunk, which are made
+    per batch, nor for merge keys of the lone triples, which are their
+    buffer rows: with the first two, the peak was 84 MiB at n=256, and
+    with merge keys built for every lone triple 59 MiB, both over its
+    55 MiB (the measured peak is 52.7 MiB)."""
     x = gen_exponential(n, 0.05)
     other = x if square else gen_exponential(n, 0.05)
     cubes = _spy_subcubes(monkeypatch)
@@ -578,7 +582,7 @@ def test_cube_scratch_is_bounded(monkeypatch, n, square, cube_tier):
     buffer = (nodes + chunk) * leaf * leaf * item  # [cube sums | leaf products]
     batch = max(quadtree._SCRATCH_ELEMENTS, 16 ** 3 * leaf * leaf) * item
     merge = quadtree._SCRATCH_ELEMENTS * item
-    index = 8 * (8 * nodes + 16 * lone)
+    index = 8 * (8 * nodes + 10 * lone)
     assert peak <= buffer + 2 * out + 2 * batch + 2 * merge + index
 
 

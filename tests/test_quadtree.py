@@ -13,8 +13,8 @@ from spamm.multiply import SpammConfig, spamm
 
 from spamm.purification import tc2_initial_guess
 
-from conftest import (audit_norm_cache, dense_initial_guess, is_bitwise_symmetric,
-                      mirrored_child_sum, mirrored_sum_of_squares,
+from conftest import (audit_norm_cache, dense_initial_guess, full_blocks,
+                      is_bitwise_symmetric, mirrored_child_sum, mirrored_sum_of_squares,
                       padded_dense)
 
 
@@ -678,3 +678,52 @@ def test_flagged_trees_store_their_upper_blocks(leaf):
         else:  # a negative scale leaves -0.0 in the padding of a stored block
             assert np.array_equal(m._stack, stack), name
             assert np.array_equal(m.to_dense(), dense), name
+
+
+@pytest.mark.parametrize("leaf", [1, 4, 8])
+@pytest.mark.parametrize("n", [45, 64])
+def test_lower_half_readers_agree(n, leaf):
+    """Every reader of the blocks a tree represents gives the key-to-block
+    bytes of ``conftest.full_blocks``: ``_full_blocks``, the block slices
+    of ``to_dense`` and ``_grids``' index read through ``_gather``, its
+    strict-lower entries also alone.  On a flagged tree with -0.0 entries,
+    a block of -0.0 and its mirror (not stored), its negative (-0.0 in the
+    padding of stored blocks) and its square, on an unflagged one, and on
+    the empty flagged tree."""
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    d = _symmetric_dense(n, 21)
+    d[dist > 12] = 0.0
+    rows, cols = np.indices((n, n))
+    d[(dist == 1) & (np.minimum(rows, cols) % 7 == 0)] = -0.0
+    d[leaf:2 * leaf, 2 * leaf:3 * leaf] = -0.0
+    d[2 * leaf:3 * leaf, leaf:2 * leaf] = -0.0
+    general = d.copy()
+    general[0, n - 1] = 1.0
+    x = from_dense(d, leaf)
+    trees = {"flagged": (x, True), "negative": (scale(x, -1.0), True),
+             "square": (spamm(x, x)[0], True),
+             "unflagged": (from_dense(general, leaf), False),
+             "empty": (from_dense(np.zeros((n, n)), leaf), True)}
+    for name, (m, flagged) in trees.items():
+        assert m.symmetric == flagged, name
+        nb, b = m.block_grid, m.leaf_size
+        keys, stack = full_blocks(m)
+        assert (keys.size == 0) == (name == "empty"), name
+        if name in ("flagged", "negative", "unflagged"):  # the -0.0 blocks
+            assert nb + 2 not in keys.tolist() and 2 * nb + 1 not in keys.tolist()
+        got_keys, got = quadtree._full_blocks(m)
+        assert got_keys.tolist() == keys.tolist(), name
+        assert got.flags.c_contiguous and got.tobytes() == stack.tobytes(), name
+        padded = np.zeros((nb, nb, b, b))
+        padded[keys // nb, keys % nb] = stack
+        padded = padded.swapaxes(1, 2).reshape(m.padded_dim, m.padded_dim)
+        assert m.to_dense().tobytes() == padded[:n, :n].tobytes(), name
+        index = _grids(m)[0].reshape(-1)
+        held = np.flatnonzero(index != m._keys.size)
+        assert held.tolist() == keys.tolist(), name
+        got = quadtree._gather(m._stack, index[held])
+        assert got.tobytes() == stack.tobytes(), name
+        lower = index[held] < 0  # alone, in one transposing copy
+        assert lower.any() == (flagged and name != "empty"), name
+        got = quadtree._gather(m._stack, index[held][lower])
+        assert got.tobytes() == stack[lower].tobytes(), name
