@@ -81,9 +81,11 @@ with i <= j, for every k.  Triple (j, i, k) multiplies the transposes of
 the blocks of (i, j, k) in swapped order; each C element is summed over
 the inner index in order, as the leaf GEMMs do, so its leaf product is
 that product's transpose, merged in the same order: each C_ji that the
-product stands for is C_ij transposed, bit for bit.  Cached norms are
-transpose-invariant, so the pruning test of (i, j, k) is that of
-(j, i, k): the product is the full one by construction.
+product stands for is C_ij transposed, bit for bit.  A flagged operand's
+norm pyramids equal their transposes by construction (see ``quadtree``:
+a strict-lower leaf takes its stored mirror's norm, and children are
+summed in an order a grid and its transpose share), so the pruning test
+of (i, j, k) is that of (j, i, k): the product is the full one.
 """
 
 from __future__ import annotations
@@ -211,10 +213,7 @@ def spamm(a, b, config=None):
     # The traversal's arrays and the operands' pyramids are gone by the
     # time the leaf stage allocates its scratch.
     leaves, cubes, indexes = _traverse(a, b, float(config.tau), symmetric, stats)
-    if leaves.size or cubes:
-        keys, blocks = _leaf_stage(a, b, leaves, cubes, a.depth, symmetric, indexes)
-    else:
-        keys, blocks = leaves, np.zeros((0, a.leaf_size, a.leaf_size))
+    keys, blocks = _leaf_stage(a, b, leaves, cubes, a.depth, symmetric, indexes)
     # The product of a symmetric square is its blocks with i <= j.
     return _from_blocks(keys, blocks, a.logical_dim, a.leaf_size, symmetric), stats
 
@@ -339,13 +338,15 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     order = np.argsort(keys)
     keys, at = keys[order], at[order]
     group_starts = np.flatnonzero(np.diff(keys >> depth, prepend=-1))
-    cuts = group_starts[np.diff(group_starts // chunk_entries, prepend=-1) > 0]
-    cuts = np.append(cuts, keys.size)
-    parts = [_merge_chunk(a, b, keys[s:e], at[s:e], buf, head, depth, indexes)
-             for s, e in zip(cuts, cuts[1:])]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    out = np.empty((group_starts.size, leaf, leaf))
+    # The group that starts each chunk, and each group's entries
+    firsts = np.flatnonzero(np.diff(group_starts // chunk_entries, prepend=-1))
+    firsts = np.append(firsts, group_starts.size)
+    bounds = np.append(group_starts, keys.size)
+    for g, h in zip(firsts, firsts[1:]):
+        s, e = bounds[g], bounds[h]
+        _merge_chunk(a, b, keys[s:e], at[s:e], buf, head, depth, indexes, out[g:h])
+    return keys[group_starts] >> depth, out
 
 
 def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
@@ -362,8 +363,7 @@ def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
     total at most ``_SCRATCH_ELEMENTS`` elements, or one cube if that is
     larger: a batch's scratch is those products (none at edge 1) plus
     A's and B's gathered blocks (``quadtree._gather``), 1/e of them each,
-    their gather indexes and the leaf-row order that lays out B's block
-    rows."""
+    B's laid out again as block rows, and their gather indexes."""
     e, leaf, nb = 1 << level, a.leaf_size, a.block_grid
     span = np.arange(e, dtype=np.intp)
     # From a cube's corner blocks of A and B in the block grid, the
@@ -375,22 +375,16 @@ def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
     # (i, j, r, c), one block per (i, j).
     out = blocks.reshape(-1, e, e, leaf, leaf).swapaxes(2, 3)
     batch = max(1, quadtree._SCRATCH_ELEMENTS // (e ** 3 * leaf * leaf))
-    b_rows = None
     for lo in range(0, ci.size, batch):
         run = slice(lo, lo + batch)
         corner_a = ((ci[run] * nb + ck[run]) * e)[:, None]
         corner_b = ((ck[run] * nb + cj[run]) * e)[:, None]
         tile_a = _gather(a._stack, np.take(indexes[0], corner_a + offsets_a))  # [k, cube, i, r, t]
         tile_b = _gather(b._stack, np.take(indexes[1], corner_b + offsets_b))  # [k, cube, j, t, c]
-        if e > 1:
-            # B's block row: leaf row t of every block j, one after another,
-            # taken as leaf rows in [k, cube, t, j] order
-            if b_rows is None or b_rows.size != tile_b.size // leaf:
-                b_rows = ((np.arange(tile_b.size // (e * leaf * leaf))[:, None, None] * e
-                           + span) * leaf + np.arange(leaf)[:, None]).ravel()
-            tile_b = np.take(tile_b.reshape(-1, leaf), b_rows, axis=0)   # [k, cube, t, j, c]
         tile_a = tile_a.reshape(e, -1, e * leaf, leaf)
-        tile_b = tile_b.reshape(e, -1, leaf, e * leaf)
+        # B's block row: leaf row t of every block j, one after another, in
+        # one transposing copy (a view at edge 1)
+        tile_b = tile_b.swapaxes(2, 3).reshape(e, -1, leaf, e * leaf)  # [k, cube, t, j c]
         if e == 1:  # a lone leaf triple: its product is its sum
             np.matmul(tile_a, tile_b, out=blocks[None, run])
             continue
@@ -403,9 +397,10 @@ def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
         np.add(prod[0], prod[step], out=out[run])
 
 
-def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
+def _merge_chunk(a, b, keys, at, buf, head, depth, indexes, out):
     """Multiply and merge one chunk of whole groups: the entries of
-    ``_leaf_stage`` at sorted ``keys``, a cube sum's at buffer row ``at``.
+    ``_leaf_stage`` at sorted ``keys``, a cube sum's at buffer row ``at``,
+    into ``out``, one block per group in key order.
     The chunk's leaf triples are edge-1 subcubes: ``_subcube_sums`` writes
     their products to ``buf`` from row ``head`` on, and every merge adds
     rows of ``buf`` in place.  At merge level l, nodes whose keys agree
@@ -419,12 +414,11 @@ def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
     _subcube_sums(a, b, 0, *np.unravel_index(keys[lone], (a.block_grid,) * 3),
                   indexes, buf, head)
     node_rows[lone] = np.arange(head, head + lone.size)
-    n_groups = 1 + int(np.count_nonzero(np.diff(keys >> depth)))
     # The pairs of a level are added in slices, so the gathered blocks and
     # their sum are bounded by the scratch cap, not by the level.
     pairs = max(1, quadtree._SCRATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
     for level in range(depth):
-        if node_keys.size == n_groups:
+        if node_keys.size == len(out):
             break
         up = node_keys >> (level + 1)
         same = up[:-1] == up[1:]
@@ -434,7 +428,9 @@ def _merge_chunk(a, b, keys, at, buf, head, depth, indexes):
             buf[node_rows[pair]] += np.take(buf, node_rows[pair + 1], axis=0)
         keep = np.concatenate(([True], ~same))
         node_keys, node_rows = node_keys[keep], node_rows[keep]
-    return node_keys >> depth, np.take(buf, node_rows, axis=0)
+    # mode "clip" takes straight into ``out``: the rows are in range, and
+    # "raise" would take into a temporary first
+    np.take(buf, node_rows, axis=0, out=out, mode="clip")
 
 
 def _interleave3(i, j, k):

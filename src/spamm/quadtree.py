@@ -28,11 +28,13 @@ arithmetic, and the minima admit whole subcubes.
 
 Canonical form: a stored block has at least one nonzero element.  There is
 one construction path: it takes keys and a stack, drops the blocks that
-are all zero (including blocks of -0.0), and sums norms in one order that a
-matrix and its transpose share: a block's diagonal squares, then its mirrored
-pairs; a node's children as (11 + 22) + (12 + 21).  So a block's norm has the
-same bits whichever operation produced it, and a mirrored block's norm is
-its stored mirror's.
+are all zero (including blocks of -0.0), and sums each block's squares in
+one order that depends on the block's values alone (``_leaf_norm_sq``), so
+a block's norm has the same bits whichever operation produced it.
+``_grids`` gives a flagged tree's strict-lower leaf its stored mirror's
+norm and sums a node's children as (11 + 22) + (12 + 21), an order that a
+grid and its transpose share, so a flagged tree's norm pyramids equal
+their transposes bit for bit.
 
 Cost model: building a tree (a product, sum, scaling or filtered tree),
 ``trace`` and ``distance`` cost O(stored blocks), about half the nonzero
@@ -75,19 +77,12 @@ def _check_tau(tau):
 
 
 def _leaf_norm_sq(blocks):
-    """Squared Frobenius norm of each block of an (m, b, b) stack:
-    its diagonal squares in order, then each mirrored pair ``sq[r, c] +
-    sq[c, r]`` (r < c, row-major), so a block and its transpose give the same
-    bits.  A block's sum depends on that block alone, not on its stack."""
-    b = blocks.shape[-1]
-    sq = np.square(blocks).reshape(-1, b * b)
-    acc = sq[:, 0].copy()
-    for d in range(1, b):
-        acc += sq[:, d * (b + 1)]
-    for r in range(b):
-        for c in range(r + 1, b):
-            acc += sq[:, r * b + c] + sq[:, c * b + r]
-    return acc
+    """Squared Frobenius norm of each block of an (m, b, b) stack, in one
+    ``einsum`` over a C-contiguous copy (the stack itself if it is one):
+    einsum's summation order follows the layout, so on that layout a
+    block's sum depends on its values alone, not on its stack."""
+    s = np.ascontiguousarray(blocks)
+    return np.einsum("kij,kij->k", s, s)
 
 
 def _depth_for(logical_dim, leaf_size):
@@ -202,8 +197,8 @@ def _grids(m):
     ``low_sq[k]`` hold tier k's squared norms (children summed as
     (11 + 22) + (12 + 21)), occupancy, and smallest leaf squared norm
     under each node (an unstored leaf counts as 0), built up from the
-    leaves in one pass.  A mirrored leaf takes its stored mirror's norm,
-    which has the bits of its own."""
+    leaves in one pass.  A strict-lower leaf of a flagged tree takes its
+    stored mirror's norm."""
     nb, count = m.block_grid, m._keys.size
     keys, rows = _represented(m)
     index = np.full(nb * nb, count, dtype=np.intp)
@@ -500,7 +495,7 @@ def filter_drop(m, tau):
     Returns a new tree without the dropped leaves; every surviving leaf
     is bit-identical to its source.  Idempotent for a fixed tau.  A
     negative or non-finite tau is rejected.  A flagged tree is filtered on
-    its half: a block's norm is its mirror's, so both go or both stay.
+    its half, so a block and the mirror it stands for go or stay together.
     """
     _check_tau(tau)
     drop = np.sqrt(m._block_norm_sq) < tau

@@ -63,19 +63,23 @@ def norm_submultiplicativity_check(a, b):
     return True
 
 
-def mirrored_sum_of_squares(blocks):
-    """Squared Frobenius norm of each b x b block in the library's one
-    order: the diagonal squares in order, then each mirrored pair
-    ``sq[r, c] + sq[c, r]`` for r < c in row-major order."""
+def sum_of_squares(blocks):
+    """Squared Frobenius norm of each b x b block of ``blocks`` (any leading
+    shape), in the library's one order: one einsum over a C-contiguous
+    (m, b, b) copy, which sums each block by its values alone (see
+    ``fsum_of_squares`` for a check of its accuracy)."""
     b = blocks.shape[-1]
-    sq = blocks.astype(np.float64) ** 2
-    acc = np.zeros(blocks.shape[:-2])
-    for d in range(b):
-        acc += sq[..., d, d]
-    for r in range(b):
-        for c in range(r + 1, b):
-            acc += sq[..., r, c] + sq[..., c, r]
-    return acc
+    flat = np.ascontiguousarray(blocks, dtype=np.float64).reshape(-1, b, b)
+    return np.einsum("kij,kij->k", flat, flat).reshape(blocks.shape[:-2])
+
+
+def fsum_of_squares(blocks):
+    """Each b x b block's float squares summed exactly rounded by
+    ``math.fsum``: an accuracy reference that shares no summation order
+    with the library."""
+    b = blocks.shape[-1]
+    return np.array([math.fsum(row) for row in
+                     np.square(np.asarray(blocks).reshape(-1, b * b)).tolist()])
 
 
 def mirrored_child_sum(fine):
@@ -106,16 +110,22 @@ def audit_norm_cache(m):
     """Recompute every norm of ``m``'s pyramid (``_grids``, built from the
     tree's per-block squared norms) from its stored blocks, summing
     each block's squares and each node's children in the library's one
-    order (``mirrored_sum_of_squares``, ``mirrored_child_sum``); return the
-    largest relative discrepancy over all nodes.  The norm-cache invariant
+    order (``sum_of_squares``, ``mirrored_child_sum``); return the largest
+    relative discrepancy over all nodes.  The norm-cache invariant
     requires at most 4 * machine epsilon; a tree built along the library's
-    one construction path gives 0.0.  A flagged tree's mirrored blocks are
-    summed from their transposes (``full_blocks``)."""
-    nb = m.block_grid
-    keys, stack = full_blocks(m)
-    fresh = np.zeros(nb * nb)
-    fresh[keys] = mirrored_sum_of_squares(stack)
-    fresh = fresh.reshape(nb, nb)
+    one construction path gives 0.0.  A flagged tree's mirrored blocks
+    take their stored mirrors' sums.  Every stored block's squared norm is
+    also asserted to lie within b**2 * eps (relative) of its
+    ``fsum_of_squares``."""
+    nb, b = m.block_grid, m.leaf_size
+    exact = fsum_of_squares(m._stack)
+    cached = m._block_norm_sq
+    assert (np.abs(cached - exact) <= b * b * np.finfo(np.float64).eps * exact).all()
+    i, j = np.divmod(m._keys, nb)
+    fresh = np.zeros((nb, nb))
+    fresh[i, j] = sum_of_squares(m._stack)
+    if m.symmetric:
+        fresh[j, i] = fresh[i, j]
     worst = 0.0
     norm_sq = _grids(m)[1]
     for k in range(m.depth, -1, -1):

@@ -30,8 +30,8 @@ from spamm.purification import DroppingMode, SpammMode, purify
 from spamm.quadtree import DimensionMismatchError, _grids, from_dense
 
 from conftest import (full_blocks, is_bitwise_symmetric, mirrored_child_sum,
-                      mirrored_sum_of_squares, norm_submultiplicativity_check,
-                      oracle_matmul, padded_dense)
+                      norm_submultiplicativity_check, oracle_matmul, padded_dense,
+                      sum_of_squares)
 
 
 # ----------------------------------------------------------- basic contracts
@@ -123,7 +123,7 @@ def _flat_tiers(padded, leaf):
     blocks = padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2)
     nsq = [None] * (depth + 1)
     occs = [None] * (depth + 1)
-    nsq[depth] = mirrored_sum_of_squares(blocks)
+    nsq[depth] = sum_of_squares(blocks)
     occs[depth] = (blocks != 0).any(axis=(2, 3))
     for k in range(depth - 1, -1, -1):
         nsq[k] = mirrored_child_sum(nsq[k + 1])

@@ -1,5 +1,8 @@
 """Quadtree construction, norm caching, padding, and the dropping filter."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +17,8 @@ from spamm.multiply import SpammConfig, spamm
 from spamm.purification import tc2_initial_guess
 
 from conftest import (audit_norm_cache, dense_initial_guess, full_blocks,
-                      is_bitwise_symmetric, mirrored_child_sum, mirrored_sum_of_squares,
-                      padded_dense)
+                      is_bitwise_symmetric, mirrored_child_sum, padded_dense,
+                      sum_of_squares)
 
 
 def _stored_padded(m):
@@ -238,13 +241,13 @@ def test_add_dimension_mismatch():
 def _full_rebuild(padded, leaf_size):
     """Reference build that scans every block of ``padded``: nonzero test,
     +0.0 reset of empty blocks, leaf norms over the whole grid, then tier
-    sums, both in the library's one mirrored order."""
+    sums, both in the library's one order."""
     padded = padded.copy()
     nb = padded.shape[0] // leaf_size
     blocks = padded.reshape(nb, leaf_size, nb, leaf_size).swapaxes(1, 2)
     nonzero = (blocks != 0).any(axis=(2, 3))
     blocks[~nonzero] = 0.0
-    norms, occ = [mirrored_sum_of_squares(blocks)], [nonzero]
+    norms, occ = [sum_of_squares(blocks)], [nonzero]
     while norms[-1].shape[0] > 1:
         f, o = norms[-1], occ[-1]
         norms.append(mirrored_child_sum(f))
@@ -319,7 +322,7 @@ def test_grids_low_sq_is_each_node_smallest_leaf_norm():
                 nb = m.block_grid
                 padded = np.zeros((m.padded_dim, m.padded_dim))
                 padded[:n, :n] = d
-                leaf_sq = mirrored_sum_of_squares(
+                leaf_sq = sum_of_squares(
                     padded.reshape(nb, leaf, nb, leaf).swapaxes(1, 2))
                 assert leaf_sq[0, 1] == 0.0
                 low_sq = _grids(m)[3]
@@ -563,6 +566,114 @@ def test_trees_hold_only_their_blocks():
         assert len(arrays) >= 3
         for arr in arrays:
             assert arr.size < tree.block_grid ** 2, arr.shape
+
+
+# ---------------------------------------------------------------- leaf norms
+
+_NORM_LEAVES = (1, 2, 4, 8, 16, 64)
+
+
+def _wide_range_blocks(rng, count, b):
+    """``count`` random b x b blocks whose entries span 40 binades, so that
+    a change in summation order shows in the bits of their norms."""
+    return (rng.standard_normal((count, b, b))
+            * np.exp2(rng.integers(-20, 21, (count, b, b))))
+
+
+@pytest.mark.parametrize("leaf", _NORM_LEAVES)
+def test_leaf_norms_are_accurate(leaf):
+    """Every cached leaf norm of a tree with wide-range entries lies within
+    leaf**2 * eps (relative) of the ``math.fsum`` of its squares, and
+    the pyramid is the library's one order exactly (``audit_norm_cache``):
+    on an unflagged tree and on a flagged one, at n that pads."""
+    rng = np.random.default_rng(40 + leaf)
+    n = 3 * leaf + 1
+    d = _wide_range_blocks(rng, 1, n)[0]
+    plain, flagged = (from_dense(x, leaf_size=leaf) for x in (d, d + d.T))
+    assert flagged.symmetric and not plain.symmetric
+    assert audit_norm_cache(plain) == audit_norm_cache(flagged) == 0.0
+
+
+@pytest.mark.parametrize("leaf", _NORM_LEAVES)
+def test_leaf_norm_depends_on_block_values_alone(leaf):
+    """``_leaf_norm_sq`` gives a block the same bytes in stacks of 1 to 257
+    blocks at several offsets, on bases 0 and 8 bytes past a 64-byte
+    boundary, after ``np.take`` and a boolean index, and, for 16 blocks,
+    in a strided and an F-ordered view: a block's norm depends on its
+    values alone."""
+    rng = np.random.default_rng(leaf)
+    block = _wide_range_blocks(rng, 1, leaf)[0]
+    want = quadtree._leaf_norm_sq(block[None]).tobytes()
+    at, size, width = 256, 513, leaf * leaf * 8
+    for base in (0, 8):
+        raw = np.empty(size * width + 64 + base, dtype=np.uint8)
+        start = -raw.ctypes.data % 64 + base
+        stack = raw[start:start + size * width].view(np.float64)
+        stack = stack.reshape(size, leaf, leaf)
+        stack[:] = _wide_range_blocks(rng, size, leaf)
+        stack[at] = block
+        for m in range(1, 258):
+            for offset in {0, m // 2, m - 1}:
+                got = quadtree._leaf_norm_sq(stack[at - offset:at - offset + m])
+                assert got[offset].tobytes() == want, (base, m, offset)
+    picked = np.take(stack, [at, 3, at], axis=0)
+    assert quadtree._leaf_norm_sq(picked)[[0, 2]].tobytes() == want * 2
+    mask = np.zeros(size, dtype=bool)
+    mask[[5, at, 300]] = True
+    assert quadtree._leaf_norm_sq(stack[mask])[1].tobytes() == want
+    # views of 16 blocks, so that a layout-dependent sum shows in some
+    blocks = np.ascontiguousarray(stack[at - 8:at + 8])
+    wide = np.zeros((16, leaf, 2 * leaf))
+    wide[:, :, ::2] = blocks
+    flipped = np.ascontiguousarray(blocks.swapaxes(1, 2)).swapaxes(1, 2)
+    want = quadtree._leaf_norm_sq(blocks).tobytes()
+    assert quadtree._leaf_norm_sq(wide[:, :, ::2]).tobytes() == want
+    assert quadtree._leaf_norm_sq(flipped).tobytes() == want
+
+
+_NORMS_OF_SAVED_STACKS = """
+import sys
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+from spamm.quadtree import _leaf_norm_sq
+print(" ".join(f for f, on in umath.__cpu_features__.items() if on))
+for path in sys.argv[1:]:
+    np.save(path + ".norms.npy", _leaf_norm_sq(np.load(path)))
+"""
+
+
+def _enabled_dispatch_groups():
+    """The CPU feature groups numpy dispatches to beyond its baseline that
+    this machine runs, so any of them can be disabled."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    except (ImportError, AttributeError):
+        return []
+
+
+def test_leaf_norms_ignore_cpu_dispatch(tmp_path):
+    """With every dispatch group numpy reports for this machine disabled
+    (``NPY_DISABLE_CPU_FEATURES``), a subprocess gives the leaf norms of
+    saved stacks the bytes this process gives them."""
+    groups = _enabled_dispatch_groups()
+    if not groups:
+        pytest.skip("numpy dispatches to no CPU feature group beyond its baseline here")
+    rng = np.random.default_rng(29)
+    paths = []
+    for leaf in _NORM_LEAVES:
+        paths.append(tmp_path / f"leaf{leaf}.npy")
+        np.save(paths[-1], _wide_range_blocks(rng, 33, leaf))
+    src = os.path.dirname(os.path.dirname(quadtree.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(groups),
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _NORMS_OF_SAVED_STACKS, *map(str, paths)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert not set(groups) & set(run.stdout.split()), run.stdout
+    for path in paths:
+        got = np.load(str(path) + ".norms.npy")
+        assert got.tobytes() == quadtree._leaf_norm_sq(np.load(path)).tobytes(), path.name
 
 
 # ------------------------------------------------------------------ symmetry

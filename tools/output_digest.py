@@ -28,12 +28,17 @@ benchmark runs it.  The lines are:
 - ``cli-recipe``: the files and standard output of the README's command
   line recipes, run in a fresh directory.
 
-A tree is hashed by its shape, ``symmetric`` flag, ``norm()`` and the
-blocks it represents (``represented_blocks``: both triangles, in key
-order, however the tree stores them), so the order in which norms are
-summed counts too.  Floats are
-hashed by their bytes, so ``omitted_budget`` and energies must match to the
-last bit.
+Each line has a twin, ``<name>-values``, over the same outputs minus every
+norm-derived float: a tree's ``norm()`` and stored leaf norms,
+``ProductStats.omitted_budget`` and the CLI's ``omitted_budget`` column
+(the benchmark's ``err_to_budget`` is not hashed at all).  A change that
+only re-sums norms moves a line and keeps its twin.
+
+A tree is hashed by its shape, ``symmetric`` flag, the blocks it
+represents (``represented_blocks``: both triangles, in key order, however
+the tree stores them), its stored leaf norms and ``norm()``, so the order
+in which norms are summed counts too.  Floats are hashed by their bytes,
+so ``omitted_budget`` and energies must match to the last bit.
 """
 
 import argparse
@@ -94,32 +99,66 @@ def represented_blocks(m):
     return full[order], blocks[order]
 
 
-def feed(h, value):
-    """Add ``value`` to hash ``h``, tagged by its kind so that no two
-    different values feed the same bytes."""
+# The norm-derived fields of the dataclasses that are hashed.
+NORM_DERIVED = frozenset({"omitted_budget"})
+
+
+def feed(hs, value):
+    """Add ``value`` to each hash of ``hs``, the full hash and then its
+    ``-values`` twin, tagged by its kind so that no two different values
+    feed the same bytes.  Norm-derived floats (a tree's norms and the
+    ``NORM_DERIVED`` fields) are fed to the full hash alone."""
+    def put(data):
+        for h in hs:
+            h.update(data)
+
     if isinstance(value, QuadTreeMatrix):
-        h.update(b"tree")
-        feed(h, (value.logical_dim, value.leaf_size, value.symmetric,
-                 *represented_blocks(value), value.norm()))
+        put(b"tree")
+        feed(hs, (value.logical_dim, value.leaf_size, value.symmetric,
+                  *represented_blocks(value)))
+        feed(hs[:1], (value._block_norm_sq, value.norm()))
     elif isinstance(value, np.ndarray):
-        h.update(f"array {value.dtype.str} {value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
+        put(f"array {value.dtype.str} {value.shape}".encode())
+        put(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, (float, np.floating)):
-        h.update(b"float" + struct.pack("<d", float(value)))
+        put(b"float" + struct.pack("<d", float(value)))
     elif isinstance(value, (bool, type(None), str, bytes)):
-        h.update(f"{type(value).__name__} {value!r}".encode())
+        put(f"{type(value).__name__} {value!r}".encode())
     elif isinstance(value, (int, np.integer)):
-        h.update(f"int {int(value)}".encode())
+        put(f"int {int(value)}".encode())
     elif dataclasses.is_dataclass(value):
-        h.update(type(value).__name__.encode())
+        put(type(value).__name__.encode())
         for f in dataclasses.fields(value):
-            feed(h, getattr(value, f.name))
+            feed(hs[:1] if f.name in NORM_DERIVED else hs, getattr(value, f.name))
     elif isinstance(value, (list, tuple)):
-        h.update(f"seq {len(value)}".encode())
+        put(f"seq {len(value)}".encode())
         for item in value:
-            feed(h, item)
+            feed(hs, item)
     else:
         raise TypeError(f"cannot hash {type(value).__name__}")
+
+
+def without_budget(data):
+    """``data``, text or a file's bytes, with the value under each
+    ``omitted_budget`` header of its CSV lines blanked."""
+    if isinstance(data, bytes):
+        return without_budget(data.decode("latin-1")).encode("latin-1")
+    lines = data.split("\n")
+    for r, line in enumerate(lines[:-1]):
+        header = line.split(",")
+        if "omitted_budget" in header:
+            row = lines[r + 1].split(",")
+            row[header.index("omitted_budget")] = ""
+            lines[r + 1] = ",".join(row)
+    return "\n".join(lines)
+
+
+def feed_cli(hs, value):
+    """Feed a CLI output ``(..., data)``: as it is to the full hash, and
+    ``without_budget`` to the twin."""
+    *head, data = value
+    feed(hs[:1], value)
+    feed(hs[1:], (*head, without_budget(data)))
 
 
 def purify_outputs(w, inst):
@@ -146,32 +185,28 @@ def multiply_outputs(w, p):
     return spamm(p, p, SpammConfig(tau=w.tau, collect_boxes=True))
 
 
-def workload_digest(w, seeds):
-    h = hashlib.sha256()
+def workload_digest(hs, w, seeds):
     for seed in seeds:
         for index in range(harness.INSTANCES):
             inst = harness.build_instance(w, seed, index)
             if w.call == "purify":
-                feed(h, purify_outputs(w, inst))
+                feed(hs, purify_outputs(w, inst))
             else:
-                feed(h, multiply_outputs(w, inst.matrix))
-    return h.hexdigest()
+                feed(hs, multiply_outputs(w, inst.matrix))
 
 
-def leaf_digest(seed, cube_levels):
+def leaf_digest(hs, seed, cube_levels):
     """The multiply-density product of (``seed``, instance 0) at every leaf
     size, with ``multiply._CUBE_LEVELS`` set to ``cube_levels``."""
     w = harness.WORKLOADS["multiply-density"]
     p = harness.build_instance(w, seed, 0).matrix.to_dense()
-    h = hashlib.sha256()
     default = multiply._CUBE_LEVELS
     multiply._CUBE_LEVELS = cube_levels
     try:
         for leaf in LEAF_SIZES:
-            feed(h, multiply_outputs(w, from_dense(p, leaf_size=leaf)))
+            feed(hs, multiply_outputs(w, from_dense(p, leaf_size=leaf)))
     finally:
         multiply._CUBE_LEVELS = default
-    return h.hexdigest()
 
 
 # Sizes of the initial-guess trees: a lone element, sizes that pad at every
@@ -192,18 +227,15 @@ def guess_inputs(rng, n):
     return d, shifted, 2.5 * np.eye(n)
 
 
-def initial_guess_digest(seed):
+def initial_guess_digest(hs, seed):
     rng = np.random.default_rng(seed)
-    h = hashlib.sha256()
     for leaf in LEAF_SIZES:
         for n in GUESS_SIZES:
             for d in guess_inputs(rng, n):
-                feed(h, purification.tc2_initial_guess(from_dense(d, leaf_size=leaf)))
-    return h.hexdigest()
+                feed(hs, purification.tc2_initial_guess(from_dense(d, leaf_size=leaf)))
 
 
-def cli_digest():
-    h = hashlib.sha256()
+def cli_digest(hs):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -212,12 +244,11 @@ def cli_digest():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     status = cli.main(line.split())
-                feed(h, (line, status, out.getvalue()))
+                feed_cli(hs, (line, status, out.getvalue()))
             for name in sorted(os.listdir(tmp)):
-                feed(h, (name, Path(tmp, name).read_bytes()))
+                feed_cli(hs, (name, Path(tmp, name).read_bytes()))
         finally:
             os.chdir(cwd)
-    return h.hexdigest()
 
 
 def main(argv=None):
@@ -226,13 +257,16 @@ def main(argv=None):
                         help="comma-separated benchmark seeds (default 1,2,3)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    for name, w in harness.WORKLOADS.items():
-        print(f"{workload_digest(w, seeds)}  {name}", flush=True)
-    print(f"{leaf_digest(seeds[0], multiply._CUBE_LEVELS)}  multiply-density-leaves",
-          flush=True)
-    print(f"{leaf_digest(seeds[0], ())}  multiply-density-no-cubes", flush=True)
-    print(f"{initial_guess_digest(seeds[0])}  initial-guess", flush=True)
-    print(f"{cli_digest()}  cli-recipe", flush=True)
+    lines = [*((name, workload_digest, (w, seeds)) for name, w in harness.WORKLOADS.items()),
+             ("multiply-density-leaves", leaf_digest, (seeds[0], multiply._CUBE_LEVELS)),
+             ("multiply-density-no-cubes", leaf_digest, (seeds[0], ())),
+             ("initial-guess", initial_guess_digest, (seeds[0],)),
+             ("cli-recipe", cli_digest, ())]
+    for name, digest, digest_args in lines:
+        hs = (hashlib.sha256(), hashlib.sha256())
+        digest(hs, *digest_args)
+        print(f"{hs[0].hexdigest()}  {name}")
+        print(f"{hs[1].hexdigest()}  {name}-values", flush=True)
 
 
 if __name__ == "__main__":
