@@ -3,11 +3,11 @@
 Subcommands
 -----------
 generate   write a decay matrix or model Hamiltonian as MatrixMarket
-multiply   truncated product of two MatrixMarket files; stats CSV, box log
+multiply   truncated product of two MatrixMarket files; stats CSV, product
 purify     TC2 purification under a truncation mode; per-sweep report CSV
 sweep      work/error table over sizes x modes x thresholds (or matched
            error targets)
-boxes      pruned product-space cuboids of one multiply + occupancy summary
+boxes      box log (pruned product-space cuboids) of one multiply + summary
 
 All runs are deterministic: every step is closed-form or fixed-order, so a
 repeated invocation reproduces its outputs byte for byte.
@@ -17,6 +17,7 @@ Exit status is 0 on success, 1 on a rejected input, 2 on bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -26,10 +27,10 @@ from .generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
                          gen_model_hamiltonian)
 from .matrixmarket import read_matrix_market, write_matrix_market
 from .multiply import SpammConfig, spamm, write_box_log
-from .purification import (DroppingMode, SpammMode, _check_max_iter,
-                           _check_target, _held_token, match_error_threshold,
-                           purify, write_purify_report)
-from .quadtree import _check_tau, from_dense
+from .purification import (_MAX_ITER, DroppingMode, SpammMode,
+                           _check_max_iter, _check_target, _held_token,
+                           match_error_threshold, purify, write_purify_report)
+from .quadtree import _LEAF_SIZE, _check_tau, from_dense
 
 
 def _load_tree(path, leaf_size):
@@ -46,9 +47,9 @@ def _multiply_files(args, collect_boxes):
 
 
 def _generate_tree(args):
-    if args.kind in ("exp", "exponential"):
+    if args.kind == "exp":
         return gen_exponential(args.n, args.alpha, leaf_size=args.leaf_size)
-    if args.kind in ("alg", "algebraic"):
+    if args.kind == "alg":
         return gen_algebraic(args.n, args.p, leaf_size=args.leaf_size)
     model = ModelHamiltonian(n=args.n, kind=args.kind, gap=args.gap,
                              hopping=args.hopping)
@@ -63,11 +64,9 @@ def cmd_generate(args):
 
 
 def cmd_multiply(args):
-    a, b, c, stats = _multiply_files(args, collect_boxes=args.boxes is not None)
+    a, b, c, stats = _multiply_files(args, collect_boxes=False)
     if args.out_c:
         write_matrix_market(c, args.out_c, fmt=args.format)
-    if args.boxes:
-        write_box_log(stats.boxes, args.boxes)
     header = "n,tau,leaf_matmuls,pruned_calls,omitted_budget"
     row = (f"{a.logical_dim},{args.tau:.17g},{stats.leaf_matmuls},"
            f"{stats.pruned_calls},{stats.omitted_budget:.17g}")
@@ -184,15 +183,23 @@ def cmd_boxes(args):
 
 
 def _add_model_flags(p):
-    p.add_argument("--gap", type=float, default=1.0,
-                   help="spectral gap of the gapped chain (default 1.0)")
-    p.add_argument("--hopping", "--hop", type=float, default=1.0,
-                   help="nearest-neighbour hopping (default 1.0)")
+    p.add_argument("--gap", type=float, default=ModelHamiltonian.gap,
+                   help="spectral gap of the gapped chain (default %(default)s)")
+    p.add_argument("--hopping", type=float, default=ModelHamiltonian.hopping,
+                   help="nearest-neighbour hopping (default %(default)s)")
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=["array", "coordinate"], default="array")
+
+
+def _add_max_iter(p):
+    p.add_argument("--max-iter", type=int, default=_MAX_ITER)
 
 
 def _add_common(p):
-    p.add_argument("--leaf-size", type=int, default=4,
-                   help="dense leaf block side, power of two (default 4)")
+    p.add_argument("--leaf-size", type=int, default=_LEAF_SIZE,
+                   help="dense leaf block side, power of two (default %(default)s)")
 
 
 def build_parser():
@@ -200,20 +207,20 @@ def build_parser():
         prog="spamm-bench",
         description="flops-vs-error benchmarks for norm-pruned quadtree "
                     "matrix multiplication")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag has one spelling: no subcommand takes a prefix of one.
+    one_spelling = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=one_spelling)
 
     p = sub.add_parser("generate", help="write a test matrix as MatrixMarket")
     p.add_argument("--kind", required=True,
-                   choices=["exp", "exponential", "alg", "algebraic",
-                            "gapped", "gapless"])
+                   choices=["exp", "alg", "gapped", "gapless"])
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--alpha", type=float, default=1.0,
-                   help="exponential decay rate (default 1.0)")
+                   help="exponential decay rate (default %(default)s)")
     p.add_argument("--p", type=float, default=3.0,
-                   help="algebraic decay power (default 3.0)")
+                   help="algebraic decay power (default %(default)s)")
     _add_model_flags(p)
-    p.add_argument("--format", choices=["array", "coordinate"],
-                   default="array")
+    _add_format(p)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_generate)
@@ -223,10 +230,8 @@ def build_parser():
     p.add_argument("--b", required=True)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--out-c", help="write the product as MatrixMarket")
-    p.add_argument("--format", choices=["array", "coordinate"],
-                   default="array")
+    _add_format(p)
     p.add_argument("--stats", help="write a one-row stats CSV")
-    p.add_argument("--boxes", help="write the pruned-box log")
     p.add_argument("--with-error", action="store_true",
                    help="also compute the exact product and report abs_err")
     _add_common(p)
@@ -245,11 +250,10 @@ def build_parser():
     p.add_argument("--n-occ", type=float, required=True)
     p.add_argument("--mode", choices=["spamm", "drop"], default="spamm")
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--max-iter", type=int, default=50)
+    _add_max_iter(p)
     p.add_argument("--report", help="write the per-sweep report CSV")
     p.add_argument("--out-p", help="write the density matrix as MatrixMarket")
-    p.add_argument("--format", choices=["array", "coordinate"],
-                   default="array")
+    _add_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_purify)
 
@@ -261,7 +265,7 @@ def build_parser():
     p.add_argument("--taus", help="comma-separated thresholds")
     p.add_argument("--match-targets",
                    help="comma-separated delta_e_rel targets to match")
-    p.add_argument("--max-iter", type=int, default=50)
+    _add_max_iter(p)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadtree import from_dense
+from .quadtree import _LEAF_SIZE, from_dense
 
 
 def _check_n(n):
@@ -28,7 +28,7 @@ def _check_n(n):
         raise ValueError(f"n must be an integer, got {n!r}")
 
 
-def gen_exponential(n, alpha, leaf_size=4):
+def gen_exponential(n, alpha, leaf_size=_LEAF_SIZE):
     """Quadtree matrix with entries exp(-alpha * |i - j|); n an integer,
     alpha > 0 and finite."""
     _check_n(n)
@@ -39,7 +39,7 @@ def gen_exponential(n, alpha, leaf_size=4):
     return from_dense(np.exp(-alpha * dist), leaf_size=leaf_size)
 
 
-def gen_algebraic(n, p, leaf_size=4):
+def gen_algebraic(n, p, leaf_size=_LEAF_SIZE):
     """Quadtree matrix with entries 1/|i - j|**p off the diagonal, 0 on it;
     n an integer, p > 0 and finite."""
     _check_n(n)
@@ -86,7 +86,7 @@ class ModelHamiltonian:
         return self.n // 2
 
 
-def gen_model_hamiltonian(model, leaf_size=4):
+def gen_model_hamiltonian(model, leaf_size=_LEAF_SIZE):
     """Dense tight-binding Hamiltonian of ``model`` as a quadtree matrix."""
     n = model.n
     h = np.zeros((n, n))

@@ -213,7 +213,7 @@ def spamm(a, b, config=None):
     # The traversal's arrays and the operands' pyramids are gone by the
     # time the leaf stage allocates its scratch.
     leaves, cubes, indexes = _traverse(a, b, float(config.tau), symmetric, stats)
-    keys, blocks = _leaf_stage(a, b, leaves, cubes, a.depth, symmetric, indexes)
+    keys, blocks = _leaf_stage(a, b, leaves, cubes, symmetric, indexes)
     # The product of a symmetric square is its blocks with i <= j.
     return _from_blocks(keys, blocks, a.logical_dim, a.leaf_size, symmetric), stats
 
@@ -293,7 +293,7 @@ def _traverse(a, b, tau, symmetric, stats):
             ia, ja, ka = ia[upper], ja[upper], ka[upper]
 
 
-def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
+def _leaf_stage(a, b, keys, cubes, symmetric, indexes):
     """Compute the surviving leaf products and the whole subcubes and merge
     them per C block.  ``keys`` are the leaf triples' keys
     ``(i*nb + j)*nb + k``; ``cubes`` lists the whole subcubes of each tier
@@ -308,7 +308,7 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     by ``_subcube_sums``.
     Returns the C block keys ``i * nb + j`` in increasing order and the
     (m, b, b) stack of merged blocks in that order."""
-    leaf, m, nb = a.leaf_size, keys.size, a.block_grid
+    leaf, m, nb, depth = a.leaf_size, keys.size, a.block_grid, a.depth
     # A chunk holds the groups that start within one span of chunk_entries
     # entries, so it never splits a group (the pairwise merge needs the
     # whole contribution set) and ends within one group, at most nb
@@ -345,7 +345,7 @@ def _leaf_stage(a, b, keys, cubes, depth, symmetric, indexes):
     bounds = np.append(group_starts, keys.size)
     for g, h in zip(firsts, firsts[1:]):
         s, e = bounds[g], bounds[h]
-        _merge_chunk(a, b, keys[s:e], at[s:e], buf, head, depth, indexes, out[g:h])
+        _merge_chunk(a, b, keys[s:e], at[s:e], buf, head, indexes, out[g:h])
     return keys[group_starts] >> depth, out
 
 
@@ -397,7 +397,7 @@ def _subcube_sums(a, b, level, ci, cj, ck, indexes, sums, start):
         np.add(prod[0], prod[step], out=out[run])
 
 
-def _merge_chunk(a, b, keys, at, buf, head, depth, indexes, out):
+def _merge_chunk(a, b, keys, at, buf, head, indexes, out):
     """Multiply and merge one chunk of whole groups: the entries of
     ``_leaf_stage`` at sorted ``keys``, a cube sum's at buffer row ``at``,
     into ``out``, one block per group in key order.
@@ -417,7 +417,7 @@ def _merge_chunk(a, b, keys, at, buf, head, depth, indexes, out):
     # The pairs of a level are added in slices, so the gathered blocks and
     # their sum are bounded by the scratch cap, not by the level.
     pairs = max(1, quadtree._SCRATCH_ELEMENTS // (a.leaf_size * a.leaf_size))
-    for level in range(depth):
+    for level in range(a.depth):
         if node_keys.size == len(out):
             break
         up = node_keys >> (level + 1)

@@ -168,6 +168,9 @@ def tc2_initial_guess(f):
 # multiply and orders of magnitude below any unconverged idempotency gap.
 _FIXED_POINT_FACTOR = 16.0
 
+# The default sweep count of ``purify``, ``match_error_threshold`` and the CLI.
+_MAX_ITER = 50
+
 
 def tc2_step(x, n_occ, mode):
     """One purification sweep: X**2 when Tr(X) >= n_occ, else 2X - X**2,
@@ -249,8 +252,8 @@ def _check_max_iter(max_iter):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def purify(f, n_occ, mode, max_iter=50, reference_energy=None):
-    """Run a fixed number of TC2 sweeps under the given truncation mode.
+def purify(f, n_occ, mode, max_iter=_MAX_ITER, reference_energy=None):
+    """Run ``max_iter`` TC2 sweeps under the given truncation mode.
 
     Each sweep measures one gap, the displacement |X_{k+1} - X_k|_F, and it
     alone decides when the run stops: at or below the fixed-point floor the
@@ -378,7 +381,7 @@ def _check_target(target_delta_e):
             f"resolution {eps:.3e}")
 
 
-def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=50,
+def match_error_threshold(f, n_occ, target_delta_e, mode, max_iter=_MAX_ITER,
                           max_steps=40, reference_energy=None):
     """Find tau such that delta_e_rel lands within a band around the target.
 

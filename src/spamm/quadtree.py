@@ -64,6 +64,9 @@ import numpy as np
 # trees, and the multiply's whole-subcube batches and merge slices.
 _SCRATCH_ELEMENTS = 1 << 16
 
+# The default leaf block side of ``from_dense``, the generators and the CLI.
+_LEAF_SIZE = 4
+
 
 class DimensionMismatchError(ValueError):
     """Raised for unusable matrix dimensions: non-square input, or two
@@ -227,7 +230,7 @@ def _require_conformable(a, b):
             f"({b.logical_dim}, leaf {b.leaf_size})")
 
 
-def from_dense(dense, leaf_size=4):
+def from_dense(dense, leaf_size=_LEAF_SIZE):
     """Build a quadtree matrix from a dense square array.
 
     The array is zero-padded up to ``leaf_size * 2**depth`` with the smallest
@@ -242,7 +245,7 @@ def from_dense(dense, leaf_size=4):
         Real square matrix, n >= 1, stored as float64; complex input is
         rejected.
     leaf_size : int
-        Dense block side, an integer power of two >= 1 (default 4).
+        Dense block side, an integer power of two >= 1 (default ``_LEAF_SIZE``).
     """
     if (not isinstance(leaf_size, (int, np.integer)) or leaf_size < 1
             or (leaf_size & (leaf_size - 1)) != 0):

@@ -245,8 +245,9 @@ def test_cli_determinism(tmp_path, monkeypatch, capsys):
         ["generate", "--kind", "exp", "--n", "128", "--alpha", "2",
          "--out", "b.mtx"],
         ["multiply", "--a", "a.mtx", "--b", "b.mtx", "--tau", "1e-8",
-         "--out-c", "c.mtx", "--stats", "stats.csv", "--boxes", "boxes.log",
-         "--with-error"],
+         "--out-c", "c.mtx", "--stats", "stats.csv", "--with-error"],
+        ["boxes", "--a", "a.mtx", "--b", "b.mtx", "--tau", "1e-8",
+         "--out", "boxes.log"],
         ["generate", "--kind", "gapped", "--n", "64", "--out", "h.mtx"],
         ["purify", "--f", "h.mtx", "--n-occ", "32", "--mode", "spamm",
          "--tau", "1e-7", "--max-iter", "20", "--report", "report.csv",

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; every invocation runs in process."""
 
+import inspect
 import math
 import os
 import warnings
@@ -9,9 +10,11 @@ import pytest
 
 from spamm import cli, purification
 from spamm.cli import main
-from spamm.generators import ModelHamiltonian, gen_exponential, gen_model_hamiltonian
+from spamm.generators import (ModelHamiltonian, gen_algebraic, gen_exponential,
+                              gen_model_hamiltonian)
 from spamm.matrixmarket import read_matrix_market, write_matrix_market
 from spamm.multiply import spamm
+from spamm.purification import match_error_threshold, purify
 from spamm.quadtree import from_dense
 
 from conftest import padded_dense
@@ -42,9 +45,9 @@ def test_generate_exponential_matches_library(tmp_path):
     ref = tmp_path / "ref.mtx"
     write_matrix_market(gen_exponential(32, 1.0), ref, fmt="array")
     assert out.read_bytes() == ref.read_bytes()
-    # long-form kind alias produces the identical file
+    # a second run writes the identical file
     out2 = tmp_path / "a2.mtx"
-    assert main(["generate", "--kind", "exponential", "--n", "32", "--alpha",
+    assert main(["generate", "--kind", "exp", "--n", "32", "--alpha",
                  "1", "--out", str(out2)]) == 0
     assert out2.read_bytes() == out.read_bytes()
 
@@ -57,7 +60,7 @@ def test_generate_algebraic_and_models(tmp_path):
     assert got[0, 1] == 1.0 and got[0, 0] == 0.0
 
     assert main(["generate", "--kind", "gapped", "--n", "16", "--gap", "1",
-                 "--hop", "2", "--out", str(out)]) == 0
+                 "--hopping", "2", "--out", str(out)]) == 0
     ref = gen_model_hamiltonian(ModelHamiltonian(16, "gapped", gap=1.0,
                                                  hopping=2.0))
     assert np.array_equal(read_matrix_market(out), ref.to_dense())
@@ -111,8 +114,9 @@ def test_multiply_deterministic_outputs(tmp_path):
         boxes = tmp_path / f"boxes.{tag}.log"
         out_c = tmp_path / f"c.{tag}.mtx"
         assert main(["multiply", "--a", pa, "--b", pb, "--tau", "1e-6",
-                     "--stats", str(stats), "--boxes", str(boxes),
-                     "--out-c", str(out_c)]) == 0
+                     "--stats", str(stats), "--out-c", str(out_c)]) == 0
+        assert main(["boxes", "--a", pa, "--b", pb, "--tau", "1e-6",
+                     "--out", str(boxes)]) == 0
         blobs.append((stats.read_bytes(), boxes.read_bytes(),
                       out_c.read_bytes()))
     assert blobs[0] == blobs[1]
@@ -154,13 +158,13 @@ def test_one_file_for_both_operands_is_squared_symmetrically(tmp_path, monkeypat
     for tag, other, kind in (("same", path, "half"), ("link", link, "half"),
                              ("copy", copy, "full")):
         files = [tmp_path / f"out-{tag}.{ext}"
-                 for ext in ("csv", "mtx", "boxes", "log", "txt")]
+                 for ext in ("csv", "mtx", "log", "txt")]
         operands = ["--a", str(path), "--b", str(other), "--tau", "1e-6"]
         assert main(["multiply", *operands, "--stats", str(files[0]),
-                     "--out-c", str(files[1]), "--boxes", str(files[2])]) == 0
+                     "--out-c", str(files[1])]) == 0
         assert storage() == kind
-        assert main(["boxes", *operands, "--out", str(files[3]),
-                     "--summary", str(files[4])]) == 0
+        assert main(["boxes", *operands, "--out", str(files[2]),
+                     "--summary", str(files[3])]) == 0
         assert storage() == kind
         outputs[tag] = [f.read_bytes() for f in files[1:]]
         outputs[tag].append(_read_stats(files[0])[1])
@@ -274,6 +278,62 @@ def test_sweep_matched_targets(tmp_path):
     assert float(target) == 1e-5
     assert float(tau) > 0
     assert math.isfinite(float(delta))
+
+
+# ------------------------------------------------------ defaults, spellings
+
+def _library_defaults():
+    """The library's defaults of the settings the command line shares with
+    it, each checked to be one value across the signatures that take it."""
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    leaf_sizes = {default(f, "leaf_size") for f in
+                  (from_dense, gen_exponential, gen_algebraic, gen_model_hamiltonian)}
+    max_iters = {default(f, "max_iter") for f in (purify, match_error_threshold)}
+    assert len(leaf_sizes) == len(max_iters) == 1
+    return {"leaf_size": leaf_sizes.pop(), "max_iter": max_iters.pop(),
+            "gap": default(ModelHamiltonian, "gap"),
+            "hopping": default(ModelHamiltonian, "hopping")}
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (["generate", "--kind", "exp", "--n", "8", "--out", "x.mtx"],
+     ("leaf_size", "gap", "hopping")),
+    (["multiply", "--a", "a.mtx", "--b", "b.mtx"], ("leaf_size",)),
+    (["purify", "--f", "f.mtx", "--n-occ", "1"], ("leaf_size", "max_iter")),
+    (["sweep", "--sizes", "16", "--out", "s.csv"],
+     ("leaf_size", "max_iter", "gap", "hopping")),
+    (["boxes", "--a", "a.mtx", "--b", "b.mtx", "--tau", "0", "--out", "b.log"],
+     ("leaf_size",)),
+])
+def test_flag_defaults_are_the_library_defaults(argv, settings):
+    """A subcommand given only its required flags parses each setting it
+    shares with the library to the library's default."""
+    library = _library_defaults()
+    args = cli.build_parser().parse_args(argv)
+    assert {name for name in library if hasattr(args, name)} == set(settings)
+    for name in settings:
+        assert getattr(args, name) == library[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "exponential", "--n", "8", "--out", "x.mtx"],
+    ["generate", "--kind", "algebraic", "--n", "8", "--out", "x.mtx"],
+    ["generate", "--kind", "gapped", "--n", "8", "--hop", "2", "--out", "x.mtx"],
+    ["sweep", "--sizes", "16", "--taus", "0", "--hop", "2", "--out", "s.csv"],
+    ["multiply", "--a", "a.mtx", "--b", "a.mtx", "--boxes", "boxes.log"],
+])
+def test_removed_spellings_are_usage_errors(tmp_path, monkeypatch, argv):
+    """The kind names exponential and algebraic, the flag --hop (no longer
+    taken as a prefix of --hopping either) and multiply --boxes are gone:
+    exit status 2, and no file written."""
+    monkeypatch.chdir(tmp_path)
+    write_matrix_market(gen_exponential(8, 1.0), tmp_path / "a.mtx")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["a.mtx"]
 
 
 # --------------------------------------------------------------- exit codes

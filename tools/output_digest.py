@@ -74,7 +74,7 @@ CLI_RECIPE = (
     "multiply --a a.mtx --b a.mtx --tau 1e-8 --with-error --stats stats.csv",
     "generate --kind gapped --n 256 --gap 1.0 --out f.mtx",
     "multiply --a a.mtx --b a.mtx --tau 1e-6 --stats stats.csv "
-    "--boxes boxes.log --out-c c.mtx --with-error",
+    "--out-c c.mtx --with-error",
     "purify --f f.mtx --n-occ 128 --mode spamm --tau 1e-8 "
     "--report report.csv --out-p p.mtx",
     "boxes --a a.mtx --b a.mtx --tau 1e-6 --out boxes.log --summary summary.txt",
